@@ -1,6 +1,7 @@
 #include "src/core/fork.h"
 
 #include "src/core/fork_internal.h"
+#include "src/reclaim/rmap.h"
 #include "src/trace/metrics.h"
 #include "src/trace/trace.h"
 #include "src/util/log.h"
@@ -47,7 +48,15 @@ bool CopyAddressSpace(AddressSpace& parent, AddressSpace& child, ForkMode mode,
             parent.MappedBytes());
   Stopwatch total;
   CopyVmaList(parent, child);
-  bool ok = false;
+  // The anon_vma_fork analog: the child joins the parent's anon family before any entry is
+  // copied — O(1), and the only reverse-map work a fork does. Every frame the copy shares
+  // stays findable through the family walk without touching it. A failed link (fi site
+  // rmap_alloc) fails the fork before anything was shared.
+  bool ok = child.rmap() == nullptr || child.rmap()->LinkChild(parent, child);
+  if (!ok) {
+    ODF_TRACE(fork_end, parent.owner_pid(), static_cast<uint64_t>(mode), total.ElapsedNanos());
+    return false;
+  }
   switch (mode) {
     case ForkMode::kClassic:
       ok = ClassicCopyPageTables(parent, child, profile, counters);

@@ -62,10 +62,13 @@ struct ForkCounters {
 //              Huge (PMD-level) mappings are copied eagerly like classic fork, matching the
 //              paper's 4 KiB-only implementation scope (§4).
 //
-// The parent's TLB is fully flushed (its translations may have lost write permission).
+// Both engines first link the child into the parent's anon family (src/reclaim/rmap.h);
+// no engine does reverse-map work per entry. The parent's TLB is fully flushed (its
+// translations may have lost write permission).
 //
 // Returns false when a required allocation fails mid-copy (ENOMEM after reclaim, or an
-// injected page_table_alloc failure). Table-allocation failures degrade gracefully where a
+// injected page_table_alloc failure) or the family link fails (injected rmap_alloc, before
+// anything is copied). Table-allocation failures degrade gracefully where a
 // zero-allocation sharing fallback exists (see DegradeFlavor in src/mm/fault.h); when no
 // fallback applies the copy stops. Either way every page/table reference the child holds is
 // reachable through the child's page tables, so the caller rolls back with

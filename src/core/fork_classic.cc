@@ -8,7 +8,6 @@
 #include "src/core/fork_internal.h"
 #include "src/mm/fault.h"
 #include "src/mm/range_ops.h"
-#include "src/reclaim/rmap.h"
 #include "src/trace/metrics.h"
 #include "src/trace/trace.h"
 #include "src/util/log.h"
@@ -18,18 +17,44 @@ namespace odf {
 
 namespace {
 
-// Copies the present entries of one parent PTE table slice [lo, hi) into the child's table.
-// Two passes: resolve metadata and collect compound heads (the compound_head() hotspot of
-// Fig. 3), batch-increment every refcount in one IncRefBatch call, then write the entries.
-// References are taken before any child entry becomes visible, so the table never points at
-// an under-referenced frame.
-void CopyPteSliceFused(FrameAllocator& allocator, SwapSpace* swap,
-                       reclaim::RmapRegistry* rmap, uint64_t* src, uint64_t* dst, Vaddr lo,
-                       Vaddr hi, bool wrprotect, ForkCounters* counters) {
+// Phase-timer policies for CopyPteSlice. The plain fork path compiles every timer away; the
+// profiled path (fig03) charges each pass to its ForkProfile field — one code path either
+// way, so the profile measures exactly the work an unprofiled fork does.
+struct NoPhaseTimer {
+  explicit NoPhaseTimer(ForkProfile*) {}
+  void Charge(uint64_t ForkProfile::*) {}
+};
+
+class StopwatchPhaseTimer {
+ public:
+  explicit StopwatchPhaseTimer(ForkProfile* profile) : profile_(profile) {}
+  // Adds the time since construction or the previous charge to `field`.
+  void Charge(uint64_t ForkProfile::*field) {
+    profile_->*field += sw_.ElapsedNanos();
+    sw_.Restart();
+  }
+
+ private:
+  ForkProfile* profile_;
+  Stopwatch sw_;
+};
+
+// Copies the present entries of one parent PTE table slice [lo, hi) into the child's table
+// in three batched passes, timed by PhaseTimer as the Fig. 3 breakdown: resolve metadata and
+// collect compound heads (the compound_head() hotspot), batch-increment every refcount in
+// one IncRefBatch call (page_ref_inc), then write the entries. References are taken before
+// any child entry becomes visible, so the table never points at an under-referenced frame.
+// There is no per-entry reverse-map work: the child joined the parent's anon family before
+// the copy, and each copied entry sits at the VA its frame's anon index already names.
+template <typename PhaseTimer>
+void CopyPteSlice(FrameAllocator& allocator, SwapSpace* swap, uint64_t* src, uint64_t* dst,
+                  Vaddr lo, Vaddr hi, bool wrprotect, ForkProfile* profile,
+                  ForkCounters* counters) {
+  PhaseTimer timer(profile);
   std::array<uint64_t, kEntriesPerTable> indices;
   std::array<FrameId, kEntriesPerTable> heads;
   size_t present = 0;
-  uint64_t copied = 0;
+  uint64_t swapped = 0;
   for (Vaddr va = lo; va < hi; va += kPageSize) {
     uint64_t index = TableIndex(va, PtLevel::kPte);
     Pte entry = LoadEntry(&src[index]);
@@ -38,7 +63,7 @@ void CopyPteSliceFused(FrameAllocator& allocator, SwapSpace* swap,
       ODF_CHECK(swap != nullptr);
       swap->IncRef(entry.swap_slot());
       StoreEntry(&dst[index], entry);
-      ++copied;
+      ++swapped;
       continue;
     }
     if (entry.IsHwPoison()) {
@@ -56,8 +81,12 @@ void CopyPteSliceFused(FrameAllocator& allocator, SwapSpace* swap,
     indices[present] = index;
     ++present;
   }
+  timer.Charge(&ForkProfile::meta_resolve_ns);
+
   // page_ref_inc for the whole table at one call site (docs/performance.md).
   allocator.IncRefBatch(std::span<const FrameId>(heads.data(), present));
+  timer.Charge(&ForkProfile::refcount_ns);
+
   for (size_t i = 0; i < present; ++i) {
     uint64_t index = indices[i];
     Pte entry = LoadEntry(&src[index]);
@@ -67,84 +96,23 @@ void CopyPteSliceFused(FrameAllocator& allocator, SwapSpace* swap,
       entry = protected_entry;
     }
     StoreEntry(&dst[index], entry);
-    if (rmap != nullptr) {
-      rmap->Add(entry.frame(), &dst[index]);
-    }
   }
-  copied += present;
+  timer.Charge(&ForkProfile::entry_copy_ns);
+
+  uint64_t copied = present + swapped;
+  if (profile != nullptr) {
+    profile->pte_entries_copied += copied;
+  }
   if (counters != nullptr) {
     counters->pte_entries_copied += copied;
   }
   CountVm(VmCounter::k_fork_pte_entries_copied, copied);  // Batched: one add per table.
 }
 
-// Instrumented variant: performs the same work in three batched passes so the time spent in
-// metadata resolution, refcounting, and entry writing can be attributed separately (the
-// Fig. 3 breakdown).
-void CopyPteSliceProfiled(FrameAllocator& allocator, SwapSpace* swap,
-                          reclaim::RmapRegistry* rmap, uint64_t* src, uint64_t* dst,
-                          Vaddr lo, Vaddr hi, bool wrprotect, ForkProfile* profile,
-                          ForkCounters* counters) {
-  std::array<uint64_t, kEntriesPerTable> indices;
-  std::array<FrameId, kEntriesPerTable> heads;
-  size_t present = 0;
-
-  Stopwatch sw;
-  for (Vaddr va = lo; va < hi; va += kPageSize) {
-    uint64_t index = TableIndex(va, PtLevel::kPte);
-    Pte entry = LoadEntry(&src[index]);
-    if (entry.IsSwap()) {
-      ODF_CHECK(swap != nullptr);
-      swap->IncRef(entry.swap_slot());
-      StoreEntry(&dst[index], entry);
-      continue;
-    }
-    if (entry.IsHwPoison()) {
-      StoreEntry(&dst[index], entry);  // Marker copies verbatim; no reference taken.
-      continue;
-    }
-    if (!entry.IsPresent()) {
-      continue;
-    }
-    FrameId frame = entry.frame();
-    PageMeta& meta = allocator.GetMeta(frame);
-    heads[present] = ResolveCompoundHead(meta, frame);
-    indices[present] = index;
-    ++present;
-  }
-  profile->meta_resolve_ns += sw.ElapsedNanos();
-
-  sw.Restart();
-  allocator.IncRefBatch(std::span<const FrameId>(heads.data(), present));
-  profile->refcount_ns += sw.ElapsedNanos();
-
-  sw.Restart();
-  for (size_t i = 0; i < present; ++i) {
-    uint64_t index = indices[i];
-    Pte entry = LoadEntry(&src[index]);
-    if (wrprotect && entry.IsWritable()) {
-      Pte protected_entry = entry.WithoutFlag(kPteWritable);
-      StoreEntry(&src[index], protected_entry);
-      entry = protected_entry;
-    }
-    StoreEntry(&dst[index], entry);
-    if (rmap != nullptr) {
-      rmap->Add(entry.frame(), &dst[index]);
-    }
-  }
-  profile->entry_copy_ns += sw.ElapsedNanos();
-
-  profile->pte_entries_copied += present;
-  if (counters != nullptr) {
-    counters->pte_entries_copied += present;
-  }
-  CountVm(VmCounter::k_fork_pte_entries_copied, present);
-}
-
 }  // namespace
 
-void CopyHugeEntry(FrameAllocator& allocator, reclaim::RmapRegistry* rmap,
-                   uint64_t* parent_slot, uint64_t* child_slot, ForkCounters* counters) {
+void CopyHugeEntry(FrameAllocator& allocator, uint64_t* parent_slot, uint64_t* child_slot,
+                   ForkCounters* counters) {
   Pte entry = LoadEntry(parent_slot);
   ODF_DCHECK(entry.IsPresent() && entry.IsHuge());
   FrameId head = entry.frame();
@@ -155,9 +123,6 @@ void CopyHugeEntry(FrameAllocator& allocator, reclaim::RmapRegistry* rmap,
     entry = protected_entry;
   }
   StoreEntry(child_slot, entry);
-  if (rmap != nullptr) {
-    rmap->Add(head, child_slot, /*huge=*/true);
-  }
   if (counters != nullptr) {
     ++counters->huge_entries_copied;
   }
@@ -234,7 +199,7 @@ bool ClassicCopyPageTables(AddressSpace& parent, AddressSpace& child, ForkProfil
           return false;
         }
         if (!LoadEntry(child_pmd).IsPresent()) {
-          CopyHugeEntry(allocator, child.rmap(), parent_pmd, child_pmd, counters);
+          CopyHugeEntry(allocator, parent_pmd, child_pmd, counters);
         }
         continue;
       }
@@ -269,11 +234,11 @@ bool ClassicCopyPageTables(AddressSpace& parent, AddressSpace& child, ForkProfil
       if (profile != nullptr) {
         profile->table_alloc_ns += alloc_sw.ElapsedNanos();
         ++profile->pte_tables_visited;
-        CopyPteSliceProfiled(allocator, parent.swap_space(), child.rmap(), src, dst, lo, hi,
-                             wrprotect, profile, counters);
+        CopyPteSlice<StopwatchPhaseTimer>(allocator, parent.swap_space(), src, dst, lo, hi,
+                                          wrprotect, profile, counters);
       } else {
-        CopyPteSliceFused(allocator, parent.swap_space(), child.rmap(), src, dst, lo, hi,
-                          wrprotect, counters);
+        CopyPteSlice<NoPhaseTimer>(allocator, parent.swap_space(), src, dst, lo, hi,
+                                   wrprotect, profile, counters);
       }
     }
   }

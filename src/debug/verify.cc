@@ -1,11 +1,14 @@
 #include "src/debug/verify.h"
 
+#include <algorithm>
 #include <atomic>
 #include <sstream>
+#include <unordered_set>
 
 #include "src/proc/auditor.h"
 #include "src/proc/kernel.h"
 #include "src/reclaim/mm_gate.h"
+#include "src/reclaim/lru.h"
 #include "src/reclaim/rmap.h"
 #include "src/util/log.h"
 
@@ -45,9 +48,6 @@ void SweepFrameArray(Kernel& kernel, const AuditResult& audit, VerifyResult& res
       // legal only as the tail of a still-live split compound or a frame awaiting its
       // final DecRef; those still must have no mappings.
       ++poisoned_seen;
-      if (kernel.rmap().LocationCount(frame) != 0) {
-        violation(frame, meta, "hwpoisoned frame still has rmap locations");
-      }
       if (kernel.lru().Contains(frame)) {
         violation(frame, meta, "hwpoisoned frame on the LRU");
       }
@@ -68,6 +68,12 @@ void SweepFrameArray(Kernel& kernel, const AuditResult& audit, VerifyResult& res
       }
       if ((meta.flags & ~kPageFlagHwPoison) != 0) {
         violation(frame, meta, "free frame has stale flags");
+      }
+      if (meta.lru_state.load(std::memory_order_relaxed) != 0) {
+        violation(frame, meta, "free frame is on the LRU or in an add batch");
+      }
+      if (meta.anon_family != 0) {
+        violation(frame, meta, "free frame kept its reverse-map stamp");
       }
       if (Compiled() && meta.reserved != 0 && meta.reserved != kPoisonFreed) {
         violation(frame, meta, "free frame canary clobbered");
@@ -143,26 +149,120 @@ void SweepFrameArray(Kernel& kernel, const AuditResult& audit, VerifyResult& res
   }
 }
 
-// Cross-checks the rmap registry against the auditor's page-table walk: every present
-// leaf slot must be registered with exactly the frame id and granularity stored in it,
-// and the registry must hold nothing else (an exact bijection — docs/reclaim.md "Rmap
-// invariants"). A missing location means reclaim cannot find a mapping (data corruption
-// on eviction); a stale one means reclaim would rewrite a slot it no longer owns.
+// DESIGN.md invariant 9 / docs/reclaim.md "Rmap invariants", checked against the auditor's
+// page-table walk:
+//   - every running process is a member of a live anon family, and every member runs;
+//   - every present anonymous leaf inside a VMA maps a frame stamped with that process's
+//     family and the VMA's anon index of the leaf's VA — so the family walk finds it —
+//     and no present anonymous leaf lies outside every VMA, where no walk would look;
+//   - every LRU frame (list or add batch) is allocated, anonymous, order-0, tracked once,
+//     in a state matching where it sits, and found by its own family walk.
+// A missed mapping means eviction leaves a live translation to a freed frame; a stale LRU
+// entry means reclaim would scan a frame it can no longer reach.
 void CheckRmap(Kernel& kernel, const AuditResult& audit, VerifyResult& result) {
-  reclaim::RmapRegistry& rmap = kernel.rmap();
-  for (const auto& [slot, mapping] : audit.leaf_slots) {
-    if (!rmap.Contains(mapping.first, slot, mapping.second)) {
-      result.violations.push_back(
-          "present leaf entry for frame " + std::to_string(mapping.first) +
-          (mapping.second ? " (huge)" : "") + " has no rmap location");
+  FrameAllocator& allocator = kernel.allocator();
+  reclaim::Rmap& rmap = kernel.rmap();
+  auto violation = [&result](const std::string& what) { result.violations.push_back(what); };
+
+  std::unordered_set<const uint64_t*> covered;
+  std::unordered_set<const AddressSpace*> running;
+  for (const std::shared_ptr<Process>& process : kernel.RunningProcesses()) {
+    AddressSpace& as = process->address_space();
+    running.insert(&as);
+    const reclaim::AnonFamily* family = as.anon_family();
+    if (family == nullptr || rmap.FindFamily(family->id()) != family ||
+        std::find(family->members().begin(), family->members().end(), &as) ==
+            family->members().end()) {
+      violation("pid " + std::to_string(process->pid()) +
+                " is not a member of a live anon family");
+      continue;
+    }
+    for (const auto& [start, vma] : as.vmas()) {
+      for (Vaddr chunk = EntryBase(vma.start, PtLevel::kPmd); chunk < vma.end;
+           chunk += kPteTableSpan) {
+        uint64_t* pmd_slot = as.walker().FindEntry(as.pgd(), chunk, PtLevel::kPmd);
+        Pte pmd = pmd_slot != nullptr ? LoadEntry(pmd_slot) : Pte();
+        if (!pmd.IsPresent()) {
+          continue;
+        }
+        // A huge leaf is checked once, at its base (huge VMAs are 2 MiB-aligned).
+        Vaddr lo = std::max(chunk, vma.start);
+        Vaddr hi = pmd.IsHuge() ? lo + kPageSize : std::min(chunk + kPteTableSpan, vma.end);
+        for (Vaddr va = lo; va < hi; va += kPageSize) {
+          uint64_t* slot =
+              pmd.IsHuge() ? pmd_slot
+                           : &allocator.TableEntries(pmd.frame())[TableIndex(va, PtLevel::kPte)];
+          Pte entry = LoadEntry(slot);
+          if (!entry.IsPresent()) {
+            continue;
+          }
+          FrameId frame = entry.frame();
+          const PageMeta& meta = allocator.GetMeta(frame);
+          if ((meta.flags & kPageFlagAnon) == 0) {
+            continue;
+          }
+          covered.insert(slot);
+          FrameId head = ResolveCompoundHead(meta, frame);
+          const PageMeta& head_meta = allocator.GetMeta(head);
+          uint64_t index = head_meta.AnonIndex() + (frame - head);
+          if (head_meta.anon_family != family->id() || index != vma.AnonIndex(va)) {
+            violation("anonymous frame " + std::to_string(frame) + " mapped by pid " +
+                      std::to_string(process->pid()) + " at " + std::to_string(va) +
+                      " is stamped (family " + std::to_string(head_meta.anon_family) +
+                      ", index " + std::to_string(index) + "), expected (" +
+                      std::to_string(family->id()) + ", " +
+                      std::to_string(vma.AnonIndex(va)) + ")");
+          }
+        }
+      }
     }
   }
-  uint64_t locations = rmap.TotalLocations();
-  if (locations != audit.leaf_slots.size()) {
-    result.violations.push_back(
-        "rmap holds " + std::to_string(locations) + " locations but the walk found " +
-        std::to_string(audit.leaf_slots.size()) +
-        " present leaf entries (stale or duplicate rmap state)");
+  rmap.ForEachFamily([&](const reclaim::AnonFamily& family) {
+    for (AddressSpace* member : family.members()) {
+      if (member->anon_family() != &family || running.count(member) == 0) {
+        violation("anon family " + std::to_string(family.id()) +
+                  " lists an address space that is not a running member");
+      }
+    }
+  });
+  for (const auto& [slot, mapping] : audit.leaf_slots) {
+    if ((allocator.GetMeta(mapping.first).flags & kPageFlagAnon) != 0 &&
+        covered.count(slot) == 0) {
+      violation("present anonymous leaf for frame " + std::to_string(mapping.first) +
+                " lies outside every VMA (unreachable by the reverse map)");
+    }
+  }
+
+  std::vector<FrameId> tracked;
+  std::vector<reclaim::RmapLocation> locations;
+  std::string lists = kernel.lru().ForEachTracked([&](FrameId frame, reclaim::LruState state) {
+    tracked.push_back(frame);
+    const PageMeta& meta = allocator.GetMeta(frame);
+    std::string where = "LRU frame " + std::to_string(frame);
+    if ((meta.flags & kPageFlagAllocated) == 0) {
+      violation(where + " is free");
+      return;
+    }
+    if ((meta.flags & kPageFlagAnon) == 0 || meta.IsCompound() || meta.IsPageTable()) {
+      violation(where + " is not an anonymous order-0 page");
+      return;
+    }
+    if (state == reclaim::LruState::kNone || state == reclaim::LruState::kIsolated) {
+      violation(where + " is listed but its state says it is not");
+    }
+    locations.clear();
+    rmap.Walk(frame, &locations);
+    if (locations.empty()) {
+      violation(where + " is not found by its family walk");
+    }
+  });
+  if (!lists.empty()) {
+    violation(lists);
+  }
+  std::sort(tracked.begin(), tracked.end());
+  auto duplicate = std::adjacent_find(tracked.begin(), tracked.end());
+  if (duplicate != tracked.end()) {
+    violation("frame " + std::to_string(*duplicate) + " is tracked twice by the LRU");
   }
 }
 

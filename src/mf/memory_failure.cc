@@ -38,10 +38,9 @@ const char* MfResultName(MfResult result) {
 namespace {
 
 // Splits every huge (PMD-leaf) mapping of compound `head`, in every address space, so the
-// dead 4 KiB subpage can be offlined alone — the rest of the 2 MiB page survives. Huge
-// locations are registered in the rmap under the head, but a slot pointer alone cannot be
-// attributed to an owning space (the split needs the space's walker and TLB), hence the
-// full-space PMD scan; offline events are rare enough that the walk cost is irrelevant.
+// dead 4 KiB subpage can be offlined alone — the rest of the 2 MiB page survives. The split
+// needs the owning space's walker and TLB, hence the full-space PMD scan; offline events
+// are rare enough that the walk cost is irrelevant.
 // Returns false when a split's table allocation fails; splits already performed are
 // benign (a split mapping is valid state, faulting continues page by page).
 bool SplitAllHugeMappings(MfContext& ctx, FrameId head) {
@@ -96,6 +95,65 @@ size_t RelocateFileCache(MfContext& ctx, FrameId frame, FrameId replacement) {
   return relocated;
 }
 
+// The i_mmap analog for page-cache frames, which carry no anon stamp: every VMA that maps
+// the owning file at the frame's page index holds the candidate slot. A frame its file no
+// longer caches (truncated while mapped) has no index to go by, so those VMAs are scanned
+// whole. Shared tables are reported once per slot, as Rmap::Walk does.
+void WalkFileMappings(MfContext& ctx, FrameId frame,
+                      std::vector<reclaim::RmapLocation>* out) {
+  if (!ctx.spaces) {
+    return;
+  }
+  auto add = [&](AddressSpace& as, Vaddr va) {
+    uint64_t* slot = as.walker().FindEntry(as.pgd(), va, PtLevel::kPte);
+    if (slot == nullptr) {
+      return;
+    }
+    Pte entry = LoadEntry(slot);
+    if (!entry.IsPresent() || entry.frame() != frame) {
+      return;
+    }
+    for (const reclaim::RmapLocation& seen : *out) {
+      if (seen.slot == slot) {
+        return;
+      }
+    }
+    out->push_back(reclaim::RmapLocation{slot, /*huge=*/false});
+  };
+  for (AddressSpace* as : ctx.spaces()) {
+    for (const auto& [start, vma] : as->vmas()) {
+      if (!vma.IsFileBacked() || vma.huge) {
+        continue;
+      }
+      uint64_t cached_index = UINT64_MAX;
+      vma.file->ForEachCachedPage([&](uint64_t index, FrameId cached) {
+        if (cached == frame) {
+          cached_index = index;
+        }
+      });
+      if (cached_index != UINT64_MAX) {
+        uint64_t first = vma.FilePageIndex(vma.start);
+        if (cached_index >= first && cached_index - first < vma.length() / kPageSize) {
+          add(*as, vma.start + (cached_index - first) * kPageSize);
+        }
+        continue;
+      }
+      for (Vaddr va = vma.start; va < vma.end; va += kPageSize) {
+        add(*as, va);
+      }
+    }
+  }
+}
+
+// Every distinct slot mapping `frame`: the anon family walk, or the file's mappers.
+void FindMappings(MfContext& ctx, FrameId frame, std::vector<reclaim::RmapLocation>* out) {
+  if ((ctx.allocator->GetMeta(frame).flags & kPageFlagFile) != 0) {
+    WalkFileMappings(ctx, frame, out);
+  } else if (ctx.rmap != nullptr) {
+    ctx.rmap->Walk(frame, out);
+  }
+}
+
 size_t CountFileCacheRefs(MfContext& ctx, FrameId frame) {
   size_t refs = 0;
   if (ctx.fs != nullptr) {
@@ -145,16 +203,8 @@ MfResult HardOffline(MfContext& ctx, FrameId frame) {
     CountVm(VmCounter::k_mf_offline_failed);
     return MfResult::kFailedBusy;
   }
-  if (ctx.rmap != nullptr && ctx.rmap->IsUnstable(frame)) {
-    // An injected rmap_alloc failure means the reverse map may be missing a mapping;
-    // poisoning anyway would leave a live translation to the dead frame. Refuse.
-    CountVm(VmCounter::k_mf_offline_failed);
-    return MfResult::kFailedBusy;
-  }
   std::vector<reclaim::RmapLocation> locations;
-  if (ctx.rmap != nullptr) {
-    ctx.rmap->Snapshot(frame, &locations);
-  }
+  FindMappings(ctx, frame, &locations);
   bool is_file = (meta.flags & kPageFlagFile) != 0;
   // For a page-cache frame the contents are clean (the cache IS the backing store here, so
   // the relocation below plays the part of re-reading from disk): allocate the target
@@ -200,11 +250,12 @@ MfResult HardOffline(MfContext& ctx, FrameId frame) {
     ODF_DCHECK(!location.huge) << "huge mapping survived the split pass";
     StoreEntry(location.slot, anon_style ? Pte::MakeHwPoison(frame) : Pte());
   }
-  if (!locations.empty() && ctx.rmap != nullptr) {
-    ctx.rmap->RemoveAll(frame);  // Also erases the frame from the LRU.
-    for (size_t i = 0; i < locations.size(); ++i) {
-      allocator.DecRef(holder);  // One reference per cleared mapping.
-    }
+  // Dead bytes never age on the LRU, even while a pin keeps the frame allocated.
+  if (ctx.lru != nullptr) {
+    ctx.lru->Erase(frame);
+  }
+  for (size_t i = 0; i < locations.size(); ++i) {
+    allocator.DecRef(holder);  // One reference per cleared mapping.
   }
   if (ctx.flush_tlbs) {
     ctx.flush_tlbs();  // One coarse shootdown, while we still hold the gate.
@@ -242,14 +293,8 @@ MfResult SoftOffline(MfContext& ctx, FrameId frame) {
     CountVm(VmCounter::k_mf_offline_failed);
     return MfResult::kFailedBusy;
   }
-  if (ctx.rmap != nullptr && ctx.rmap->IsUnstable(frame)) {
-    CountVm(VmCounter::k_mf_offline_failed);
-    return MfResult::kFailedBusy;
-  }
   std::vector<reclaim::RmapLocation> locations;
-  if (ctx.rmap != nullptr) {
-    ctx.rmap->Snapshot(frame, &locations);
-  }
+  FindMappings(ctx, frame, &locations);
   size_t cache_refs = CountFileCacheRefs(ctx, frame);
   if (locations.empty() && cache_refs == 0) {
     // Nothing maps or caches it; whoever holds it frees it into quarantine eventually.
@@ -283,6 +328,17 @@ MfResult SoftOffline(MfContext& ctx, FrameId frame) {
   if (src != nullptr) {
     std::memcpy(allocator.MaterializeData(replacement, /*zero=*/false), src, kPageSize);
   }
+  // The replacement inherits the source's place in the reverse map (same family, same
+  // anon index — every repointed slot sits where the old stamp leads) and its LRU slot.
+  // A split-huge tail carries no stamp of its own; its head's, offset, is the one to copy.
+  if ((meta.flags & kPageFlagAnon) != 0) {
+    const PageMeta& head_meta = allocator.GetMeta(holder);
+    PageMeta& new_meta = allocator.GetMeta(replacement);
+    new_meta.SetAnonStamp(head_meta.anon_family, head_meta.AnonIndex() + (frame - holder));
+    if (ctx.lru != nullptr && new_meta.anon_family != 0) {
+      ctx.lru->Insert(replacement, /*active=*/false);
+    }
+  }
   // Atomically repoint every mapping: ONE update per slot, so a slot inside a shared
   // on-demand-fork PTE table migrates the page for every sharer at once (§3.6). Flags
   // (writable / accessed / dirty) ride along unchanged.
@@ -291,13 +347,7 @@ MfResult SoftOffline(MfContext& ctx, FrameId frame) {
     Pte entry = LoadEntry(location.slot);
     ODF_DCHECK(entry.IsPresent() && entry.frame() == frame);
     allocator.IncRef(replacement);
-    if (ctx.rmap != nullptr) {
-      ctx.rmap->Remove(frame, location.slot);
-    }
     StoreEntry(location.slot, entry.WithFrame(replacement));
-    if (ctx.rmap != nullptr) {
-      ctx.rmap->Add(replacement, location.slot);
-    }
     allocator.DecRef(holder);
   }
   if (cache_refs > 0) {
@@ -312,6 +362,9 @@ MfResult SoftOffline(MfContext& ctx, FrameId frame) {
   }
   if (ctx.flush_tlbs) {
     ctx.flush_tlbs();
+  }
+  if (ctx.lru != nullptr) {
+    ctx.lru->Erase(frame);         // Retiring: off the LRU even if a pin outlives us.
   }
   allocator.MarkHwPoison(frame);   // Sticky; the frees below divert to quarantine.
   allocator.DecRef(replacement);   // Drop the allocation ref; mappings + cache own it now.

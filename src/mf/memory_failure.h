@@ -4,7 +4,8 @@
 // Two entry points, both driven through the Kernel facade under the exclusive MmGate:
 //
 //   HardOffline — the machine-check path (MCE/BUS_MCEERR_AR). The frame's bytes are gone.
-//     Every mapping found through the reverse map is replaced with a non-present poison
+//     Every mapping found through the reverse map (the anon family walk, or for page-cache
+//     frames the VMAs mapping the file at that index) is replaced with a non-present poison
 //     marker (Pte::MakeHwPoison), so only processes that later TOUCH the dead address see
 //     FaultResult::kHwPoison — everyone else keeps running. A slot inside a shared
 //     on-demand-fork PTE table is rewritten ONCE for all sharers (§3.6 granularity); a
@@ -14,7 +15,7 @@
 //
 //   SoftOffline — predictive offline (corrected-error storms). The frame still holds good
 //     data, so it is MIGRATED: a target frame is allocated, the bytes copied, and every
-//     rmap location atomically repointed — zero data loss, transactional (an allocation
+//     mapping atomically repointed — zero data loss, transactional (an allocation
 //     failure or injected fi verdict leaves nothing mutated, mirroring TryFork).
 //
 // Either way the frame ends kPageFlagHwPoison'd and, once its last reference drops, parked
@@ -45,7 +46,7 @@ enum class MfResult : uint32_t {
                          // final free; nothing referenced the bytes.
   kAlreadyPoisoned = 2,  // Duplicate report for a frame already marked.
   kMigrated = 3,         // Soft offline: contents moved intact, source quarantined.
-  kFailedBusy = 4,       // Allocation failed or the frame is pinned/unstable; NOTHING was
+  kFailedBusy = 4,       // Allocation failed or the frame is pinned; NOTHING was
                          // mutated — the caller may retry.
   kFailedKernelPage = 5,  // Page-table frame: page-granularity offline cannot contain it.
   kNotSupported = 6,      // Built with -DODF_MEMORY_FAILURE=OFF.
@@ -58,12 +59,12 @@ struct MfContext {
   FrameAllocator* allocator = nullptr;
   SwapSpace* swap = nullptr;
   MemFilesystem* fs = nullptr;
-  reclaim::RmapRegistry* rmap = nullptr;
+  reclaim::Rmap* rmap = nullptr;
   reclaim::PageLru* lru = nullptr;
   // Coarse shootdown after mappings were rewritten (possibly in shared tables).
   std::function<void()> flush_tlbs;
-  // All live address spaces — the huge-split pass must walk PMD entries, which the
-  // reverse map alone cannot attribute to an owning space.
+  // All live address spaces — the huge-split pass walks their PMD entries, and page-cache
+  // frames are found through their file VMAs (the i_mmap analog).
   std::function<std::vector<AddressSpace*>()> spaces;
 };
 

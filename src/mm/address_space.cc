@@ -7,6 +7,7 @@
 
 #include "src/mm/range_ops.h"
 #include "src/reclaim/mm_gate.h"
+#include "src/reclaim/lru.h"
 #include "src/reclaim/rmap.h"
 #include "src/replay/recorder.h"
 #include "src/util/log.h"
@@ -23,7 +24,7 @@ constexpr Vaddr kGuardGap = kPageSize;
 }  // namespace
 
 AddressSpace::AddressSpace(FrameAllocator* allocator, SwapSpace* swap,
-                           reclaim::RmapRegistry* rmap)
+                           reclaim::Rmap* rmap)
     : allocator_(allocator),
       swap_(swap),
       rmap_(rmap),
@@ -53,7 +54,22 @@ void AddressSpace::TearDown() {
     ZapRange(*this, start, end);
   }
   FreePageTables(*this);
+  if (rmap_ != nullptr) {
+    rmap_->Unlink(*this);  // After the zap: no frame still needs this space's walk.
+  }
   torn_down_ = true;
+}
+
+void AddressSpace::AddNewAnonRmap(FrameId frame, const VmArea& vma, Vaddr va,
+                                  bool lru_active) {
+  if (anon_family_ == nullptr) {
+    return;
+  }
+  PageMeta& meta = allocator_->GetMeta(frame);
+  meta.SetAnonStamp(anon_family_->id(), vma.AnonIndex(va));
+  if (!meta.IsCompound()) {
+    rmap_->lru()->Add(frame, lru_active);
+  }
 }
 
 Vaddr AddressSpace::AllocateRange(uint64_t length, uint64_t alignment, Vaddr hint) {
@@ -108,6 +124,7 @@ Vaddr AddressSpace::MapAnonymous(uint64_t length, uint32_t prot, bool huge, Vadd
   vma.prot = prot;
   vma.kind = VmaKind::kAnonPrivate;
   vma.huge = huge;
+  vma.anon_pgoff = start >> kPageShift;
   InsertVma(std::move(vma));
   return start;
 }
@@ -128,6 +145,7 @@ Vaddr AddressSpace::MapFile(std::shared_ptr<MemFile> file, uint64_t file_offset,
   vma.kind = shared ? VmaKind::kFileShared : VmaKind::kFilePrivate;
   vma.file = std::move(file);
   vma.file_offset = file_offset;
+  vma.anon_pgoff = start >> kPageShift;  // Private COW copies are anonymous pages.
   InsertVma(std::move(vma));
   return start;
 }
@@ -155,6 +173,7 @@ void AddressSpace::SplitVmaAt(Vaddr va) {
   if (tail.IsFileBacked()) {
     tail.file_offset = vma->file_offset + (va - vma->start);
   }
+  tail.anon_pgoff = vma->AnonIndex(va);
   vma->end = va;
   InsertVma(std::move(tail));
 }
@@ -209,7 +228,8 @@ Vaddr AddressSpace::Remap(Vaddr old_start, uint64_t old_length, uint64_t new_len
     return old_start;
   }
 
-  // Move the mapping: relocate page-table entries, never data pages.
+  // Move the mapping: relocate page-table entries, never data pages. The moved VMA keeps
+  // its anon_pgoff, so the frames it carries stay findable by their stamped anon index.
   VmArea moved = *vma;
   vmas_.erase(old_start);
   Vaddr new_start = AllocateRange(new_length, kPageSize, 0);
@@ -328,10 +348,8 @@ void AddressSpace::PopulateRange(Vaddr start, uint64_t length) {
       if (vma->IsWritable()) {
         flags |= kPteWritable;
       }
+      AddNewAnonRmap(head, *vma, va);
       StoreEntry(pmd_slot, Pte::Make(head, flags));
-      if (rmap_ != nullptr) {
-        rmap_->Add(head, pmd_slot, /*huge=*/true);
-      }
     }
     return;
   }
@@ -364,10 +382,9 @@ void AddressSpace::PopulateRange(Vaddr start, uint64_t length) {
         flags |= kPteWritable;
       }
       for (size_t k = 0; k < absent; ++k) {
+        Vaddr va = chunk + static_cast<uint64_t>(slots[k] - first_slot) * kPageSize;
+        AddNewAnonRmap(frames[k], *vma, va);
         StoreEntry(slots[k], Pte::Make(frames[k], flags));
-        if (rmap_ != nullptr) {
-          rmap_->Add(frames[k], slots[k]);
-        }
       }
       chunk = chunk_end;
       continue;
@@ -385,9 +402,6 @@ void AddressSpace::PopulateRange(Vaddr start, uint64_t length) {
         flags |= kPteWritable;
       }
       StoreEntry(slot, Pte::Make(cache_frame, flags));
-      if (rmap_ != nullptr) {
-        rmap_->Add(cache_frame, slot);
-      }
     }
     chunk = chunk_end;
   }

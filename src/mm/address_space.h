@@ -29,7 +29,8 @@
 namespace odf {
 
 namespace reclaim {
-class RmapRegistry;
+class AnonFamily;
+class Rmap;
 }  // namespace reclaim
 
 // Fault counters. Relaxed atomics: concurrent faulters in disjoint shards bump these with
@@ -53,11 +54,12 @@ struct MmStats {
 
 class AddressSpace {
  public:
-  // `rmap`, when provided (the Kernel always does), receives every leaf-PTE install and
-  // clear this address space performs, feeding page reclaim (src/reclaim). Standalone
-  // mm-layer tests may pass nullptr: all rmap maintenance is skipped.
+  // `rmap`, when provided (the Kernel always does), is the reverse map this space joins a
+  // family of (src/reclaim/rmap.h): the kernel starts a family at CreateProcess and fork
+  // links children into it. Standalone mm-layer tests may pass nullptr: such a space has
+  // no family, and its anonymous frames are neither stamped nor LRU-managed.
   explicit AddressSpace(FrameAllocator* allocator, SwapSpace* swap = nullptr,
-                        reclaim::RmapRegistry* rmap = nullptr);
+                        reclaim::Rmap* rmap = nullptr);
   ~AddressSpace();
 
   AddressSpace(const AddressSpace&) = delete;
@@ -110,7 +112,15 @@ class AddressSpace {
   Walker& walker() { return walker_; }
   FrameAllocator& allocator() { return *allocator_; }
   SwapSpace* swap_space() { return swap_; }
-  reclaim::RmapRegistry* rmap() { return rmap_; }
+  reclaim::Rmap* rmap() { return rmap_; }
+  reclaim::AnonFamily* anon_family() const { return anon_family_; }
+
+  // Reverse-map bookkeeping for a freshly allocated anonymous frame about to be installed
+  // at `va` (the folio_add_new_anon_rmap + folio_add_lru analog): stamps this space's
+  // family and the VMA's anon index of `va` into the frame, and admits order-0 frames to
+  // the LRU through this thread's add batch (`lru_active` for a workingset refault). The
+  // frame must still be private to the caller. No-op outside a family.
+  void AddNewAnonRmap(FrameId frame, const VmArea& vma, Vaddr va, bool lru_active = false);
   MmStats& stats() { return stats_; }
   const MmStats& stats() const { return stats_; }
 
@@ -142,9 +152,14 @@ class AddressSpace {
   Vaddr AllocateRange(uint64_t length, uint64_t alignment, Vaddr hint);
   void InsertVma(VmArea vma);
 
+  // Family membership is maintained by reclaim::Rmap (CreateFamily / LinkChild / Unlink).
+  friend class reclaim::Rmap;
+
   FrameAllocator* allocator_;
   SwapSpace* swap_;
-  reclaim::RmapRegistry* rmap_;
+  reclaim::Rmap* rmap_;
+  reclaim::AnonFamily* anon_family_ = nullptr;
+  size_t family_slot_ = 0;  // Index in anon_family_'s member list.
   Walker walker_;
   FrameId pgd_;
   // locks_ before tlb_: the TLB routes every invalidation's shard-generation bump into the

@@ -56,6 +56,7 @@ bool DemandInstall(AddressSpace& as, VmArea& vma, Vaddr va, uint64_t* slot) {
     if (vma.IsWritable()) {
       flags |= kPteWritable;
     }
+    as.AddNewAnonRmap(frame, vma, va);
     ++as.stats().demand_zero_faults;
     CountVm(VmCounter::k_pgfault_demand_zero);
     if (tracing) {
@@ -76,9 +77,6 @@ bool DemandInstall(AddressSpace& as, VmArea& vma, Vaddr va, uint64_t* slot) {
     ODF_TRACE(fault_file, as.owner_pid(), va);
   }
   StoreEntry(slot, Pte::Make(frame, flags));
-  if (as.rmap() != nullptr) {
-    as.rmap()->Add(frame, slot);
-  }
   return true;
 }
 
@@ -124,7 +122,7 @@ bool DataCowFault(AddressSpace& as, VmArea& vma, Vaddr va, uint64_t* slot) {
   if (LoadEntry(slot).raw() != entry.raw()) {
     // TryAllocate under a frame limit runs direct reclaim inline, and reclaim may have
     // evicted this very page through the rmap while we held the pre-allocation snapshot
-    // (frame id, refcount, rmap registration — all stale now). Real kernels hold the page
+    // (frame id, refcount — both stale now). Real kernels hold the page
     // locked across the copy; we drop the unused frame and re-translate instead: a
     // swapped-out page takes the swap-in path on the next round of the fault loop.
     allocator.DecRef(copy);
@@ -136,14 +134,9 @@ bool DataCowFault(AddressSpace& as, VmArea& vma, Vaddr va, uint64_t* slot) {
     std::memcpy(dst, src, kPageSize);
   }
   // else: the source was never materialised (logical zero) — the copy stays lazy-zero.
-  if (as.rmap() != nullptr) {
-    as.rmap()->Remove(frame, slot);
-  }
+  as.AddNewAnonRmap(copy, vma, va);
   StoreEntry(slot, Pte::Make(copy, kPtePresent | kPteWritable | kPteUser | kPteAccessed |
                                        kPteDirty));
-  if (as.rmap() != nullptr) {
-    as.rmap()->Add(copy, slot);
-  }
   as.tlb().InvalidatePage(va);  // Gen-before-free: bump the shard before the old frame drops.
   PutMappedPage(allocator, entry, /*huge=*/false);
   ++as.stats().cow_page_faults;
@@ -169,10 +162,8 @@ bool HugeDemandInstall(AddressSpace& as, VmArea& vma, Vaddr chunk_base, uint64_t
   if (vma.IsWritable()) {
     flags |= kPteWritable;
   }
+  as.AddNewAnonRmap(head, vma, chunk_base);
   StoreEntry(pmd_slot, Pte::Make(head, flags));
-  if (as.rmap() != nullptr) {
-    as.rmap()->Add(head, pmd_slot, /*huge=*/true);
-  }
   ++as.stats().demand_zero_faults;
   CountVm(VmCounter::k_pgfault_demand_zero);
   ODF_TRACE(fault_demand_zero, as.owner_pid(), chunk_base, /*ns=*/0, /*huge=*/1);
@@ -209,16 +200,11 @@ bool SplitHugeMapping(AddressSpace& as, Vaddr chunk_base, uint64_t* pmd_slot) {
   // +512 for the new entries, -1 below for the huge PMD entry being replaced.
   allocator.AddRefs(head, kCompoundFrames);
   uint64_t* entries = allocator.TableEntries(table);
+  // The tails need no reverse-map stamp of their own: each resolves through the head's
+  // (family, index + tail offset), which is exactly where its new PTE sits.
   uint64_t flags = kPtePresent | kPteUser | (entry.flags() & kPteAccessed);
   for (FrameId i = 0; i < kCompoundFrames; ++i) {
     StoreEntry(&entries[i], Pte::Make(head + i, flags));
-    if (as.rmap() != nullptr) {
-      // Tails register under head+i — the frame id exactly as the new PTE stores it.
-      as.rmap()->Add(head + i, &entries[i]);
-    }
-  }
-  if (as.rmap() != nullptr) {
-    as.rmap()->Remove(head, pmd_slot, /*huge=*/true);
   }
   StoreEntry(pmd_slot, Pte::Make(table, kPtePresent | kPteWritable | kPteUser |
                                             (entry.flags() & kPteAccessed)));
@@ -237,7 +223,7 @@ namespace {
 // When the compound copy cannot be allocated, degrades by splitting the mapping into 4 KiB
 // COW entries (SplitHugeMapping); returns false only when even the split's one-table
 // allocation fails.
-bool HugeCowFault(AddressSpace& as, Vaddr chunk_base, uint64_t* pmd_slot) {
+bool HugeCowFault(AddressSpace& as, const VmArea& vma, Vaddr chunk_base, uint64_t* pmd_slot) {
   FrameAllocator& allocator = as.allocator();
   const bool tracing = trace::Enabled();
   const uint64_t t0 = tracing ? trace::NowNanos() : 0;
@@ -269,14 +255,9 @@ bool HugeCowFault(AddressSpace& as, Vaddr chunk_base, uint64_t* pmd_slot) {
     std::byte* dst = allocator.MaterializeData(copy, /*zero=*/false);
     std::memcpy(dst, src, kHugePageSize);
   }
-  if (as.rmap() != nullptr) {
-    as.rmap()->Remove(head, pmd_slot, /*huge=*/true);
-  }
+  as.AddNewAnonRmap(copy, vma, chunk_base);
   StoreEntry(pmd_slot, Pte::Make(copy, kPtePresent | kPteWritable | kPteUser | kPteAccessed |
                                            kPteDirty | kPteHuge));
-  if (as.rmap() != nullptr) {
-    as.rmap()->Add(copy, pmd_slot, /*huge=*/true);
-  }
   as.tlb().InvalidateRange(chunk_base, chunk_base + kHugePageSize);  // Gen-before-free.
   PutMappedPage(allocator, entry, /*huge=*/true);
   ++as.stats().cow_huge_faults;
@@ -339,7 +320,7 @@ FaultResult HandleFault(AddressSpace& as, Vaddr va, AccessType access, FrameId* 
         Pte pmd = LoadEntry(pmd_slot);
         Vaddr chunk_base = EntryBase(va, PtLevel::kPmd);
         if (pmd.IsHuge()) {
-          if (!HugeCowFault(as, chunk_base, pmd_slot)) {
+          if (!HugeCowFault(as, *vma, chunk_base, pmd_slot)) {
             return FaultOom(as, va);
           }
         } else {
@@ -439,16 +420,12 @@ FaultResult HandleFault(AddressSpace& as, Vaddr va, AccessType access, FrameId* 
       if (vma->IsWritable()) {
         flags |= kPteWritable;
       }
+      // Workingset refault: a page evicted too recently starts on the active list instead
+      // of walking up from inactive again.
+      bool refault = as.anon_family() != nullptr &&
+                     as.rmap()->lru()->NoteRefault(entry.swap_slot());
+      as.AddNewAnonRmap(frame, *vma, va, /*lru_active=*/refault);
       StoreEntry(slot, Pte::Make(frame, flags));
-      if (as.rmap() != nullptr) {
-        as.rmap()->Add(frame, slot);
-        reclaim::PageLru* lru = as.rmap()->lru();
-        if (lru != nullptr && lru->NoteRefault(entry.swap_slot())) {
-          // Workingset refault: the page was evicted too recently — start it on the
-          // active list instead of making it walk up from inactive again.
-          lru->Activate(frame);
-        }
-      }
       ++as.stats().swap_in_faults;
       CountVm(VmCounter::k_pgfault_swap_in);
       ODF_TRACE(fault_swap_in, as.owner_pid(), va, entry.swap_slot());

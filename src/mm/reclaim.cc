@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/mm/range_ops.h"
-#include "src/reclaim/rmap.h"
 #include "src/trace/metrics.h"
 #include "src/trace/trace.h"
 #include "src/util/log.h"
@@ -66,9 +65,6 @@ uint64_t ClockReclaimAddressSpace(AddressSpace& as, SwapSpace& swap, uint64_t wa
         const std::byte* data = allocator.PeekData(frame);
         if (data == nullptr) {
           // Never materialised: logically zero. Drop it; a refault demand-zeroes.
-          if (as.rmap() != nullptr) {
-            as.rmap()->Remove(frame, slot);
-          }
           StoreEntry(slot, Pte());
         } else {
           // odf-lint: allow(direct-writeback) — legacy clock reclaimer, kept for unit tests.
@@ -77,9 +73,6 @@ uint64_t ClockReclaimAddressSpace(AddressSpace& as, SwapSpace& swap, uint64_t wa
             // Device write failed (injected I/O error): keep the page resident and move on,
             // like the kernel re-activating a page whose writeback failed.
             continue;
-          }
-          if (as.rmap() != nullptr) {
-            as.rmap()->Remove(frame, slot);
           }
           StoreEntry(slot, Pte::MakeSwap(swap_slot));
         }

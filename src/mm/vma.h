@@ -31,6 +31,11 @@ struct VmArea {
   bool huge = false;  // Backed by 2 MiB compound pages mapped at the PMD level.
   std::shared_ptr<MemFile> file;
   uint64_t file_offset = 0;  // Byte offset of `start` within the file; page-aligned.
+  // Anon page index of `start` (the vm_pgoff analog for anonymous pages, docs/reclaim.md
+  // "Reverse mapping"): set to start >> kPageShift at mmap, advanced by the offset when a
+  // VMA splits, and kept when mremap moves the VMA — so the index stamped into an
+  // anonymous frame always leads the reverse-map walk back to its mapping.
+  uint64_t anon_pgoff = 0;
 
   uint64_t length() const { return end - start; }
   bool Contains(Vaddr va) const { return va >= start && va < end; }
@@ -40,6 +45,9 @@ struct VmArea {
 
   // File page index backing virtual address `va`.
   uint64_t FilePageIndex(Vaddr va) const { return (file_offset + (va - start)) / kPageSize; }
+
+  // Anon page index of virtual address `va` (PageMeta::SetAnonStamp).
+  uint64_t AnonIndex(Vaddr va) const { return anon_pgoff + (va - start) / kPageSize; }
 };
 
 }  // namespace odf

@@ -1,7 +1,10 @@
 #include "src/phys/frame_allocator.h"
 
+#include <malloc.h>
+
 #include <array>
 #include <cstring>
+#include <mutex>
 
 #include "src/debug/debug.h"
 #include "src/debug/lockdep.h"
@@ -27,6 +30,25 @@ std::atomic<uint64_t> g_next_allocator_id{1};
 constexpr size_t kMaterializeStripes = 64;
 util::Mutex g_materialize_stripes[kMaterializeStripes];
 
+// Frame data buffers stand in for physical memory, and fork/exit churns them by the
+// hundred: every classic-fork round allocates and frees each child PTE table and COW copy.
+// With glibc's default heap trimming, each exit's burst of frees is handed back to the OS
+// (brk shrink, madvise on thread arenas) and the next round takes a real page fault per
+// buffer re-growing the heap — half of the child COW faults of a 256 MiB fork loop, and
+// most of a fresh faulting thread's. Simulated RAM should stay resident like real RAM, so
+// trimming is turned off once per process, and the mmap threshold is pinned above the
+// 2 MiB compound buffer (where glibc's dynamic threshold settles after the first huge free;
+// pinning one threshold disables that adjustment). Sanitizer runtimes ignore both.
+void KeepFrameMemoryResident() {
+#if defined(__GLIBC__)
+  static std::once_flag once;
+  std::call_once(once, [] {
+    mallopt(M_TRIM_THRESHOLD, -1);
+    mallopt(M_MMAP_THRESHOLD, static_cast<int>(2 * kHugePageSize));
+  });
+#endif
+}
+
 util::Mutex& MaterializeStripe(FrameId frame) {
   return g_materialize_stripes[frame % kMaterializeStripes];
 }
@@ -39,7 +61,9 @@ debug::LockClass g_materialize_lock_class("FrameAllocator::materialize_stripe");
 }  // namespace
 
 FrameAllocator::FrameAllocator()
-    : id_(g_next_allocator_id.fetch_add(1, std::memory_order_relaxed)) {}
+    : id_(g_next_allocator_id.fetch_add(1, std::memory_order_relaxed)) {
+  KeepFrameMemoryResident();
+}
 
 FrameAllocator::~FrameAllocator() {
   // First orphan this allocator's per-thread caches so exiting threads do not drain into
@@ -232,6 +256,10 @@ void FrameAllocator::InitAllocatedFrame(FrameId frame, uint8_t flags) {
       << "frame gained table sharers while on the free list";
   // Backstop behind the pop-path diverts: a poisoned frame must never be handed out again.
   ODF_VM_BUG_ON_PAGE(meta.IsHwPoisoned(), meta, frame) << "allocating a hwpoisoned frame";
+  ODF_VM_BUG_ON_PAGE(meta.lru_state.load(std::memory_order_relaxed) != 0 ||
+                         meta.anon_family != 0,
+                     meta, frame)
+      << "free frame kept its LRU state or reverse-map stamp";
 #if ODF_DEBUG_VM_COMPILED
   debug::internal::g_poison_checks.fetch_add(1, std::memory_order_relaxed);
   ODF_VM_BUG_ON_PAGE(meta.reserved != 0 && meta.reserved != debug::kPoisonFreed, meta, frame)
@@ -274,6 +302,9 @@ void FrameAllocator::ReleaseFrameState(PageMeta& meta) {
       << "freeing a page table that still has sharers";
   ODF_DCHECK((meta.flags & kPageFlagAllocated) != 0) << "double free";
   ODF_DCHECK(!meta.IsCompound()) << "compound frame on the order-0 free path";
+  ODF_VM_BUG_ON(meta.lru_state.load(std::memory_order_relaxed) != 0)
+      << "freeing a frame that is still on the LRU";
+  meta.ClearAnonStamp();
   std::byte* data = meta.data.load(std::memory_order_relaxed);
   if (data != nullptr) {
 #if ODF_DEBUG_VM_COMPILED
@@ -637,6 +668,9 @@ void FrameAllocator::DecRef(FrameId frame) {
   }
   // Last reference: the acq_rel RMW above ordered every other owner's accesses before this
   // point, so the frame is exclusively ours to tear down — lock-free when cacheable.
+  if (meta.lru_state.load(std::memory_order_relaxed) != 0) {
+    DetachFromLru(std::span<const FrameId>(&frame, 1));
+  }
   // Poisoned frames always take the locked path: they retire to quarantine, never a cache.
   if (!meta.IsCompoundHead() && !meta.IsHwPoisoned() && CacheEligible()) {
     FreeToCache(frame);
@@ -679,8 +713,36 @@ void FrameAllocator::FreeBatch(std::span<const FrameId> frames) {
   }
   CountVm(VmCounter::k_batch_free, frames.size());
   ODF_TRACE(batch_free, 0, static_cast<uint64_t>(frames.size()));
+  DetachFromLru(frames);
   debug::MutexGuard guard(mutex_, g_pool_lock_class);
   FreeBatchLocked(frames);
+}
+
+void FrameAllocator::SetLruReleaseHook(LruReleaseHook hook) {
+  lru_release_hook_ = std::move(hook);
+}
+
+void FrameAllocator::DetachFromLru(std::span<const FrameId> frames) {
+  if (!lru_release_hook_) {
+    return;
+  }
+  // The hook runs once per batch of LRU-resident frames: one LRU lock hold per freed
+  // 512-entry table on the exit path, not one per page.
+  std::array<FrameId, 512> listed;
+  size_t count = 0;
+  for (FrameId frame : frames) {
+    if (MetaRef(frame).lru_state.load(std::memory_order_relaxed) == 0) {
+      continue;
+    }
+    listed[count++] = frame;
+    if (count == listed.size()) {
+      lru_release_hook_(std::span<const FrameId>(listed.data(), count));
+      count = 0;
+    }
+  }
+  if (count > 0) {
+    lru_release_hook_(std::span<const FrameId>(listed.data(), count));
+  }
 }
 
 void FrameAllocator::FreeBatchLocked(std::span<const FrameId> frames) {
@@ -726,6 +788,7 @@ void FrameAllocator::FreeOneLocked(FrameId frame) {
         }
         sub.flags = sub.IsHwPoisoned() ? kPageFlagHwPoison : 0;
         sub.order = 0;
+        sub.ClearAnonStamp();
         sub.compound_head = kInvalidFrame;
         sub.refcount.store(0, std::memory_order_relaxed);
         sub.pt_share_count.store(0, std::memory_order_relaxed);
@@ -778,6 +841,7 @@ void FrameAllocator::FreeOneLocked(FrameId frame) {
     }
     meta.flags = 0;
     meta.order = 0;
+    meta.ClearAnonStamp();
     meta.refcount.store(0, std::memory_order_relaxed);
     meta.pt_share_count.store(0, std::memory_order_relaxed);
 #if ODF_DEBUG_VM_COMPILED
@@ -798,8 +862,11 @@ void FrameAllocator::FreeOneLocked(FrameId frame) {
     if ((meta.flags & kPageFlagPageTable) != 0) {
       stats_.page_table_frames.fetch_sub(1, std::memory_order_relaxed);
     }
+    ODF_VM_BUG_ON_PAGE(meta.lru_state.load(std::memory_order_relaxed) != 0, meta, frame)
+        << "quarantining a frame that is still on the LRU";
     meta.flags = kPageFlagHwPoison;
     meta.compound_head = kInvalidFrame;
+    meta.ClearAnonStamp();
     meta.refcount.store(0, std::memory_order_relaxed);
     meta.pt_share_count.store(0, std::memory_order_relaxed);
 #if ODF_DEBUG_VM_COMPILED

@@ -217,6 +217,16 @@ class FrameAllocator {
   // hold the exclusive MmGate (the flag is only ever set under it).
   bool IsHwPoisoned(FrameId frame) const;
 
+  // --- LRU release (src/reclaim/lru.h, docs/reclaim.md "LRU") ---
+
+  // A frame leaves the LRU when it is freed. The hook receives, in batches, every frame
+  // whose PageMeta::lru_state is set, after its last reference dropped and before the
+  // frame returns to a free list — outside the pool lock, so the hook may take the LRU
+  // lock. Install it before any frame is admitted to an LRU; replace it only while
+  // quiescent (it is read without a lock on every free).
+  using LruReleaseHook = std::function<void(std::span<const FrameId>)>;
+  void SetLruReleaseHook(LruReleaseHook hook);
+
   // Internal: returns `cache`'s frames to the shared free list. Called (under the cache
   // registry lock) when a thread exits with cached frames; see src/phys/per_cpu_cache.h.
   void DrainCacheToPool(phys_internal::PerCpuCache& cache);
@@ -282,6 +292,9 @@ class FrameAllocator {
   // Wakes the pressure callback when `want` more frames would leave free below LOW.
   void MaybeWakeReclaim(uint64_t want);
 
+  // Passes the frames of `frames` that sit on an LRU to the release hook.
+  void DetachFromLru(std::span<const FrameId> frames);
+
   mutable util::Mutex mutex_;
   std::atomic<uint64_t> frame_limit_{0};
   std::atomic<uint64_t> wm_min_{0};
@@ -292,6 +305,7 @@ class FrameAllocator {
   ReclaimCallback reclaim_callback_ ODF_GUARDED_BY(mutex_);
   PressureCallback pressure_callback_ ODF_GUARDED_BY(mutex_);
   std::atomic<bool> pressure_armed_{false};
+  LruReleaseHook lru_release_hook_;
   // Ownership; indexing goes via the spine.
   std::vector<std::unique_ptr<PageMeta[]>> chunks_ ODF_GUARDED_BY(mutex_);
   std::array<std::atomic<PageMeta*>, kMaxChunks> chunk_table_{};

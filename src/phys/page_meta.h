@@ -70,12 +70,43 @@ struct PageMeta {
   // acquire, so whoever observes the pointer also observes the bytes behind it.
   std::atomic<std::byte*> data{nullptr};
 
+  // --- Object-based reverse map (docs/reclaim.md "Reverse mapping") ---
+  // An anonymous frame records the anon family whose page tables map it and the anon page
+  // index of its mapping (VmArea::AnonIndex) — the folio->mapping / folio->index pair. Both
+  // are stamped once, while the installing thread still owns the frame privately, and read
+  // by reclaim and memory failure under the exclusive MmGate. Family 0 means unstamped.
+  // Compound tails are never stamped: a split-huge tail inherits its head's stamp, offset by
+  // its position in the compound. The index is 40 bits wide (hi:lo), enough for every page
+  // of the 47-bit user half.
+  uint16_t anon_family = 0;
+  uint8_t anon_index_hi = 0;
+  // LRU membership (reclaim::LruState), written under the PageLru lock. Atomic so the
+  // allocator's free path can test it without that lock.
+  std::atomic<uint8_t> lru_state{0};
+  uint32_t anon_index_lo = 0;
+  // Intrusive LRU list links (the page->lru analog), guarded by the PageLru lock.
+  FrameId lru_prev = kInvalidFrame;
+  FrameId lru_next = kInvalidFrame;
+
+  uint64_t AnonIndex() const {
+    return (static_cast<uint64_t>(anon_index_hi) << 32) | anon_index_lo;
+  }
+  void SetAnonStamp(uint16_t family, uint64_t index) {
+    anon_family = family;
+    anon_index_hi = static_cast<uint8_t>(index >> 32);
+    anon_index_lo = static_cast<uint32_t>(index);
+  }
+  void ClearAnonStamp() { SetAnonStamp(0, 0); }
+
   bool IsPageTable() const { return (flags & kPageFlagPageTable) != 0; }
   bool IsCompoundHead() const { return (flags & kPageFlagCompoundHead) != 0; }
   bool IsCompoundTail() const { return (flags & kPageFlagCompoundTail) != 0; }
   bool IsCompound() const { return (flags & (kPageFlagCompoundHead | kPageFlagCompoundTail)) != 0; }
   bool IsHwPoisoned() const { return (flags & kPageFlagHwPoison) != 0; }
 };
+
+// The reverse map and LRU fields above are the whole per-frame cost of reclaim: 16 bytes.
+static_assert(sizeof(PageMeta) <= 40, "PageMeta grew past its reclaim budget");
 
 // Resolves a frame's compound head the way the kernel's compound_head() does: tail frames
 // redirect to their head. This is the first Fig. 3 hotspot — the cost is the cache miss on

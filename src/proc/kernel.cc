@@ -25,8 +25,10 @@ debug::LockClass g_table_lock_class("Kernel::table_mutex_");
 
 thread_local Process* Kernel::active_process_ = nullptr;
 
-Kernel::Kernel() : fs_(&allocator_), rmap_(&allocator_) {
-  rmap_.AttachLru(&lru_);
+Kernel::Kernel() : fs_(&allocator_), rmap_(&allocator_, &lru_), lru_(&allocator_) {
+  // A frame leaves the LRU when it is freed (docs/reclaim.md "LRU").
+  allocator_.SetLruReleaseHook(
+      [this](std::span<const FrameId> frames) { lru_.Release(frames); });
   allocator_.SetReclaimCallback([this](uint64_t want) { return ReclaimMemory(want); });
 }
 
@@ -225,8 +227,11 @@ Kernel::~Kernel() {
   debug::MutationScope mutation;
   reclaim::MmGate::SharedScope gate;
   // Tear down in pid order; address spaces release their frames as they go.
-  debug::MutexGuard guard(table_mutex_, g_table_lock_class);
-  processes_.clear();
+  {
+    debug::MutexGuard guard(table_mutex_, g_table_lock_class);
+    processes_.clear();
+  }
+  allocator_.SetLruReleaseHook(nullptr);  // The LRU dies before the allocator.
 }
 
 Process& Kernel::CreateProcess() {
@@ -234,6 +239,7 @@ Process& Kernel::CreateProcess() {
   debug::MutationScope mutation;
   reclaim::MmGate::SharedScope gate;  // Mutator: excludes the shrinker (mm_gate.h).
   auto as = std::make_unique<AddressSpace>(&allocator_, &swap_, &rmap_);
+  rmap_.CreateFamily(*as);
   debug::MutexGuard guard(table_mutex_, g_table_lock_class);
   Pid pid = next_pid_++;
   auto process = std::make_shared<Process>(this, pid, /*parent=*/0, std::move(as));

@@ -98,7 +98,7 @@ class Kernel {
   void StartKswapd();
   void StopKswapd();
 
-  reclaim::RmapRegistry& rmap() { return rmap_; }
+  reclaim::Rmap& rmap() { return rmap_; }
   reclaim::PageLru& lru() { return lru_; }
   reclaim::Kswapd* kswapd() { return kswapd_.get(); }
 
@@ -165,8 +165,8 @@ class Kernel {
   SwapSpace swap_;
   MemFilesystem fs_;
   // Reclaim state is declared before processes_ so it outlives process teardown (address
-  // spaces unregister their rmap entries as they die).
-  reclaim::RmapRegistry rmap_;
+  // spaces leave their anon family, and their freed frames leave the LRU, as they die).
+  reclaim::Rmap rmap_;
   reclaim::PageLru lru_;
   std::unique_ptr<reclaim::Kswapd> kswapd_;
   // Atomic: the OOM killer can run from any thread's allocation (reclaim callback) while

@@ -1,6 +1,9 @@
 #include "src/reclaim/lru.h"
 
 #include <algorithm>
+#include <array>
+#include <atomic>
+#include <thread>
 
 #include "src/debug/debug.h"
 #include "src/debug/lockdep.h"
@@ -10,7 +13,25 @@
 namespace odf {
 namespace reclaim {
 
+namespace lru_internal {
+
+// One thread's pending admissions (the folio_batch). The owner appends without the LRU
+// lock: it writes the slot, then publishes it with a release store of `count`, so a
+// lock holder that loads `count` with acquire sees every slot below it. Slots are atomics
+// because Release may null one (a freed frame) while the owner appends past `count`.
+struct AddBatch {
+  static constexpr uint32_t kSize = 31;  // Linux's folio_batch capacity.
+
+  std::thread::id owner;
+  std::atomic<uint32_t> count{0};
+  std::array<std::atomic<FrameId>, kSize> frames;
+};
+
+}  // namespace lru_internal
+
 namespace {
+
+using lru_internal::AddBatch;
 
 // Shadow entries for slots that never refault (the page was unmapped instead) would
 // otherwise accumulate forever; past this many the table is dropped wholesale. Losing old
@@ -19,102 +40,266 @@ constexpr size_t kMaxShadows = 1u << 18;
 
 debug::LockClass g_lru_lock_class("PageLru::mu_");
 
-}  // namespace
+std::atomic<uint64_t> g_next_lru_id{1};
 
-PageLru::PageLru() = default;
-PageLru::~PageLru() = default;
+// The calling thread's batch for the LRU it used last. Keyed by the never-reused LRU id,
+// so switching kernels (or a kernel dying) only costs one locked lookup.
+struct ThreadBatch {
+  uint64_t lru_id = 0;
+  AddBatch* batch = nullptr;
+};
+thread_local ThreadBatch tls_batch;
 
-void PageLru::InsertLocked(FrameId frame, bool active) {
-  auto [it, inserted] = index_.try_emplace(frame);
-  if (!inserted) {
-    return;
-  }
-  std::list<FrameId>& list = active ? active_ : inactive_;
-  list.push_front(frame);
-  it->second.active = active;
-  it->second.where = list.begin();
+LruState StateOf(const PageMeta& meta) {
+  return static_cast<LruState>(meta.lru_state.load(std::memory_order_relaxed));
 }
 
-void PageLru::EraseLocked(FrameId frame) {
-  auto it = index_.find(frame);
-  if (it == index_.end()) {
-    return;
+void SetState(PageMeta& meta, LruState state) {
+  meta.lru_state.store(static_cast<uint8_t>(state), std::memory_order_relaxed);
+}
+
+bool IsBatched(LruState state) {
+  return state == LruState::kBatched || state == LruState::kBatchedActive;
+}
+
+}  // namespace
+
+PageLru::PageLru(FrameAllocator* allocator)
+    : allocator_(allocator), id_(g_next_lru_id.fetch_add(1, std::memory_order_relaxed)) {}
+
+PageLru::~PageLru() = default;
+
+AddBatch& PageLru::BatchForThread() {
+  if (tls_batch.lru_id == id_) {
+    return *tls_batch.batch;
   }
-  (it->second.active ? active_ : inactive_).erase(it->second.where);
-  index_.erase(it);
+  std::thread::id self = std::this_thread::get_id();
+  debug::MutexGuard guard(mu_, g_lru_lock_class);
+  AddBatch* batch = nullptr;
+  for (const std::unique_ptr<AddBatch>& candidate : batches_) {
+    if (candidate->owner == self) {
+      batch = candidate.get();
+      break;
+    }
+  }
+  if (batch == nullptr) {
+    batches_.push_back(std::make_unique<AddBatch>());
+    batch = batches_.back().get();
+    batch->owner = self;
+  }
+  tls_batch = ThreadBatch{id_, batch};
+  return *batch;
+}
+
+void PageLru::Add(FrameId frame, bool active) {
+  PageMeta& meta = Meta(frame);
+  ODF_DCHECK(StateOf(meta) == LruState::kNone) << "frame " << frame << " admitted twice";
+  SetState(meta, active ? LruState::kBatchedActive : LruState::kBatched);
+  AddBatch& batch = BatchForThread();
+  uint32_t n = batch.count.load(std::memory_order_relaxed);
+  batch.frames[n].store(frame, std::memory_order_relaxed);
+  batch.count.store(n + 1, std::memory_order_release);
+  if (n + 1 == AddBatch::kSize) {
+    debug::MutexGuard guard(mu_, g_lru_lock_class);
+    DrainLocked(batch);
+  }
+}
+
+void PageLru::DrainLocked(AddBatch& batch) {
+  uint32_t n = batch.count.load(std::memory_order_acquire);
+  for (uint32_t i = 0; i < n; ++i) {
+    FrameId frame = batch.frames[i].load(std::memory_order_relaxed);
+    if (frame == kInvalidFrame) {
+      continue;  // Freed while batched; Release already purged it.
+    }
+    LruState state = StateOf(Meta(frame));
+    ODF_DCHECK(IsBatched(state)) << "add batch holds frame " << frame << " in state "
+                                 << static_cast<int>(state);
+    LinkLocked(frame, state == LruState::kBatchedActive);
+  }
+  batch.count.store(0, std::memory_order_release);
+}
+
+void PageLru::DrainAddBatches() {
+  debug::MutexGuard guard(mu_, g_lru_lock_class);
+  for (const std::unique_ptr<AddBatch>& batch : batches_) {
+    DrainLocked(*batch);
+  }
+}
+
+void PageLru::PurgeFromBatchesLocked(FrameId frame) {
+  for (const std::unique_ptr<AddBatch>& batch : batches_) {
+    uint32_t n = batch->count.load(std::memory_order_acquire);
+    for (uint32_t i = 0; i < n; ++i) {
+      if (batch->frames[i].load(std::memory_order_relaxed) == frame) {
+        batch->frames[i].store(kInvalidFrame, std::memory_order_relaxed);
+        return;
+      }
+    }
+  }
+  ODF_DCHECK(false) << "batched frame " << frame << " is in no add batch";
+}
+
+size_t PageLru::BatchedLocked(LruState state) const {
+  size_t count = 0;
+  for (const std::unique_ptr<AddBatch>& batch : batches_) {
+    uint32_t n = batch->count.load(std::memory_order_acquire);
+    for (uint32_t i = 0; i < n; ++i) {
+      FrameId frame = batch->frames[i].load(std::memory_order_relaxed);
+      if (frame != kInvalidFrame && StateOf(Meta(frame)) == state) {
+        ++count;
+      }
+    }
+  }
+  return count;
+}
+
+void PageLru::LinkLocked(FrameId frame, bool active) {
+  List& list = active ? active_ : inactive_;
+  PageMeta& meta = Meta(frame);
+  meta.lru_prev = kInvalidFrame;
+  meta.lru_next = list.head;
+  if (list.head != kInvalidFrame) {
+    Meta(list.head).lru_prev = frame;
+  } else {
+    list.tail = frame;
+  }
+  list.head = frame;
+  ++list.size;
+  SetState(meta, active ? LruState::kActive : LruState::kInactive);
+}
+
+void PageLru::UnlinkLocked(FrameId frame, List& list) {
+  PageMeta& meta = Meta(frame);
+  if (meta.lru_prev != kInvalidFrame) {
+    Meta(meta.lru_prev).lru_next = meta.lru_next;
+  } else {
+    list.head = meta.lru_next;
+  }
+  if (meta.lru_next != kInvalidFrame) {
+    Meta(meta.lru_next).lru_prev = meta.lru_prev;
+  } else {
+    list.tail = meta.lru_prev;
+  }
+  meta.lru_prev = kInvalidFrame;
+  meta.lru_next = kInvalidFrame;
+  --list.size;
+  SetState(meta, LruState::kNone);
+}
+
+void PageLru::Release(std::span<const FrameId> frames) {
+  debug::MutexGuard guard(mu_, g_lru_lock_class);
+  for (FrameId frame : frames) {
+    PageMeta& meta = Meta(frame);
+    switch (StateOf(meta)) {
+      case LruState::kNone:
+      case LruState::kIsolated:
+        break;
+      case LruState::kBatched:
+      case LruState::kBatchedActive:
+        PurgeFromBatchesLocked(frame);
+        break;
+      case LruState::kInactive:
+        UnlinkLocked(frame, inactive_);
+        break;
+      case LruState::kActive:
+        UnlinkLocked(frame, active_);
+        break;
+    }
+    SetState(meta, LruState::kNone);
+  }
 }
 
 void PageLru::Insert(FrameId frame, bool active) {
   debug::MutexGuard guard(mu_, g_lru_lock_class);
-  InsertLocked(frame, active);
-}
-
-void PageLru::Erase(FrameId frame) {
-  debug::MutexGuard guard(mu_, g_lru_lock_class);
-  EraseLocked(frame);
-}
-
-void PageLru::Activate(FrameId frame) {
-  debug::MutexGuard guard(mu_, g_lru_lock_class);
-  auto it = index_.find(frame);
-  if (it == index_.end()) {
-    return;
+  if (StateOf(Meta(frame)) == LruState::kNone) {
+    LinkLocked(frame, active);
   }
-  (it->second.active ? active_ : inactive_).erase(it->second.where);
-  active_.push_front(frame);
-  it->second.active = true;
-  it->second.where = active_.begin();
+}
+
+size_t PageLru::TakeLocked(List& list, size_t max, std::vector<FrameId>* out) {
+  size_t taken = 0;
+  while (taken < max && list.tail != kInvalidFrame) {
+    FrameId frame = list.tail;
+    UnlinkLocked(frame, list);
+    SetState(Meta(frame), LruState::kIsolated);
+    out->push_back(frame);
+    ++taken;
+  }
+  return taken;
 }
 
 size_t PageLru::TakeInactive(size_t max, std::vector<FrameId>* out) {
   debug::MutexGuard guard(mu_, g_lru_lock_class);
-  size_t taken = 0;
-  while (taken < max && !inactive_.empty()) {
-    FrameId frame = inactive_.back();
-    inactive_.pop_back();
-    index_.erase(frame);
-    out->push_back(frame);
-    ++taken;
-  }
-  return taken;
+  return TakeLocked(inactive_, max, out);
 }
 
 size_t PageLru::TakeActive(size_t max, std::vector<FrameId>* out) {
   debug::MutexGuard guard(mu_, g_lru_lock_class);
-  size_t taken = 0;
-  while (taken < max && !active_.empty()) {
-    FrameId frame = active_.back();
-    active_.pop_back();
-    index_.erase(frame);
-    out->push_back(frame);
-    ++taken;
-  }
-  return taken;
+  return TakeLocked(active_, max, out);
 }
 
 void PageLru::PutBack(FrameId frame, bool active) {
   debug::MutexGuard guard(mu_, g_lru_lock_class);
-  InsertLocked(frame, active);
+  ODF_DCHECK(StateOf(Meta(frame)) == LruState::kIsolated)
+      << "PutBack of frame " << frame << " that was not isolated";
+  LinkLocked(frame, active);
 }
 
 size_t PageLru::ActiveSize() const {
   debug::MutexGuard guard(mu_, g_lru_lock_class);
-  return active_.size();
+  return active_.size + BatchedLocked(LruState::kBatchedActive);
 }
 
 size_t PageLru::InactiveSize() const {
   debug::MutexGuard guard(mu_, g_lru_lock_class);
-  return inactive_.size();
+  return inactive_.size + BatchedLocked(LruState::kBatched);
 }
 
 size_t PageLru::Size() const {
   debug::MutexGuard guard(mu_, g_lru_lock_class);
-  return index_.size();
+  return active_.size + inactive_.size + BatchedLocked(LruState::kBatched) +
+         BatchedLocked(LruState::kBatchedActive);
 }
 
 bool PageLru::Contains(FrameId frame) const {
   debug::MutexGuard guard(mu_, g_lru_lock_class);
-  return index_.find(frame) != index_.end();
+  LruState state = StateOf(Meta(frame));
+  return state != LruState::kNone && state != LruState::kIsolated;
+}
+
+std::string PageLru::ForEachTracked(
+    const std::function<void(FrameId, LruState)>& fn) const {
+  debug::MutexGuard guard(mu_, g_lru_lock_class);
+  for (const List* list : {&active_, &inactive_}) {
+    size_t walked = 0;
+    FrameId previous = kInvalidFrame;
+    for (FrameId frame = list->head; frame != kInvalidFrame; frame = Meta(frame).lru_next) {
+      if (++walked > list->size) {
+        return "LRU list is longer than its size " + std::to_string(list->size) +
+               " (cycle or stray link at frame " + std::to_string(frame) + ")";
+      }
+      if (Meta(frame).lru_prev != previous) {
+        return "LRU back link of frame " + std::to_string(frame) + " is broken";
+      }
+      fn(frame, StateOf(Meta(frame)));
+      previous = frame;
+    }
+    if (walked != list->size || list->tail != previous) {
+      return "LRU list size " + std::to_string(list->size) + " or tail disagrees with its " +
+             std::to_string(walked) + " linked frames";
+    }
+  }
+  for (const std::unique_ptr<AddBatch>& batch : batches_) {
+    uint32_t n = batch->count.load(std::memory_order_acquire);
+    for (uint32_t i = 0; i < n; ++i) {
+      FrameId frame = batch->frames[i].load(std::memory_order_relaxed);
+      if (frame != kInvalidFrame) {
+        fn(frame, StateOf(Meta(frame)));
+      }
+    }
+  }
+  return "";
 }
 
 void PageLru::RecordEviction(uint64_t slot) {
@@ -136,7 +321,7 @@ bool PageLru::NoteRefault(uint64_t slot) {
   // The workingset test: fewer evictions since this page left than the LRU can hold means
   // the page would still have been resident with a perfect-LRU — it was evicted out of its
   // workingset. The floor keeps detection alive when the lists are nearly empty.
-  uint64_t horizon = std::max<uint64_t>(index_.size(), 64);
+  uint64_t horizon = std::max<uint64_t>(active_.size + inactive_.size, 64);
   if (distance > horizon) {
     return false;
   }

@@ -1,69 +1,112 @@
-// PageLru — active/inactive page aging lists plus workingset (refault) shadows.
+// PageLru — active/inactive page aging lists, per-thread add batches, and workingset
+// (refault) shadows.
 //
-// The LRU tracks order-0 anonymous frames that are candidates for eviction. Frames enter
-// the INACTIVE list when their first reverse mapping is registered (RmapRegistry::Add) and
-// leave when the last mapping is removed. The shrinker (shrink.h) pops candidates from the
-// inactive tail, gives referenced pages a second chance by re-activating them, and ages
-// the active tail back to inactive when the inactive list runs short — the kswapd
-// active/inactive balancing loop in miniature.
+// The LRU tracks order-0 anonymous frames that are candidates for eviction. A frame is
+// admitted when it is first installed (demand zero, populate, COW copy, swap-in, soft-offline
+// migration) through the installing thread's ADD BATCH — the folio_batch / lru_add analog:
+// the fault path touches only its own batch and takes the LRU lock once per batch, not once
+// per page. Reclaim drains every batch before it scans (DrainAddBatches). A frame leaves the
+// LRU when the allocator frees it (FrameAllocator::SetLruReleaseHook -> Release), so
+// membership does not depend on mappings coming and going.
+//
+// The lists are intrusive — PageMeta::lru_prev / lru_next, the page->lru analog — and each
+// frame's position is PageMeta::lru_state (LruState), so there is no per-frame index. The
+// shrinker (shrink.h) pops candidates from the inactive tail, gives referenced pages a second
+// chance by re-activating them, and ages the active tail back to inactive when the inactive
+// list runs short — the kswapd active/inactive balancing loop in miniature.
 //
 // Workingset detection mirrors the kernel's shadow entries: every eviction stamps the swap
 // slot with the current eviction epoch. When the slot refaults, the distance (evictions
 // since) is compared to the LRU size; a "recent" refault means the page was evicted while
 // still in its workingset, so it re-enters the ACTIVE list and pgrefault is counted.
 //
-// Thread-safety: all operations take the internal mutex (a leaf lock; RmapRegistry shard
-// locks may be held while calling in — see docs/debugging.md). List order is only
-// meaningful to the shrinker, which runs under the MmGate exclusively.
+// Thread-safety: the internal mutex is a leaf lock (lock order: AnonFamily::mu_ -> PageLru
+// lock, docs/reclaim.md "Locking"). An add batch is appended to only by its owning thread,
+// without the lock; everything else that touches a batch — its own drain when full,
+// Release purging a freed frame, DrainAddBatches — holds the lock. DrainAddBatches empties
+// OTHER threads' batches, which is sound only while they cannot be appending: its caller
+// holds the MmGate exclusively, and Add runs inside memory operations (gate shared).
 #ifndef ODF_SRC_RECLAIM_LRU_H_
 #define ODF_SRC_RECLAIM_LRU_H_
 
 #include <cstdint>
-#include <list>
+#include <functional>
+#include <memory>
+#include <span>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "src/phys/page_meta.h"
+#include "src/phys/frame_allocator.h"
 #include "src/util/mutex.h"
 #include "src/util/thread_annotations.h"
 
 namespace odf {
 namespace reclaim {
 
+// PageMeta::lru_state values.
+enum class LruState : uint8_t {
+  kNone = 0,       // Not tracked.
+  kBatched,        // In an add batch, bound for the inactive list.
+  kBatchedActive,  // In an add batch, bound for the active list (workingset refault).
+  kInactive,
+  kActive,
+  kIsolated,       // Taken off a list by the shrinker; PutBack or Release ends it.
+};
+
+namespace lru_internal {
+struct AddBatch;
+}  // namespace lru_internal
+
 class PageLru {
  public:
-  PageLru();
+  explicit PageLru(FrameAllocator* allocator);
   ~PageLru();
 
   PageLru(const PageLru&) = delete;
   PageLru& operator=(const PageLru&) = delete;
 
-  // Inserts at the head of the chosen list. No-op when already tracked.
+  // Admits a freshly installed anonymous order-0 frame through the calling thread's add
+  // batch (inactive, or active for a workingset refault). The frame must still be private
+  // to the caller and untracked; the caller runs inside a memory operation (MmGate held).
+  void Add(FrameId frame, bool active = false);
+
+  // Moves every thread's add batch onto the lists. Caller holds the MmGate exclusively.
+  void DrainAddBatches();
+
+  // Detaches each frame from whichever list or add batch holds it (no-op when untracked).
+  // The allocator's release hook: a freed frame leaves the LRU.
+  void Release(std::span<const FrameId> frames);
+  void Erase(FrameId frame) { Release(std::span<const FrameId>(&frame, 1)); }
+
+  // Links an untracked frame at the head of the chosen list directly, bypassing the add
+  // batches. No-op when already tracked.
   void Insert(FrameId frame, bool active);
 
-  // Drops the frame from whichever list holds it. No-op when absent.
-  void Erase(FrameId frame);
-
-  // Moves the frame to the active head (referenced / refaulted). No-op when absent.
-  void Activate(FrameId frame);
-
   // Pops up to `max` frames off the inactive tail (coldest first) into `out`.
-  // The frames are detached; callers re-insert survivors with PutBack.
+  // The frames are isolated; callers re-insert survivors with PutBack.
   size_t TakeInactive(size_t max, std::vector<FrameId>* out);
 
   // Pops up to `max` frames off the active tail (aging scan).
   size_t TakeActive(size_t max, std::vector<FrameId>* out);
 
-  // Re-inserts a detached frame at the head of the chosen list.
+  // Re-inserts an isolated frame at the head of the chosen list.
   void PutBack(FrameId frame, bool active);
 
+  // List sizes; frames still waiting in add batches count toward the list they are bound
+  // for, so the totals mean "frames admitted" at any moment.
   size_t ActiveSize() const;
   size_t InactiveSize() const;
   size_t Size() const;
 
-  // True while the frame sits on either list. Used by the verifier's quarantine bijection
-  // (a hwpoisoned frame must never be LRU-resident) and by tests.
+  // True while the frame sits on either list or in an add batch. Used by the verifier's
+  // quarantine bijection (a hwpoisoned frame must never be LRU-resident) and by tests.
   bool Contains(FrameId frame) const;
+
+  // Verifier support: calls fn(frame, state) for every list entry (head to tail, active
+  // list first) and every add-batch entry. Detects list corruption on the way: returns a
+  // description of the first broken link or size mismatch, or "" when the lists are sound.
+  std::string ForEachTracked(const std::function<void(FrameId, LruState)>& fn) const;
 
   // --- Workingset shadows ---
 
@@ -78,20 +121,31 @@ class PageLru {
   uint64_t ShadowCount() const;
 
  private:
-  struct Node {
-    bool active = false;
-    std::list<FrameId>::iterator where;
+  struct List {
+    FrameId head = kInvalidFrame;  // Most recently inserted.
+    FrameId tail = kInvalidFrame;  // Coldest: eviction (or demotion) next.
+    size_t size = 0;
   };
 
-  void EraseLocked(FrameId frame) ODF_REQUIRES(mu_);
-  void InsertLocked(FrameId frame, bool active) ODF_REQUIRES(mu_);
+  PageMeta& Meta(FrameId frame) const { return allocator_->GetMeta(frame); }
+  lru_internal::AddBatch& BatchForThread();
+  void DrainLocked(lru_internal::AddBatch& batch) ODF_REQUIRES(mu_);
+  void PurgeFromBatchesLocked(FrameId frame) ODF_REQUIRES(mu_);
+  size_t BatchedLocked(LruState state) const ODF_REQUIRES(mu_);
+  void LinkLocked(FrameId frame, bool active) ODF_REQUIRES(mu_);
+  void UnlinkLocked(FrameId frame, List& list) ODF_REQUIRES(mu_);
+  size_t TakeLocked(List& list, size_t max, std::vector<FrameId>* out) ODF_REQUIRES(mu_);
 
+  FrameAllocator* allocator_;
+  // Never-reused identity keying the per-thread batch lookup (a dead LRU's id never
+  // matches, so a stale thread-local entry is never dereferenced).
+  const uint64_t id_;
   mutable util::Mutex mu_;
-  // Head = most recently activated.
-  std::list<FrameId> active_ ODF_GUARDED_BY(mu_);
-  // Head = most recently deactivated; tail = eviction next.
-  std::list<FrameId> inactive_ ODF_GUARDED_BY(mu_);
-  std::unordered_map<FrameId, Node> index_ ODF_GUARDED_BY(mu_);
+  List active_ ODF_GUARDED_BY(mu_);
+  List inactive_ ODF_GUARDED_BY(mu_);
+  // Every add batch ever handed to a thread; owned here, reused by a later thread with the
+  // same id once the first one exits.
+  std::vector<std::unique_ptr<lru_internal::AddBatch>> batches_ ODF_GUARDED_BY(mu_);
   // swap slot -> eviction epoch
   std::unordered_map<uint64_t, uint64_t> shadows_ ODF_GUARDED_BY(mu_);
   uint64_t eviction_epoch_ ODF_GUARDED_BY(mu_) = 0;

@@ -5,183 +5,214 @@
 #include "src/debug/debug.h"
 #include "src/debug/lockdep.h"
 #include "src/fi/fault_inject.h"
-#include "src/reclaim/lru.h"
+#include "src/pt/pte.h"
+#include "src/util/log.h"
 
 namespace odf {
 namespace reclaim {
 
 namespace {
 
-// All shards share one class, like lockdep keying lock instances by type. Shard locks are
-// taken before the LRU lock (Add/Remove drive list membership while holding the shard).
-debug::LockClass g_rmap_shard_lock_class("RmapRegistry::Shard::mu");
+// Family mutexes are one class; they are taken before the LRU lock, never after (and no
+// path nests two of them).
+debug::LockClass g_family_lock_class("AnonFamily::mu_");
+debug::LockClass g_family_table_lock_class("Rmap::table_mu_");
+
+constexpr size_t kMaxFamilies = 1u << 16;
 
 }  // namespace
 
-struct RmapRegistry::Shard {
-  mutable util::Mutex mu;
-  std::unordered_map<FrameId, FrameEntry> frames ODF_GUARDED_BY(mu);
-};
+Rmap::Rmap(FrameAllocator* allocator, PageLru* lru)
+    : allocator_(allocator), lru_(lru), families_(1) {}
 
-RmapRegistry::RmapRegistry(FrameAllocator* allocator)
-    : allocator_(allocator), shards_(new Shard[kShards]) {}
+Rmap::~Rmap() = default;
 
-RmapRegistry::~RmapRegistry() = default;
-
-void RmapRegistry::AttachLru(PageLru* lru) { lru_ = lru; }
-
-RmapRegistry::Shard& RmapRegistry::ShardFor(FrameId frame) const {
-  return shards_[frame % kShards];
+void Rmap::CreateFamily(AddressSpace& as) {
+  ODF_DCHECK(as.anon_family_ == nullptr) << "address space already has a family";
+  debug::MutexGuard guard(table_mu_, g_family_table_lock_class);
+  uint16_t id;
+  if (!free_ids_.empty()) {
+    id = free_ids_.back();
+    free_ids_.pop_back();
+  } else {
+    ODF_CHECK(families_.size() < kMaxFamilies) << "anon family ids exhausted";
+    id = static_cast<uint16_t>(families_.size());
+    families_.emplace_back();
+  }
+  families_[id] = std::make_unique<AnonFamily>(id);
+  families_[id]->members_.push_back(&as);
+  as.anon_family_ = families_[id].get();
+  as.family_slot_ = 0;
 }
 
-bool RmapRegistry::LruEligible(FrameId frame, bool huge) const {
-  if (huge) {
-    return false;  // Huge mappings are evicted only after a split (not implemented).
+bool Rmap::LinkChild(AddressSpace& parent, AddressSpace& child) {
+  AnonFamily* family = parent.anon_family_;
+  if (family == nullptr) {
+    return true;
   }
-  const PageMeta& meta = allocator_->GetMeta(frame);
-  // Only order-0 private anonymous frames age on the LRU: file pages belong to the page
-  // cache (refcount includes a cache reference, so the evictability test never passes for
-  // them anyway) and compound frames cannot be freed one PTE at a time.
-  return (meta.flags & kPageFlagAnon) != 0 && !meta.IsCompound() && !meta.IsPageTable();
-}
-
-void RmapRegistry::Add(FrameId frame, uint64_t* slot, bool huge) {
-  // The allocation-failure analog: rmap metadata could not be allocated, so this frame's
-  // reverse map is incomplete — mark it unreclaimable. Consulted outside the shard lock
-  // (the injector takes its own).
-  bool unstable = fi::ShouldInject(FiSite::k_rmap_alloc);
-  Shard& shard = ShardFor(frame);
-  debug::MutexGuard guard(shard.mu, g_rmap_shard_lock_class);
-  FrameEntry& entry = shard.frames[frame];
-  ODF_DCHECK(std::none_of(entry.locations.begin(), entry.locations.end(),
-                          [&](const RmapLocation& l) { return l.slot == slot; }))
-      << "duplicate rmap location for frame " << frame;
-  entry.locations.push_back(RmapLocation{slot, huge});
-  if (unstable) {
-    entry.unstable = true;
-  }
-  if (entry.locations.size() == 1 && lru_ != nullptr && LruEligible(frame, huge)) {
-    lru_->Insert(frame, /*active=*/false);
-  }
-}
-
-void RmapRegistry::Remove(FrameId frame, uint64_t* slot, bool huge) {
-  (void)huge;
-  Shard& shard = ShardFor(frame);
-  debug::MutexGuard guard(shard.mu, g_rmap_shard_lock_class);
-  auto it = shard.frames.find(frame);
-  ODF_DCHECK(it != shard.frames.end()) << "rmap remove of untracked frame " << frame;
-  if (it == shard.frames.end()) {
-    return;
-  }
-  std::vector<RmapLocation>& locations = it->second.locations;
-  auto loc = std::find_if(locations.begin(), locations.end(),
-                          [&](const RmapLocation& l) { return l.slot == slot; });
-  ODF_DCHECK(loc != locations.end())
-      << "rmap remove of unregistered slot for frame " << frame;
-  if (loc == locations.end()) {
-    return;
-  }
-  *loc = locations.back();
-  locations.pop_back();
-  if (locations.empty()) {
-    shard.frames.erase(it);
-    if (lru_ != nullptr) {
-      lru_->Erase(frame);
-    }
-  }
-}
-
-void RmapRegistry::RemoveAll(FrameId frame) {
-  Shard& shard = ShardFor(frame);
-  debug::MutexGuard guard(shard.mu, g_rmap_shard_lock_class);
-  if (shard.frames.erase(frame) > 0 && lru_ != nullptr) {
-    lru_->Erase(frame);
-  }
-}
-
-void RmapRegistry::Move(FrameId frame, uint64_t* from, uint64_t* to) {
-  Shard& shard = ShardFor(frame);
-  debug::MutexGuard guard(shard.mu, g_rmap_shard_lock_class);
-  auto it = shard.frames.find(frame);
-  ODF_DCHECK(it != shard.frames.end()) << "rmap move of untracked frame " << frame;
-  if (it == shard.frames.end()) {
-    return;
-  }
-  for (RmapLocation& location : it->second.locations) {
-    if (location.slot == from) {
-      location.slot = to;
-      return;
-    }
-  }
-  ODF_DCHECK(false) << "rmap move of unregistered slot for frame " << frame;
-}
-
-size_t RmapRegistry::LocationCount(FrameId frame) const {
-  Shard& shard = ShardFor(frame);
-  debug::MutexGuard guard(shard.mu, g_rmap_shard_lock_class);
-  auto it = shard.frames.find(frame);
-  return it == shard.frames.end() ? 0 : it->second.locations.size();
-}
-
-bool RmapRegistry::Contains(FrameId frame, const uint64_t* slot, bool huge) const {
-  Shard& shard = ShardFor(frame);
-  debug::MutexGuard guard(shard.mu, g_rmap_shard_lock_class);
-  auto it = shard.frames.find(frame);
-  if (it == shard.frames.end()) {
+  // The reverse map's one allocation per fork (anon_vma_fork). Consulted outside the
+  // family mutex: the injector takes its own lock.
+  if (fi::ShouldInject(FiSite::k_rmap_alloc)) {
     return false;
   }
-  return std::any_of(it->second.locations.begin(), it->second.locations.end(),
-                     [&](const RmapLocation& l) { return l.slot == slot && l.huge == huge; });
+  debug::MutexGuard guard(family->mu_, g_family_lock_class);
+  child.anon_family_ = family;
+  child.family_slot_ = family->members_.size();
+  family->members_.push_back(&child);
+  return true;
 }
 
-bool RmapRegistry::IsUnstable(FrameId frame) const {
-  Shard& shard = ShardFor(frame);
-  debug::MutexGuard guard(shard.mu, g_rmap_shard_lock_class);
-  auto it = shard.frames.find(frame);
-  return it != shard.frames.end() && it->second.unstable;
-}
-
-void RmapRegistry::Snapshot(FrameId frame, std::vector<RmapLocation>* out) const {
-  Shard& shard = ShardFor(frame);
-  debug::MutexGuard guard(shard.mu, g_rmap_shard_lock_class);
-  auto it = shard.frames.find(frame);
-  if (it == shard.frames.end()) {
+void Rmap::Unlink(AddressSpace& as) {
+  AnonFamily* family = as.anon_family_;
+  if (family == nullptr) {
     return;
   }
-  out->insert(out->end(), it->second.locations.begin(), it->second.locations.end());
+  bool last;
+  {
+    debug::MutexGuard guard(family->mu_, g_family_lock_class);
+    std::vector<AddressSpace*>& members = family->members_;
+    ODF_DCHECK(as.family_slot_ < members.size() && members[as.family_slot_] == &as);
+    members[as.family_slot_] = members.back();
+    members[as.family_slot_]->family_slot_ = as.family_slot_;
+    members.pop_back();
+    last = members.empty();
+  }
+  as.anon_family_ = nullptr;
+  if (last) {
+    // No member is left to fork from, so nothing can link in concurrently. Frames still
+    // stamped with this id are unmapped; a later family reusing it finds none of them.
+    debug::MutexGuard guard(table_mu_, g_family_table_lock_class);
+    uint16_t id = family->id();
+    families_[id].reset();
+    free_ids_.push_back(id);
+  }
 }
 
-uint64_t RmapRegistry::TotalLocations() const {
-  uint64_t total = 0;
-  for (size_t i = 0; i < kShards; ++i) {
-    debug::MutexGuard guard(shards_[i].mu, g_rmap_shard_lock_class);
-    for (const auto& [frame, entry] : shards_[i].frames) {
-      total += entry.locations.size();
+const AnonFamily* Rmap::FindFamily(uint16_t id) const {
+  return id < families_.size() ? families_[id].get() : nullptr;
+}
+
+void Rmap::Walk(FrameId frame, std::vector<RmapLocation>* out) const {
+  ODF_DCHECK(MmGate::ThreadHoldsExclusive()) << "rmap walk without the MmGate held exclusive";
+  const PageMeta& meta = allocator_->GetMeta(frame);
+  FrameId head = ResolveCompoundHead(meta, frame);
+  const PageMeta& head_meta = allocator_->GetMeta(head);
+  const AnonFamily* family = FindFamily(head_meta.anon_family);
+  if (family == nullptr) {
+    return;
+  }
+  const uint64_t index = head_meta.AnonIndex() + (frame - head);
+  const size_t first = out->size();
+  for (AddressSpace* as : family->members_) {
+    // Flat family: every member is visited, and within it every VMA whose anon range holds
+    // the index (normally one; a VMA moved by mremap and a new mapping at its old address
+    // can both claim it, and the entry check below tells them apart).
+    for (const auto& [start, vma] : as->vmas()) {
+      if (index < vma.anon_pgoff || index - vma.anon_pgoff >= vma.length() / kPageSize) {
+        continue;
+      }
+      Vaddr va = vma.start + (index - vma.anon_pgoff) * kPageSize;
+      uint64_t* pmd_slot = as->walker().FindEntry(as->pgd(), va, PtLevel::kPmd);
+      if (pmd_slot == nullptr) {
+        continue;
+      }
+      Pte pmd = LoadEntry(pmd_slot);
+      if (!pmd.IsPresent()) {
+        continue;
+      }
+      RmapLocation location{pmd_slot, /*huge=*/true};
+      if (!pmd.IsHuge()) {
+        location = RmapLocation{
+            &allocator_->TableEntries(pmd.frame())[TableIndex(va, PtLevel::kPte)], false};
+      }
+      Pte entry = LoadEntry(location.slot);
+      if (!entry.IsPresent() || entry.frame() != frame) {
+        continue;
+      }
+      // A shared table is reached through every sharer at the same slot: report it once.
+      if (std::none_of(out->begin() + static_cast<std::ptrdiff_t>(first), out->end(),
+                       [&](const RmapLocation& seen) { return seen.slot == location.slot; })) {
+        out->push_back(location);
+      }
     }
   }
+}
+
+template <typename Fn>
+void Rmap::ForEachDistinctLeaf(Fn&& fn) const {
+  // Collect table frames level by level and deduplicate them, so a PMD or PTE table shared
+  // across members contributes its leaves once.
+  auto unique = [](std::vector<FrameId>& tables) {
+    std::sort(tables.begin(), tables.end());
+    tables.erase(std::unique(tables.begin(), tables.end()), tables.end());
+  };
+  auto present_children = [&](FrameId table, std::vector<FrameId>* out) {
+    const uint64_t* entries = allocator_->TableEntries(table);
+    for (uint64_t i = 0; i < kEntriesPerTable; ++i) {
+      Pte entry = LoadEntry(&entries[i]);
+      if (entry.IsPresent()) {
+        out->push_back(entry.frame());
+      }
+    }
+  };
+  std::vector<FrameId> puds;
+  ForEachFamily([&](const AnonFamily& family) {
+    for (AddressSpace* as : family.members()) {
+      present_children(as->pgd(), &puds);
+    }
+  });
+  std::vector<FrameId> pmds;
+  for (FrameId pud : puds) {
+    present_children(pud, &pmds);
+  }
+  unique(pmds);
+  std::vector<FrameId> ptes;
+  for (FrameId pmd : pmds) {
+    uint64_t* entries = allocator_->TableEntries(pmd);
+    for (uint64_t i = 0; i < kEntriesPerTable; ++i) {
+      Pte entry = LoadEntry(&entries[i]);
+      if (!entry.IsPresent()) {
+        continue;
+      }
+      if (entry.IsHuge()) {
+        fn(&entries[i], entry);
+      } else {
+        ptes.push_back(entry.frame());
+      }
+    }
+  }
+  unique(ptes);
+  for (FrameId pte : ptes) {
+    uint64_t* entries = allocator_->TableEntries(pte);
+    for (uint64_t i = 0; i < kEntriesPerTable; ++i) {
+      Pte entry = LoadEntry(&entries[i]);
+      if (entry.IsPresent()) {
+        fn(&entries[i], entry);
+      }
+    }
+  }
+}
+
+uint64_t Rmap::TotalLocations() {
+  MmGate::ExclusiveScope gate;
+  uint64_t total = 0;
+  ForEachDistinctLeaf([&](const uint64_t*, Pte) { ++total; });
   return total;
 }
 
-uint64_t RmapRegistry::MappedFrames() const {
-  uint64_t total = 0;
-  for (size_t i = 0; i < kShards; ++i) {
-    debug::MutexGuard guard(shards_[i].mu, g_rmap_shard_lock_class);
-    total += shards_[i].frames.size();
-  }
-  return total;
+uint64_t Rmap::MappedFrames() {
+  MmGate::ExclusiveScope gate;
+  std::vector<FrameId> frames;
+  ForEachDistinctLeaf([&](const uint64_t*, Pte entry) { frames.push_back(entry.frame()); });
+  std::sort(frames.begin(), frames.end());
+  return static_cast<uint64_t>(std::unique(frames.begin(), frames.end()) - frames.begin());
 }
 
-void RmapRegistry::ForEachLocationInShard(
-    size_t shard_index,
-    const std::function<void(FrameId, const uint64_t*, bool)>& fn) const {
-  Shard& shard = shards_[shard_index];
-  debug::MutexGuard guard(shard.mu, g_rmap_shard_lock_class);
-  for (const auto& [frame, entry] : shard.frames) {
-    for (const RmapLocation& location : entry.locations) {
-      fn(frame, location.slot, location.huge);
-    }
-  }
+size_t Rmap::LocationCount(FrameId frame) {
+  MmGate::ExclusiveScope gate;
+  std::vector<RmapLocation> locations;
+  Walk(frame, &locations);
+  return locations.size();
 }
 
 }  // namespace reclaim

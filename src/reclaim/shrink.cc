@@ -35,10 +35,7 @@ uint64_t AgeActiveList(ShrinkContext& ctx, uint64_t scan, bool* tlb_dirty,
   uint64_t demoted = 0;
   for (FrameId frame : batch) {
     locations.clear();
-    ctx.rmap->Snapshot(frame, &locations);
-    if (locations.empty()) {
-      continue;  // Last mapping went away while the frame was detached.
-    }
+    ctx.rmap->Walk(frame, &locations);
     bool referenced = false;
     for (const RmapLocation& location : locations) {
       if (TestAndClearAccessed(location.slot)) {
@@ -79,21 +76,21 @@ uint64_t ShrinkInactiveList(ShrinkContext& ctx, uint64_t want, uint64_t scan,
       ++processed;
       ++scanned;
       CountVm(VmCounter::k_pgscan);
-      locations.clear();
-      ctx.rmap->Snapshot(frame, &locations);
-      if (locations.empty()) {
-        continue;  // Unmapped while detached; the frame is no longer ours to manage.
-      }
       PageMeta& meta = allocator.GetMeta(frame);
-      // LRU admission (LruEligible) only lets order-0 anon frames in; re-check
+      // LRU admission (AddNewAnonRmap) only lets order-0 anon frames in; re-check
       // defensively, since eviction of anything else would corrupt accounting.
       if (meta.IsCompound() || meta.IsPageTable() || (meta.flags & kPageFlagAnon) == 0) {
         ODF_DCHECK(false) << "non-anon frame " << frame << " on the LRU";
         Rotate(ctx, frame);
         continue;
       }
-      if (ctx.rmap->IsUnstable(frame)) {
-        Rotate(ctx, frame);  // Injected rmap_alloc failure: reverse map not trustworthy.
+      locations.clear();
+      ctx.rmap->Walk(frame, &locations);
+      if (locations.empty()) {
+        // Mapped nowhere, yet not freed: a pin (a test, a mid-operation caller) holds it.
+        // Nothing to unmap, and nothing can map it again; it leaves the LRU, and its last
+        // reference frees it.
+        ctx.lru->Erase(frame);
         continue;
       }
       if (meta.IsHwPoisoned()) {
@@ -101,12 +98,14 @@ uint64_t ShrinkInactiveList(ShrinkContext& ctx, uint64_t want, uint64_t scan,
         // gate, so a poisoned frame here means a racing offline detached it between our
         // Take and this check. Never swap out dead bytes; drop it from the scan (the
         // offline path owns its lifecycle now).
+        ctx.lru->Erase(frame);
         continue;
       }
       // Evictable only when every reference is a mapping we are about to clear. A shared
-      // PTE table holds ONE reference on behalf of all sharers (§3.6), so this holds for
-      // frames reached through shared tables too. Extra references mean someone else
-      // (a mid-rollback fork, a test) pins the frame — not ours to take.
+      // PTE table holds ONE reference on behalf of all sharers (§3.6) and the walk reports
+      // its slot once, so this holds for frames reached through shared tables too. Extra
+      // references mean someone else (a mid-rollback fork, a test) pins the frame — not
+      // ours to take.
       if (meta.refcount.load(std::memory_order_relaxed) != locations.size()) {
         Rotate(ctx, frame);
         continue;
@@ -157,9 +156,9 @@ uint64_t ShrinkInactiveList(ShrinkContext& ctx, uint64_t want, uint64_t scan,
         }
       }
       ODF_TRACE(rmap_unmap, 0, frame, locations.size());
-      ctx.rmap->RemoveAll(frame);
       // One reference per cleared mapping; the last one frees the frame (the
-      // refcount == locations.size() test above guarantees it).
+      // refcount == locations.size() test above guarantees it), which also ends its
+      // isolation on the LRU.
       for (size_t i = 0; i < locations.size(); ++i) {
         // The evictor holds the MmGate exclusively, so every allocating path (fault,
         // fork: gate-shared) is blocked and the freed frame cannot be recycled before
@@ -185,6 +184,9 @@ uint64_t ShrinkInactiveList(ShrinkContext& ctx, uint64_t want, uint64_t scan,
 
 uint64_t ReclaimPages(ShrinkContext& ctx, uint64_t want) {
   ODF_DCHECK(MmGate::ThreadHoldsExclusive()) << "reclaim without the MmGate held exclusive";
+  // Pages faulted since the last round still sit in per-thread add batches; the exclusive
+  // gate guarantees no thread is appending, so every batch can be emptied onto the lists.
+  ctx.lru->DrainAddBatches();
   bool tlb_dirty = false;
   uint64_t freed = 0;
   // Alternate aging and shrinking. The first passes over freshly-faulted pages mostly

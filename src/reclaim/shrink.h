@@ -26,7 +26,7 @@ namespace reclaim {
 struct ShrinkContext {
   FrameAllocator* allocator = nullptr;
   SwapSpace* swap = nullptr;
-  RmapRegistry* rmap = nullptr;
+  Rmap* rmap = nullptr;
   PageLru* lru = nullptr;
   std::function<void()> flush_tlbs;
 };
@@ -42,16 +42,17 @@ uint64_t AgeActiveList(ShrinkContext& ctx, uint64_t scan, bool* tlb_dirty,
 
 // Scans up to `scan` frames off the inactive tail and evicts up to `want` of them:
 // referenced frames get their second chance (re-activated, pgactivate), evictable frames
-// have every rmap location rewritten to a swap entry (or cleared, for never-materialised
-// zero pages), their swap slot referenced once per mapping, and their frame references
-// dropped (pgsteal). Returns frames freed; *scanned_out (optional) reports how many
-// frames were looked at, so callers can tell a stalled list from a referenced one.
+// have every location found by the family walk (Rmap::Walk) rewritten to a swap entry (or
+// cleared, for never-materialised zero pages), their swap slot referenced once per
+// mapping, and their frame references dropped (pgsteal). Returns frames freed;
+// *scanned_out (optional) reports how many frames were looked at, so callers can tell a
+// stalled list from a referenced one.
 uint64_t ShrinkInactiveList(ShrinkContext& ctx, uint64_t want, uint64_t scan,
                             bool* tlb_dirty, uint64_t* scanned_out = nullptr);
 
-// The full reclaim round used by kswapd and direct reclaim: alternates aging and
-// shrinking until `want` frames are freed or no progress is possible, then flushes TLBs
-// once if anything changed. Returns frames freed.
+// The full reclaim round used by kswapd and direct reclaim: drains every thread's LRU add
+// batch, alternates aging and shrinking until `want` frames are freed or no progress is
+// possible, then flushes TLBs once if anything changed. Returns frames freed.
 uint64_t ReclaimPages(ShrinkContext& ctx, uint64_t want);
 
 }  // namespace reclaim

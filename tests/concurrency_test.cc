@@ -11,6 +11,7 @@
 #include "src/debug/verify.h"
 #include "src/replay/recorder.h"
 #include "src/replay/replayer.h"
+#include "src/trace/metrics.h"
 #include "tests/test_util.h"
 
 namespace odf {
@@ -268,6 +269,68 @@ TEST(ConcurrencyTest, ConcurrentRecordedScheduleReplaysDeterministically) {
   EXPECT_EQ(report.ops_replayed, report.ops_total);
 }
 #endif  // ODF_REPLAY_COMPILED
+
+// Four driver threads, each with its own family, fault, fork (both engines) and exit while
+// kswapd and direct reclaim evict under a tight pool: family links and unlinks, add-batch
+// appends, drains and free-path purges all race the family walk (docs/reclaim.md).
+TEST(ConcurrencyTest, RmapFamiliesFaultForkExitUnderKswapdStayConsistent) {
+  constexpr int kThreads = 4;
+  constexpr uint64_t kPages = 64;
+  constexpr int kRounds = 12;
+  Kernel kernel;
+  kernel.SetMemoryLimitFrames(224);  // The four parents alone need 256 data frames.
+  kernel.StartKswapd();
+  uint64_t stolen_before = ReadVm(VmCounter::k_pgsteal);
+  std::vector<Process*> parents;
+  for (int t = 0; t < kThreads; ++t) {
+    parents.push_back(&kernel.CreateProcess());
+  }
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Process& parent = *parents[static_cast<size_t>(t)];
+      Kernel::ActiveProcessScope immune(&parent);
+      Vaddr va = parent.Mmap(kPages * kPageSize, kProtRead | kProtWrite);
+      for (int round = 0; round < kRounds; ++round) {
+        uint64_t seed = static_cast<uint64_t>(t * 100 + round);
+        FillPattern(parent, va, kPages * kPageSize, seed);
+        ForkMode mode = round % 2 == 0 ? ForkMode::kClassic : ForkMode::kOnDemand;
+        Process* child = kernel.TryFork(parent, mode);
+        if (child == nullptr) {
+          continue;  // ENOMEM under the tight pool is a legal outcome.
+        }
+        std::byte value{static_cast<uint8_t>(round)};
+        for (uint64_t i = 0; i < kPages; i += 4) {
+          if (!child->WriteMemory(va + i * kPageSize, std::span(&value, 1))) {
+            ++failures;
+          }
+        }
+        std::vector<std::byte> back(kPageSize);
+        auto expected = static_cast<std::byte>((seed * 1099511628211ULL + va + 1) >> 5);
+        if (!parent.ReadMemory(va, back) || back[1] != expected) {
+          ++failures;  // The child's writes must never leak into the parent.
+        }
+        kernel.Exit(*child, 0);
+        kernel.Wait(parent);
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  kernel.StopKswapd();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(ReadVm(VmCounter::k_pgsteal), stolen_before)
+      << "the pool never ran short: nothing raced the walk";
+  EXPECT_EQ(kernel.oom_kills(), 0u);
+  debug::VerifyResult result = debug::VerifyKernel(kernel);
+  EXPECT_TRUE(result.ok()) << result.Describe();
+  for (Process* parent : parents) {
+    kernel.Exit(*parent, 0);
+  }
+  EXPECT_TRUE(kernel.allocator().AllFree());
+}
 
 TEST(ConcurrencyTest, ConcurrentForkCountersStayConsistent) {
   Kernel kernel;

@@ -328,6 +328,69 @@ TEST_F(MemoryFailureTest, HardOfflineRelocatesFileBackedPages) {
   EXPECT_TRUE(debug::VerifyKernel(kernel).ok());
 }
 
+// Page-cache frames carry no anon stamp; offline finds them through every VMA that maps
+// the file at that page index (the i_mmap analog) — here in two unrelated processes, i.e.
+// two anon families. Both mappings are cleared and both refault the relocated page.
+TEST_F(MemoryFailureTest, HardOfflineOfFilePageClearsEveryProcessMappingIt) {
+  Kernel kernel;
+  auto file = kernel.fs().Open("/shared");
+  std::vector<std::byte> content(2 * kPageSize);
+  for (uint64_t i = 0; i < content.size(); ++i) {
+    content[i] = static_cast<std::byte>(i * 13 + 1);
+  }
+  file->Write(0, content);
+  Process& a = kernel.CreateProcess();
+  Process& b = kernel.CreateProcess();
+  // b maps the file one page in, so the dead page sits at different offsets of the VMAs.
+  Vaddr va_a = a.address_space().MapFile(file, 0, 2 * kPageSize, kProtRead, /*shared=*/true);
+  Vaddr va_b = b.address_space().MapFile(file, kPageSize, kPageSize, kProtRead,
+                                         /*shared=*/false);
+  std::vector<std::byte> out(kPageSize);
+  ASSERT_TRUE(a.ReadMemory(va_a + kPageSize, out));
+  ASSERT_TRUE(b.ReadMemory(va_b, out));
+  FrameId frame = FrameAt(a, va_a + kPageSize);
+  ASSERT_EQ(FrameAt(b, va_b), frame);
+
+  EXPECT_EQ(kernel.MemoryFailure(frame), MfResult::kRecovered);
+
+  EXPECT_EQ(a.Mincore(va_a + kPageSize, kPageSize)[0], 0u) << "a's mapping was not cleared";
+  EXPECT_EQ(b.Mincore(va_b, kPageSize)[0], 0u) << "b's mapping was not cleared";
+  std::vector<std::byte> expected(content.begin() + kPageSize, content.end());
+  ASSERT_TRUE(a.ReadMemory(va_a + kPageSize, out));
+  EXPECT_EQ(out, expected);
+  ASSERT_TRUE(b.ReadMemory(va_b, out));
+  EXPECT_EQ(out, expected);
+  EXPECT_EQ(FrameAt(a, va_a + kPageSize), FrameAt(b, va_b));
+  EXPECT_NE(FrameAt(b, va_b), frame);
+  EXPECT_TRUE(debug::VerifyKernel(kernel).ok());
+}
+
+// A page the file no longer caches (truncated while mapped) has no index to relocate:
+// offline still reaches both mappers by scanning their file VMAs, and poisons both.
+TEST_F(MemoryFailureTest, HardOfflineOfTruncatedFilePagePoisonsEveryMapper) {
+  Kernel kernel;
+  auto file = kernel.fs().Open("/truncated");
+  std::vector<std::byte> content(kPageSize, std::byte{0x3c});
+  file->Write(0, content);
+  Process& a = kernel.CreateProcess();
+  Process& b = kernel.CreateProcess();
+  Vaddr va_a = a.address_space().MapFile(file, 0, kPageSize, kProtRead, /*shared=*/true);
+  Vaddr va_b = b.address_space().MapFile(file, 0, kPageSize, kProtRead, /*shared=*/true);
+  std::vector<std::byte> out(kPageSize);
+  ASSERT_TRUE(a.ReadMemory(va_a, out));
+  ASSERT_TRUE(b.ReadMemory(va_b, out));
+  FrameId frame = FrameAt(a, va_a);
+  file->Truncate(0);
+
+  EXPECT_EQ(kernel.MemoryFailure(frame), MfResult::kRecovered);
+
+  EXPECT_FALSE(a.ReadMemory(va_a, out));
+  EXPECT_EQ(a.last_fault_result(), FaultResult::kHwPoison);
+  EXPECT_FALSE(b.ReadMemory(va_b, out));
+  EXPECT_EQ(b.last_fault_result(), FaultResult::kHwPoison);
+  EXPECT_TRUE(debug::VerifyKernel(kernel).ok());
+}
+
 // Quarantine is terminal: a poisoned frame is never handed out again, no matter how much
 // allocation pressure follows.
 TEST_F(MemoryFailureTest, QuarantinedFramesAreNeverReallocated) {

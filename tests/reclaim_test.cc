@@ -58,7 +58,7 @@ void ExpectVerifies(Kernel& kernel) {
 TEST(RmapTest, TracksLeafInstallAndClear) {
   Kernel kernel;
   Process& p = kernel.CreateProcess();
-  reclaim::RmapRegistry& rmap = kernel.rmap();
+  reclaim::Rmap& rmap = kernel.rmap();
   ASSERT_EQ(rmap.TotalLocations(), 0u);
 
   Vaddr va = p.Mmap(8 * kPageSize, kProtRead | kProtWrite);
@@ -117,30 +117,35 @@ TEST(RmapTest, SharedPteTableIsOneLocationPerSlot) {
 // --- LRU aging and workingset shadows (direct unit coverage) ---
 
 TEST(LruTest, InactiveTailIsColdestAndSecondChanceReinserts) {
-  reclaim::PageLru lru;
-  lru.Insert(1, /*active=*/false);
-  lru.Insert(2, /*active=*/false);
-  lru.Insert(3, /*active=*/false);
+  // The lists link through PageMeta, so the frames must be real.
+  FrameAllocator allocator;
+  reclaim::PageLru lru(&allocator);
+  FrameId f1 = allocator.Allocate(kPageFlagAnon);
+  FrameId f2 = allocator.Allocate(kPageFlagAnon);
+  FrameId f3 = allocator.Allocate(kPageFlagAnon);
+  lru.Insert(f1, /*active=*/false);
+  lru.Insert(f2, /*active=*/false);
+  lru.Insert(f3, /*active=*/false);
   EXPECT_EQ(lru.InactiveSize(), 3u);
 
   std::vector<FrameId> batch;
   ASSERT_EQ(lru.TakeInactive(2, &batch), 2u);
-  EXPECT_EQ(batch[0], 1u) << "tail of the inactive list is the first inserted (coldest)";
-  EXPECT_EQ(batch[1], 2u);
+  EXPECT_EQ(batch[0], f1) << "tail of the inactive list is the first inserted (coldest)";
+  EXPECT_EQ(batch[1], f2);
 
   lru.PutBack(batch[0], /*active=*/true);  // Referenced: promoted.
   lru.PutBack(batch[1], /*active=*/false);
   EXPECT_EQ(lru.ActiveSize(), 1u);
   EXPECT_EQ(lru.InactiveSize(), 2u);
 
-  lru.Activate(3);
-  EXPECT_EQ(lru.ActiveSize(), 2u);
-  lru.Erase(3);
+  lru.Erase(f3);
   EXPECT_EQ(lru.Size(), 2u);
+  EXPECT_FALSE(lru.Contains(f3));
 }
 
 TEST(LruTest, RefaultWithinHorizonCountsAndConsumesShadow) {
-  reclaim::PageLru lru;
+  FrameAllocator allocator;
+  reclaim::PageLru lru(&allocator);
   CounterDelta refaults(VmCounter::k_pgrefault);
   lru.RecordEviction(/*slot=*/7);
   EXPECT_EQ(lru.ShadowCount(), 1u);
@@ -214,28 +219,189 @@ TEST(ReclaimTest, SharedTableEvictionFaultsBackInAllChildren) {
   ExpectVerifies(kernel);
 }
 
-TEST(ReclaimTest, RmapAllocFailureMakesFrameUnevictableNotLost) {
+// The reverse map's one allocation is the family link at fork (the anon_vma_fork -ENOMEM
+// analog). Failing it fails the fork before anything is shared, for every engine, and the
+// rollback is exact: no process, no frame, no reference survives it.
+TEST(ReclaimTest, RmapAllocFailureFailsForkWithExactRollback) {
 #if !ODF_FAULT_INJECT_COMPILED
   GTEST_SKIP() << "fault-injection hooks compiled out (ODF_FAULT_INJECT=OFF)";
 #endif
+  constexpr uint64_t kPages = 64;
+  Kernel kernel;
+  {
+    Process& parent = kernel.CreateProcess();
+    Vaddr va = parent.Mmap(kPages * kPageSize, kProtRead | kProtWrite);
+    FillPattern(parent, va, kPages * kPageSize, 5);
+    auto refcounts = [&] {
+      std::vector<uint32_t> counts;
+      for (uint64_t i = 0; i < kPages; ++i) {
+        Translation t = parent.address_space().walker().Translate(
+            parent.address_space().pgd(), va + i * kPageSize, AccessType::kRead);
+        counts.push_back(
+            kernel.allocator().GetMeta(t.frame).refcount.load(std::memory_order_relaxed));
+      }
+      return counts;
+    };
+    std::vector<uint32_t> before = refcounts();
+    uint64_t allocated = kernel.allocator().Stats().allocated_frames;
+    for (ForkMode mode : {ForkMode::kClassic, ForkMode::kOnDemand, ForkMode::kOnDemandHuge}) {
+      CounterDelta rollbacks(VmCounter::k_fork_rollback);
+      {
+        fi::ScopedInjection inject(FiSite::k_rmap_alloc,
+                                   FiSiteConfig{.probability = 1.0, .times = 1});
+        EXPECT_EQ(kernel.TryFork(parent, mode), nullptr) << ForkModeName(mode);
+      }
+      EXPECT_EQ(rollbacks.Get(), 1u);
+      EXPECT_EQ(kernel.ProcessCount(), 1u);
+      EXPECT_EQ(kernel.allocator().Stats().allocated_frames, allocated);
+      EXPECT_EQ(refcounts(), before) << "the parent's refcounts must be untouched";
+      EXPECT_EQ(kernel.rmap().FindFamily(parent.address_space().anon_family()->id())
+                    ->members()
+                    .size(),
+                1u)
+          << "a failed link leaves the family as it was";
+      ExpectVerifies(kernel);
+    }
+    // Disarmed, the same fork succeeds and the child's pages are reachable through the
+    // family walk: one eviction rewrites both processes' mappings.
+    Process* child = kernel.TryFork(parent, ForkMode::kClassic);
+    ASSERT_NE(child, nullptr);
+    EXPECT_GT(kernel.ReclaimMemory(kPages), 0u);
+    ExpectPattern(*child, va, kPages * kPageSize, 5);
+    ExpectPattern(parent, va, kPages * kPageSize, 5);
+    ExpectVerifies(kernel);
+    kernel.Exit(*child, 0);
+    kernel.Wait(parent);
+    kernel.Exit(parent, 0);
+  }
+  EXPECT_TRUE(kernel.allocator().AllFree());
+}
+
+// --- Object-based reverse map: the family walk (docs/reclaim.md "Reverse mapping") ---
+
+FrameId FrameAt(Process& p, Vaddr va) {
+  AddressSpace& as = p.address_space();
+  Translation t = as.walker().Translate(as.pgd(), va, AccessType::kRead);
+  EXPECT_EQ(t.status, TranslateStatus::kOk) << "va " << va << " not present";
+  return t.frame;
+}
+
+void ExpectAllSwapped(Process& p, Vaddr va, uint64_t length) {
+  for (uint8_t state : p.Mincore(va, length)) {
+    EXPECT_EQ(state, 2u) << "page still resident (or dropped) after eviction";
+  }
+}
+
+// mremap moves entries, not frames: the VMA keeps its anon_pgoff, so frames stamped at the
+// old address stay findable at the new one, are evicted there and swap back in intact.
+TEST(RmapWalkTest, MremappedPageIsEvictedAndSwappedBackIn) {
+  constexpr uint64_t kPages = 16;
+  Kernel kernel;
+  Process& p = kernel.CreateProcess();
+  Vaddr va = p.Mmap(kPages * kPageSize, kProtRead | kProtWrite);
+  p.Mmap(kPageSize, kProtRead);  // Blocks growth in place: the remap must move.
+  FillPattern(p, va, kPages * kPageSize, 11);
+  std::vector<std::byte> before(kPages * kPageSize);
+  ASSERT_TRUE(p.ReadMemory(va, before));
+  Vaddr moved = p.Mremap(va, kPages * kPageSize, 2 * kPages * kPageSize);
+  ASSERT_NE(moved, va);
+  EXPECT_EQ(kernel.rmap().LocationCount(FrameAt(p, moved)), 1u);
+
+  EXPECT_EQ(kernel.ReclaimMemory(kPages), kPages);
+  ExpectAllSwapped(p, moved, kPages * kPageSize);
+  ExpectVerifies(kernel);
+  std::vector<std::byte> after(kPages * kPageSize);
+  ASSERT_TRUE(p.ReadMemory(moved, after));
+  EXPECT_EQ(after, before);
+  ExpectVerifies(kernel);
+}
+
+// A frame shared by parent, child and grandchild (classic forks copy entries, not pages)
+// is one family, three slots: one eviction rewrites all three to the same swap entry.
+TEST(RmapWalkTest, GrandchildForkHasAllThreeMappingsRewrittenByOneEviction) {
+  Kernel kernel;
+  Process& parent = kernel.CreateProcess();
+  Vaddr va = parent.Mmap(kPageSize, kProtRead | kProtWrite);
+  FillPattern(parent, va, kPageSize, 12);
+  Process& child = kernel.Fork(parent, ForkMode::kClassic);
+  Process& grandchild = kernel.Fork(child, ForkMode::kClassic);
+  FrameId frame = FrameAt(parent, va);
+  ASSERT_EQ(FrameAt(grandchild, va), frame);
+  EXPECT_EQ(kernel.rmap().LocationCount(frame), 3u);
+
+  CounterDelta stolen(VmCounter::k_pgsteal);
+  uint64_t swap_writes = kernel.swap_space().Stats().writes;
+  EXPECT_EQ(kernel.ReclaimMemory(1), 1u);
+  EXPECT_EQ(stolen.Get(), 1u);
+  EXPECT_EQ(kernel.swap_space().Stats().writes, swap_writes + 1) << "one write, three PTEs";
+  for (Process* p : {&parent, &child, &grandchild}) {
+    ExpectAllSwapped(*p, va, kPageSize);
+  }
+  ExpectVerifies(kernel);
+  for (Process* p : {&grandchild, &child, &parent}) {
+    ExpectPattern(*p, va, kPageSize, 12);
+  }
+  ExpectVerifies(kernel);
+}
+
+// Four sharers reach a shared on-demand-fork slot, and the walk reports it once (§3.6);
+// a sharer that COW-breaks the table adds exactly its own private slot.
+TEST(RmapWalkTest, SlotInSharedOdfTableIsFoundOnce) {
+  Kernel kernel;
+  Process& parent = kernel.CreateProcess();
+  Vaddr va = parent.Mmap(8 * kPageSize, kProtRead | kProtWrite);
+  FillPattern(parent, va, 8 * kPageSize, 13);
+  std::vector<Process*> children;
+  for (int i = 0; i < 3; ++i) {
+    children.push_back(&kernel.Fork(parent, ForkMode::kOnDemand));
+  }
+  FrameId frame = FrameAt(parent, va);
+  EXPECT_EQ(kernel.rmap().LocationCount(frame), 1u);
+  EXPECT_EQ(kernel.rmap().TotalLocations(), 8u);
+
+  WriteByte(*children[0], va + kPageSize, std::byte{0x42});  // Dedicates child 0's table.
+  EXPECT_EQ(kernel.rmap().LocationCount(frame), 2u);
+  ExpectVerifies(kernel);
+}
+
+// Exit unlinks the address space from its family: its slots stop counting, the frame
+// becomes evictable by the survivors alone, and the family shrinks.
+TEST(RmapWalkTest, ExitedFamilyMemberDropsOutOfTheWalk) {
+  Kernel kernel;
+  Process& parent = kernel.CreateProcess();
+  Vaddr va = parent.Mmap(kPageSize, kProtRead | kProtWrite);
+  FillPattern(parent, va, kPageSize, 14);
+  Process& child = kernel.Fork(parent, ForkMode::kClassic);
+  FrameId frame = FrameAt(parent, va);
+  const reclaim::AnonFamily* family = parent.address_space().anon_family();
+  ASSERT_EQ(child.address_space().anon_family(), family);
+  EXPECT_EQ(family->members().size(), 2u);
+  EXPECT_EQ(kernel.rmap().LocationCount(frame), 2u);
+
+  kernel.Exit(child, 0);
+  EXPECT_EQ(child.address_space().anon_family(), nullptr);
+  EXPECT_EQ(family->members().size(), 1u);
+  EXPECT_EQ(kernel.rmap().LocationCount(frame), 1u);
+  EXPECT_EQ(kernel.ReclaimMemory(1), 1u);
+  ExpectAllSwapped(parent, va, kPageSize);
+  ExpectPattern(parent, va, kPageSize, 14);
+  ExpectVerifies(kernel);
+}
+
+// A fresh fault admits its page through this thread's add batch, not the lists; reclaim
+// must drain every batch before it scans, or the page would be invisible to it.
+TEST(RmapWalkTest, PageFaultedJustBeforeReclaimIsEvictable) {
   Kernel kernel;
   Process& p = kernel.CreateProcess();
   Vaddr va = p.Mmap(kPageSize, kProtRead | kProtWrite);
-  {
-    // The rmap entry for the faulted-in page fails to allocate: the mapping still
-    // registers (accounting stays exact) but the frame goes sticky-unstable.
-    fi::ScopedInjection inject(FiSite::k_rmap_alloc,
-                               FiSiteConfig{.probability = 1.0, .times = 1});
-    WriteByte(p, va, std::byte{0x77});
-  }
-  ExpectVerifies(kernel);  // An injected rmap failure must not unbalance the registry.
+  FillPattern(p, va, kPageSize, 15);
+  EXPECT_EQ(kernel.lru().Size(), 1u) << "admitted (still batched)";
 
-  uint64_t swap_writes_before = kernel.swap_space().Stats().writes;
-  kernel.ReclaimMemory(1);
-  kernel.ReclaimMemory(1);  // Second pass: the accessed-bit second chance is spent.
-  EXPECT_EQ(kernel.swap_space().Stats().writes, swap_writes_before)
-      << "the shrinker must refuse rmap-unstable frames";
-  EXPECT_EQ(ReadByte(p, va), std::byte{0x77});
+  EXPECT_EQ(kernel.ReclaimMemory(1), 1u);
+  ExpectAllSwapped(p, va, kPageSize);
+  EXPECT_EQ(kernel.lru().Size(), 0u) << "the evicted frame left the LRU when it was freed";
+  ExpectPattern(p, va, kPageSize, 15);
+  EXPECT_EQ(kernel.lru().Size(), 1u) << "the swapped-in copy is admitted again";
   ExpectVerifies(kernel);
 }
 

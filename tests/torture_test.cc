@@ -157,9 +157,9 @@ class TortureDriver {
     fi.Arm(FiSite::k_compound_alloc, FiSiteConfig{.probability = 0.5});
     fi.Arm(FiSite::k_swap_out, FiSiteConfig{.probability = 0.05});
     fi.Arm(FiSite::k_swap_in, FiSiteConfig{.probability = 0.02});
-    // An rmap_alloc failure makes the frame sticky-unevictable for the rest of the run,
-    // so keep it rare — a high rate would pin the pool and starve the pressure variant.
-    fi.Arm(FiSite::k_rmap_alloc, FiSiteConfig{.probability = 0.002});
+    // An rmap_alloc failure fails the fork at its family link, before anything is copied;
+    // it leaves no state behind, so it can fire as often as the other fork failures.
+    fi.Arm(FiSite::k_rmap_alloc, FiSiteConfig{.probability = 0.02});
     fi.Arm(FiSite::k_reclaim_writeback, FiSiteConfig{.probability = 0.05});
     if (arm_mf_) {
       // Injected uncorrectable memory errors (docs/memory-failure.md): each hit hard-
