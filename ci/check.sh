@@ -10,7 +10,7 @@
 # Presets covered (see CMakePresets.json):
 #   default       RelWithDebInfo, full ctest suite (the tier-1 gate)
 #   asan-ubsan    Debug + ASan/UBSan, full suite
-#   tsan          ThreadSanitizer, concurrency-labeled suites
+#   tsan          ThreadSanitizer, concurrency- and reclaim-labeled suites
 #   fault-inject  RelWithDebInfo + fault injection, full suite (includes torture)
 #   debug-vm      invariant checkers armed: VM_BUG_ON, poisoning, lockdep, auto-verify
 # Static checks:
@@ -147,8 +147,9 @@ fi
 
 run_preset asan-ubsan
 # The tsan preset IS the concurrency-under-TSan gate: its ctest preset filters to the
-# `concurrency` label (frame_cache_test, concurrency_test — the disjoint-fault/overlapping-
-# fork/kswapd stress and the concurrent-replay determinism test ride on that label).
+# `concurrency|reclaim` labels (frame_cache_test, concurrency_test — the disjoint-fault/
+# overlapping-fork/kswapd stress and the concurrent-replay determinism test — plus
+# reclaim_test, whose kswapd and direct reclaim bump the per-thread vmstat shards).
 run_preset tsan
 run_preset fault-inject
 run_preset debug-vm

@@ -63,9 +63,9 @@ void PutMappedPage(FrameAllocator& allocator, Pte entry, bool huge) {
   allocator.DecRef(ResolveCompoundHead(meta, frame));
 }
 
-void DropPteTableReference(FrameAllocator& allocator, SwapSpace* swap, FrameId table) {
+bool DropPteTableReference(FrameAllocator& allocator, SwapSpace* swap, FrameId table) {
   if (allocator.DecPtShare(table) != 1) {
-    return;
+    return false;
   }
   // Last reference: release the per-page references this table holds on behalf of all its
   // (former) sharers, then free the table frame itself. Swap entries release their slot.
@@ -99,11 +99,12 @@ void DropPteTableReference(FrameAllocator& allocator, SwapSpace* swap, FrameId t
   // may still be reading its (now empty) entries: defer the frame free past the grace
   // period. The caller drains the epoch before its leak checks can observe the deferral.
   PtEpoch::Global().Retire(&allocator, table);
+  return true;
 }
 
-void DropPmdTableReference(FrameAllocator& allocator, SwapSpace* swap, FrameId table) {
+bool DropPmdTableReference(FrameAllocator& allocator, SwapSpace* swap, FrameId table) {
   if (allocator.DecPtShare(table) != 1) {
-    return;
+    return false;
   }
   // Last reference: release whatever the PMD table maps — huge pages directly (batched),
   // PTE tables transitively (each of which batch-puts its own pages at zero).
@@ -128,6 +129,7 @@ void DropPmdTableReference(FrameAllocator& allocator, SwapSpace* swap, FrameId t
   // odf-lint: allow(gen-before-free)
   allocator.DecRefBatch(std::span<const FrameId>(huge_heads.data(), huge_count));
   PtEpoch::Global().Retire(&allocator, table);  // Published table: epoch-deferred free.
+  return true;
 }
 
 FrameId DedicatePmdTable(AddressSpace& as, Vaddr pud_span_base, uint64_t* pud_slot,
@@ -215,10 +217,14 @@ FrameId DedicatePmdTable(AddressSpace& as, Vaddr pud_span_base, uint64_t* pud_sl
   }
   StoreEntry(pud_slot, Pte::Make(dedicated, kPtePresent | kPteWritable | kPteUser |
                                                 (pud.flags() & kPteAccessed)));
-  uint32_t previous = allocator.DecPtShare(shared);
-  ODF_DCHECK(previous >= 2);
-  (void)previous;
   as.tlb().InvalidateRange(pud_span_base, span_end);
+  // Drop our share of the old table. The other sharers drop theirs without the split lock
+  // (an exiting child's teardown), so they may all have gone since `share` was read; this
+  // reference is then the last one and releases the table like any other last sharer,
+  // settling the deferred free before the fault returns.
+  if (DropPmdTableReference(allocator, as.swap_space(), shared)) {
+    PtEpoch::Global().Drain();
+  }
   ++as.stats().pmd_table_cow_faults;
   CountVm(VmCounter::k_pmd_table_cow);
   if (tracing) {
@@ -341,10 +347,12 @@ FrameId DedicatePteTable(AddressSpace& as, Vaddr chunk_base, uint64_t* pmd_slot,
   // at the PMD level, and drop our reference to the shared table.
   StoreEntry(pmd_slot, Pte::Make(dedicated, kPtePresent | kPteWritable | kPteUser |
                                                 (pmd.flags() & kPteAccessed)));
-  uint32_t previous = allocator.DecPtShare(shared);
-  ODF_DCHECK(previous >= 2);
-  (void)previous;
   as.tlb().InvalidateRange(chunk_base, chunk_base + kPteTableSpan);
+  // Drop our share of the old table; the last sharer may have exited since `share` was
+  // read (see DedicatePmdTable), in which case this releases the table.
+  if (DropPteTableReference(allocator, as.swap_space(), shared)) {
+    PtEpoch::Global().Drain();
+  }
   ++as.stats().pte_table_cow_faults;
   CountVm(VmCounter::k_pte_table_cow);
   if (tracing) {

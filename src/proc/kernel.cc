@@ -161,7 +161,6 @@ uint64_t Kernel::ReclaimMemory(uint64_t want) {
   // allocation that triggered it (whose own MutationScope is already open), but the scope
   // is reentrant so standing alone is fine too.
   debug::MutationScope mutation;
-  CountVm(VmCounter::k_reclaim_runs);
   CountVm(VmCounter::k_direct_reclaim);
   ODF_TRACE(reclaim_begin, /*pid=*/0, want);
   uint64_t freed = 0;

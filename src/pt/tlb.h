@@ -43,6 +43,9 @@ struct TlbStats {
 class Tlb {
  public:
   static constexpr size_t kEntries = 1024;  // Power of two.
+  // Ranges of more pages than this drop the slots with one generation bump instead of
+  // page by page (Linux's default tlb_single_page_flush_ceiling is 33).
+  static constexpr uint64_t kRangeFlushCeiling = 33;
 
   // `locks` receives the shard-generation bumps for every invalidation; it outlives the
   // Tlb (both are AddressSpace members, locks declared first). nullptr detaches the TLB
@@ -95,33 +98,33 @@ class Tlb {
   // Invalidates the translation for one page (invlpg analog) and bumps the covering shard
   // generation. Call AFTER rewriting the entry, BEFORE dropping its frame reference.
   void InvalidatePage(Vaddr va) {
-    Slot& slot = slots_[Index(va)];
-    uint32_t seq = slot.seq.load(std::memory_order_relaxed);
-    if ((seq & 1) == 0 &&
-        slot.seq.compare_exchange_strong(seq, seq + 1, std::memory_order_acquire)) {
-      if (slot.vpn.load(std::memory_order_relaxed) == (va >> kPageShift)) {
-        slot.flags.store(0, std::memory_order_relaxed);
-      }
-      slot.seq.store(seq + 2, std::memory_order_release);
-    }
-    ++stats_.single_invalidations;
-    CountVm(VmCounter::k_tlb_shootdowns);
+    DropSlot(va);
+    CountInvalidations(1);
     if (locks_ != nullptr) {
       locks_->BumpShard(va);
     }
   }
 
-  // Invalidates a virtual range. Software-TLB slots are dropped page by page (bounded:
-  // large ranges fall back to a full flush, as kernels do); the shard generations are
-  // bumped ONCE per covered shard regardless of the page count — the batched shootdown.
+  // Invalidates a virtual range. Up to kRangeFlushCeiling pages the software-TLB slots are
+  // dropped page by page; above it one slot-generation bump drops them all (Linux's
+  // tlb_single_page_flush_ceiling), and past kEntries pages the range becomes a FlushAll.
+  // The shard generations are bumped ONCE per covered shard regardless of the page count
+  // — the batched shootdown. Either way every page counts as one shootdown.
   void InvalidateRange(Vaddr start, Vaddr end) {
     if ((end - start) / kPageSize > kEntries) {
       FlushAll();
       return;
     }
-    for (Vaddr va = PageAlignDown(start); va < end; va += kPageSize) {
-      InvalidatePageLocal(va);
+    Vaddr first = PageAlignDown(start);
+    uint64_t pages = end > first ? (end - first + kPageSize - 1) / kPageSize : 0;
+    if (pages > kRangeFlushCeiling) {
+      generation_.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      for (Vaddr va = first; va < end; va += kPageSize) {
+        DropSlot(va);
+      }
     }
+    CountInvalidations(pages);
     if (locks_ != nullptr) {
       locks_->BumpRange(start, end);
     }
@@ -159,8 +162,8 @@ class Tlb {
 
   static size_t Index(Vaddr va) { return (va >> kPageShift) & (kEntries - 1); }
 
-  // Slot drop without the shard-generation bump (InvalidateRange batches those).
-  void InvalidatePageLocal(Vaddr va) {
+  // Drops the slot caching `va`, if any; no counters, no shard-generation bump.
+  void DropSlot(Vaddr va) {
     Slot& slot = slots_[Index(va)];
     uint32_t seq = slot.seq.load(std::memory_order_relaxed);
     if ((seq & 1) == 0 &&
@@ -170,8 +173,11 @@ class Tlb {
       }
       slot.seq.store(seq + 2, std::memory_order_release);
     }
-    ++stats_.single_invalidations;
-    CountVm(VmCounter::k_tlb_shootdowns);
+  }
+
+  void CountInvalidations(uint64_t pages) {
+    stats_.single_invalidations += pages;
+    CountVm(VmCounter::k_tlb_shootdowns, pages);
   }
 
   std::array<Slot, kEntries> slots_{};

@@ -235,9 +235,7 @@ bool Recorder::Start(const RecorderOptions& options) {
   retained_bytes_ = 0;
   ops_dropped_ = events_dropped_ = fi_dropped_ = 0;
   fi_seed_ = fi::FaultInjector::Global().seed();
-  for (size_t i = 0; i < kVmCounterCount; ++i) {
-    vm_baseline_[i] = ReadVm(static_cast<VmCounter>(i));
-  }
+  vm_baseline_ = ReadAllVm();
   ring_baseline_.clear();
   for (const trace::TraceRing* ring : trace::Tracer::Global().Rings()) {
     ring_baseline_[ring] = ring->TotalAppended();
@@ -310,8 +308,9 @@ void Recorder::CaptureFinalState(const std::vector<FinalProcessRecord>& processe
     EncodeFinalProcess(trailer_, process);
   }
   EncodeFinalAlloc(trailer_, alloc);
+  std::array<uint64_t, kVmCounterCount> final_counts = ReadAllVm();
   for (size_t i = 0; i < kVmCounterCount; ++i) {
-    uint64_t delta = ReadVm(static_cast<VmCounter>(i)) - vm_baseline_[i];
+    uint64_t delta = final_counts[i] - vm_baseline_[i];
     if (delta != 0) {
       EncodeFinalVm(trailer_, {static_cast<uint32_t>(i), delta});
     }

@@ -280,10 +280,7 @@ ReplayReport Replay(const ReplayLog& log, const ReplayOptions& options) {
   }
   report.parsed = true;
 
-  std::array<uint64_t, kVmCounterCount> baseline{};
-  for (size_t i = 0; i < kVmCounterCount; ++i) {
-    baseline[i] = g_vm_counters[i].load(std::memory_order_relaxed);
-  }
+  std::array<uint64_t, kVmCounterCount> baseline = ReadAllVm();
   FiWindowQueues fi_windows;
   if (options.pin_fi) {
     PinFromLog(log, &fi_windows);
@@ -554,11 +551,12 @@ ReplayReport Replay(const ReplayLog& log, const ReplayOptions& options) {
         recorded_deltas[vm.counter] = vm.delta;
       }
     }
+    std::array<uint64_t, kVmCounterCount> final_counts = ReadAllVm();
     for (uint32_t i = 0; i < kVmCounterCount; ++i) {
       if (!CounterReplayComparable(i)) {
         continue;
       }
-      uint64_t got = g_vm_counters[i].load(std::memory_order_relaxed) - baseline[i];
+      uint64_t got = final_counts[i] - baseline[i];
       if (got != recorded_deltas[i]) {
         report.divergences.push_back(
             std::string("final state: vmstat ") +

@@ -4,6 +4,79 @@
 
 namespace odf {
 
+namespace vm_internal {
+namespace {
+
+// Live thread shards plus the folded totals of threads that have exited. Leaked (never
+// destroyed): thread-exit destructors of detached threads may bump counters arbitrarily
+// late, after static destructors.
+struct ShardRegistry {
+  util::Mutex mu;
+  std::vector<Shard*> live ODF_GUARDED_BY(mu);
+  std::array<uint64_t, kVmCounterCount> retired ODF_GUARDED_BY(mu){};
+};
+
+ShardRegistry& Registry() {
+  static ShardRegistry* registry = new ShardRegistry();
+  return *registry;
+}
+
+// Set once this thread's shard has been folded; its later bumps go to the retired totals.
+thread_local bool t_exited = false;
+
+// Folds the thread's shard into the retired totals when the thread exits.
+struct ShardOwner {
+  ~ShardOwner() {
+    ShardRegistry& registry = Registry();
+    {
+      util::MutexLock guard(registry.mu);
+      for (size_t i = 0; i < kVmCounterCount; ++i) {
+        registry.retired[i] += t_shard->values[i].load(std::memory_order_relaxed);
+      }
+      std::erase(registry.live, t_shard);
+    }
+    delete t_shard;
+    t_shard = nullptr;
+    t_exited = true;
+  }
+};
+
+}  // namespace
+
+void CountSlow(VmCounter counter, uint64_t n) {
+  size_t index = static_cast<size_t>(counter);
+  ShardRegistry& registry = Registry();
+  if (t_exited) {
+    util::MutexLock guard(registry.mu);
+    registry.retired[index] += n;
+    return;
+  }
+  auto* shard = new Shard();
+  shard->values[index].store(n, std::memory_order_relaxed);
+  {
+    util::MutexLock guard(registry.mu);
+    registry.live.push_back(shard);
+  }
+  t_shard = shard;
+  thread_local ShardOwner owner;  // First use registers the fold for this thread's exit.
+}
+
+}  // namespace vm_internal
+
+std::array<uint64_t, kVmCounterCount> ReadAllVm() {
+  vm_internal::ShardRegistry& registry = vm_internal::Registry();
+  util::MutexLock guard(registry.mu);
+  std::array<uint64_t, kVmCounterCount> totals = registry.retired;
+  for (const vm_internal::Shard* shard : registry.live) {
+    for (size_t i = 0; i < kVmCounterCount; ++i) {
+      totals[i] += shard->values[i].load(std::memory_order_relaxed);
+    }
+  }
+  return totals;
+}
+
+uint64_t ReadVm(VmCounter counter) { return ReadAllVm()[static_cast<size_t>(counter)]; }
+
 const char* VmCounterName(VmCounter counter) {
   static constexpr const char* kNames[] = {
 #define ODF_VM_NAME_MEMBER(name) #name,
@@ -39,9 +112,9 @@ LatencyHistogram& MetricsRegistry::RegisterHistogram(const std::string& name) {
 
 std::vector<std::pair<std::string, uint64_t>> MetricsRegistry::SnapshotCounters() const {
   std::vector<std::pair<std::string, uint64_t>> snapshot;
+  std::array<uint64_t, kVmCounterCount> built_in = ReadAllVm();
   for (size_t i = 0; i < kVmCounterCount; ++i) {
-    VmCounter counter = static_cast<VmCounter>(i);
-    snapshot.emplace_back(VmCounterName(counter), ReadVm(counter));
+    snapshot.emplace_back(VmCounterName(static_cast<VmCounter>(i)), built_in[i]);
   }
   util::MutexLock guard(mutex_);
   for (const auto& [name, counter] : counters_) {
@@ -89,8 +162,15 @@ std::string MetricsRegistry::FormatVmstat() const {
 }
 
 void MetricsRegistry::ResetForTest() {
-  for (auto& counter : g_vm_counters) {
-    counter.store(0, std::memory_order_relaxed);
+  {
+    vm_internal::ShardRegistry& registry = vm_internal::Registry();
+    util::MutexLock guard(registry.mu);
+    registry.retired.fill(0);
+    for (vm_internal::Shard* shard : registry.live) {
+      for (std::atomic<uint64_t>& value : shard->values) {
+        value.store(0, std::memory_order_relaxed);
+      }
+    }
   }
   util::MutexLock guard(mutex_);
   for (auto& [name, counter] : counters_) {

@@ -1,12 +1,15 @@
 // odf::trace metrics — the /proc/vmstat analog: a fixed catalog of kernel-wide monotonic
-// counters bumped from the hot paths (one relaxed atomic add, always on), plus a
-// MetricsRegistry where subsystems register named counters and latency histograms
-// dynamically. Exporters render the combined view as vmstat text or JSON.
+// counters bumped from the hot paths (always on), plus a MetricsRegistry where subsystems
+// register named counters and latency histograms dynamically. Exporters render the
+// combined view as vmstat text or JSON.
 //
-// Built-in counters use a fixed enum + inline atomic array (the kernel's vm_event_state
-// pattern) so bumping one compiles to a single locked add with no lookup; dynamic
-// registration is for colder, subsystem-specific series (fork latency histograms, app
-// metrics) where a map lookup at registration time is fine.
+// Built-in counters use a fixed enum + per-thread shards (the kernel's per-CPU
+// vm_event_states pattern): each thread bumps its own cache-line-aligned array with a
+// relaxed load and store — no locked instruction, no shared cache line — and a read sums
+// the live shards plus the totals of threads that have exited (a lock plus O(threads)
+// work, for the cold readers: vmstat, sidecars, tests). Dynamic registration is for
+// colder, subsystem-specific series (fork latency histograms, app metrics) where a map
+// lookup at registration time is fine.
 #ifndef ODF_SRC_TRACE_METRICS_H_
 #define ODF_SRC_TRACE_METRICS_H_
 
@@ -50,7 +53,6 @@ namespace odf {
   X(pgswapout)                   \
   X(swap_writes)                 \
   X(swap_reads)                  \
-  X(reclaim_runs)                \
   X(tlb_flushes)                 \
   X(tlb_shootdowns)              \
   X(proc_created)                \
@@ -99,16 +101,41 @@ constexpr size_t kVmCounterCount = static_cast<size_t>(VmCounter::kCount);
 // Stable lowercase name, e.g. "pgfault_cow_page".
 const char* VmCounterName(VmCounter counter);
 
-// Process-global built-in counter storage (zero-initialized, constant-initialized).
-inline std::array<std::atomic<uint64_t>, kVmCounterCount> g_vm_counters{};
+namespace vm_internal {
+
+// One thread's built-in counters. Only the owning thread writes them; readers load them
+// relaxed under the shard registry lock.
+struct alignas(64) Shard {
+  std::array<std::atomic<uint64_t>, kVmCounterCount> values{};
+};
+
+// The calling thread's shard; nullptr before its first bump and again after thread exit
+// folded the shard into the retired totals.
+inline thread_local Shard* t_shard = nullptr;
+
+// Registers the calling thread's shard and counts into it — or, once the thread's shard
+// has been folded at exit, adds straight to the retired totals (thread_local destructors
+// that run after the fold, e.g. the per-thread frame cache drain, still count).
+void CountSlow(VmCounter counter, uint64_t n);
+
+}  // namespace vm_internal
 
 inline void CountVm(VmCounter counter, uint64_t n = 1) {
-  g_vm_counters[static_cast<size_t>(counter)].fetch_add(n, std::memory_order_relaxed);
+  vm_internal::Shard* shard = vm_internal::t_shard;
+  if (shard == nullptr) [[unlikely]] {
+    vm_internal::CountSlow(counter, n);
+    return;
+  }
+  std::atomic<uint64_t>& value = shard->values[static_cast<size_t>(counter)];
+  value.store(value.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
 }
 
-inline uint64_t ReadVm(VmCounter counter) {
-  return g_vm_counters[static_cast<size_t>(counter)].load(std::memory_order_relaxed);
-}
+// Every built-in counter in catalog order: the sum over every live thread's shard plus the
+// retired totals, taken in one hold of the shard registry lock.
+std::array<uint64_t, kVmCounterCount> ReadAllVm();
+
+// One counter, read the same way (cold path: a lock plus O(threads) work).
+uint64_t ReadVm(VmCounter counter);
 
 // A dynamically registered monotonic counter.
 class Counter {
@@ -151,8 +178,10 @@ class MetricsRegistry {
   // "name_p50_us" / "name_p99_us" / "name_count" summary lines.
   std::string FormatVmstat() const;
 
-  // Zeroes built-in and registered counters and resets histograms (registrations survive).
-  // Like Tracer::Clear, only meaningful while the hot paths are quiescent.
+  // Zeroes built-in counters (every live thread shard and the retired totals) and
+  // registered counters, and resets histograms (registrations survive). Like
+  // Tracer::Clear, only meaningful while the hot paths are quiescent: a concurrent bump
+  // can write its thread's pre-reset value back.
   void ResetForTest();
 
  private:

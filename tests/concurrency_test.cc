@@ -7,6 +7,7 @@
 #include <atomic>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "src/debug/verify.h"
 #include "src/replay/recorder.h"
@@ -207,8 +208,37 @@ TEST(ConcurrencyTest, DisjointFaultsOverlappingForksUnderReclaim) {
   // Last-writer-wins per page within one thread's slice: every page a faulter wrote must
   // read back SOME value that thread wrote (its 5-bit lane tags the byte). Cheaper and
   // race-free: just verify the kernel invariants and that teardown balances.
-  debug::VerifyKernel(kernel);
+  debug::VerifyResult verify = debug::VerifyKernel(kernel);
+  EXPECT_TRUE(verify.ok()) << verify.Describe();
   kernel.Exit(target, 0);
+  EXPECT_TRUE(kernel.allocator().AllFree());
+}
+
+TEST(ConcurrencyTest, ChildExitRacingParentTableCowLeaksNothing) {
+  // A parent write to a table it shares with an on-demand child copies the table
+  // (DedicatePteTable) under the table's split lock, but the child's exit drops its share
+  // without that lock. When the exit lands between the copier reading share_count == 2 and
+  // dropping its own share, the copier holds the last reference and must release the old
+  // table and the page references it carries; otherwise both leak.
+  Kernel kernel;
+  Process& parent = kernel.CreateProcess();
+  constexpr uint64_t kTables = 8;
+  constexpr uint64_t kLength = kTables * kPteTableSpan;
+  Vaddr va = parent.Mmap(kLength, kProtRead | kProtWrite);
+  FillPattern(parent, va, kLength, 5);
+  for (int round = 0; round < 60; ++round) {
+    Process& child = kernel.Fork(parent, ForkMode::kOnDemand);
+    std::thread exiter([&kernel, &child] { kernel.Exit(child, 0); });
+    for (uint64_t table = 0; table < kTables; ++table) {
+      std::byte value{static_cast<uint8_t>(round)};
+      ASSERT_TRUE(parent.WriteMemory(va + table * kPteTableSpan, std::span(&value, 1)));
+    }
+    exiter.join();
+    kernel.Wait(parent);
+  }
+  debug::VerifyResult verify = debug::VerifyKernel(kernel);
+  EXPECT_TRUE(verify.ok()) << verify.Describe();
+  kernel.Exit(parent, 0);
   EXPECT_TRUE(kernel.allocator().AllFree());
 }
 
@@ -359,6 +389,61 @@ TEST(ConcurrencyTest, ConcurrentForkCountersStayConsistent) {
   EXPECT_EQ(kernel.fork_counters().on_demand_forks,
             static_cast<uint64_t>(kThreads) * kForksPerThread);
   EXPECT_EQ(kernel.ProcessCount(), static_cast<size_t>(kThreads));
+}
+
+// Built-in vmstat counters live in per-thread shards (src/trace/metrics.h); a read sums the
+// live shards plus the totals folded in when threads exit.
+TEST(VmCounterTest, ShardsOfJoinedThreadsSumExactly) {
+  constexpr int kThreads = 4;
+  constexpr uint64_t kBumps = 100'000;
+  uint64_t before = ReadVm(VmCounter::k_mf_huge_splits);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([] {
+      for (uint64_t i = 0; i < kBumps; ++i) {
+        CountVm(VmCounter::k_mf_huge_splits);
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(ReadVm(VmCounter::k_mf_huge_splits) - before, kThreads * kBumps);
+  EXPECT_EQ(MetricsRegistry::Global().CounterValue("mf_huge_splits") - before,
+            kThreads * kBumps);
+
+  MetricsRegistry::Global().ResetForTest();
+  EXPECT_EQ(ReadVm(VmCounter::k_mf_huge_splits), 0u)
+      << "reset must zero the retired totals of exited threads";
+}
+
+TEST(VmCounterTest, ConcurrentReaderSeesNonDecreasingSum) {
+  constexpr int kWriters = 4;
+  constexpr uint64_t kBumps = 50'000;
+  uint64_t before = ReadVm(VmCounter::k_mf_sigbus);
+  std::atomic<int> running{kWriters};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kWriters; ++t) {
+    // Writers exit while the reader runs, so their shards fold mid-read.
+    writers.emplace_back([&running] {
+      for (uint64_t i = 0; i < kBumps; ++i) {
+        CountVm(VmCounter::k_mf_sigbus);
+      }
+      running.fetch_sub(1, std::memory_order_release);
+    });
+  }
+  uint64_t last = before;
+  uint64_t reads = 0;
+  while (running.load(std::memory_order_acquire) > 0 || reads == 0) {
+    uint64_t now = ReadVm(VmCounter::k_mf_sigbus);
+    ASSERT_GE(now, last) << "read " << reads;
+    last = now;
+    ++reads;
+  }
+  for (std::thread& writer : writers) {
+    writer.join();
+  }
+  EXPECT_EQ(ReadVm(VmCounter::k_mf_sigbus) - before, kWriters * kBumps);
 }
 
 }  // namespace

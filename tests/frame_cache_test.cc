@@ -69,7 +69,9 @@ TEST(FrameCacheTest, OverfullCacheSpillsBatchToPool) {
 
 TEST(FrameCacheTest, CacheDrainsBackToPoolOnThreadExit) {
   FrameAllocator allocator;
-  std::thread worker([&allocator] {
+  uint64_t drains_before = 0;
+  uint64_t parked = 0;
+  std::thread worker([&allocator, &drains_before, &parked] {
     std::vector<FrameId> frames;
     for (int i = 0; i < 40; ++i) {
       frames.push_back(allocator.Allocate(kPageFlagAnon));
@@ -77,11 +79,17 @@ TEST(FrameCacheTest, CacheDrainsBackToPoolOnThreadExit) {
     for (FrameId frame : frames) {
       allocator.DecRef(frame);
     }
-    EXPECT_GT(allocator.CachedFrames(), 0u) << "worker's cache should hold its frees";
+    parked = allocator.CachedFrames();
+    drains_before = ReadVm(VmCounter::k_pcp_drain);
+    EXPECT_GT(parked, 0u) << "worker's cache should hold its frees";
   });
   worker.join();
   EXPECT_EQ(allocator.CachedFrames(), 0u)
       << "thread exit must drain its cache back to the shared pool";
+  // The drain runs in a thread_local destructor, possibly after the thread's vmstat shard
+  // was folded into the retired totals; its count must survive either order.
+  EXPECT_EQ(ReadVm(VmCounter::k_pcp_drain) - drains_before, parked)
+      << "pcp_drain must count every frame drained at thread exit";
   EXPECT_TRUE(allocator.AllFree());
 }
 

@@ -1,11 +1,14 @@
 // Tests for PTE encoding, address geometry, the software walker, and the TLB.
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "src/phys/frame_allocator.h"
 #include "src/pt/geometry.h"
 #include "src/pt/pte.h"
 #include "src/pt/tlb.h"
 #include "src/pt/walker.h"
+#include "src/trace/metrics.h"
 
 namespace odf {
 namespace {
@@ -193,6 +196,66 @@ TEST(TlbTest, DirectMapConflictEvicts) {
   FrameId frame = kInvalidFrame;
   EXPECT_FALSE(tlb.Lookup(a, false, &frame));
   EXPECT_TRUE(tlb.Lookup(b, false, &frame));
+}
+
+TEST(TlbTest, RangeAboveCeilingDropsSlotsWithOneGenerationBump) {
+  MmLockTable locks;
+  Tlb tlb(&locks);
+  // 64 pages straddling the first 2 MiB boundary: covers shards 0 and 1 only.
+  constexpr uint64_t kPages = 2 * (Tlb::kRangeFlushCeiling - 1);
+  constexpr Vaddr kStart = kHugePageSize - (kPages / 2) * kPageSize;
+  constexpr Vaddr kEnd = kStart + kPages * kPageSize;
+  static_assert(kPages > Tlb::kRangeFlushCeiling && kPages <= Tlb::kEntries);
+  for (Vaddr va = kStart; va < kEnd; va += kPageSize) {
+    tlb.Insert(va, static_cast<FrameId>(va >> kPageShift), /*writable=*/true);
+  }
+  std::array<uint64_t, MmLockTable::kShards> gens_before{};
+  for (int shard = 0; shard < MmLockTable::kShards; ++shard) {
+    gens_before[static_cast<size_t>(shard)] =
+        locks.ShardGen(static_cast<Vaddr>(shard) * kHugePageSize);
+  }
+  uint64_t invalidations_before = tlb.stats().single_invalidations;
+  uint64_t flushes_before = tlb.stats().flushes;
+  uint64_t shootdowns_before = ReadVm(VmCounter::k_tlb_shootdowns);
+
+  tlb.InvalidateRange(kStart, kEnd);
+
+  FrameId frame = kInvalidFrame;
+  for (Vaddr va = kStart; va < kEnd; va += kPageSize) {
+    EXPECT_FALSE(tlb.Lookup(va, false, &frame)) << "va " << va;
+  }
+  for (int shard = 0; shard < MmLockTable::kShards; ++shard) {
+    uint64_t bumps = shard <= 1 ? 1 : 0;
+    EXPECT_EQ(locks.ShardGen(static_cast<Vaddr>(shard) * kHugePageSize),
+              gens_before[static_cast<size_t>(shard)] + bumps)
+        << "shard " << shard;
+  }
+  EXPECT_EQ(tlb.stats().single_invalidations - invalidations_before, kPages);
+  EXPECT_EQ(ReadVm(VmCounter::k_tlb_shootdowns) - shootdowns_before, kPages);
+  EXPECT_EQ(tlb.stats().flushes, flushes_before) << "a range shootdown is not a full flush";
+}
+
+TEST(TlbTest, RangeAtCeilingKeepsSlotsOutsideTheRange) {
+  Tlb tlb;
+  constexpr Vaddr kStart = 0x40000;
+  constexpr Vaddr kEnd = kStart + Tlb::kRangeFlushCeiling * kPageSize;
+  constexpr Vaddr kOutside = kEnd + kPageSize;
+  for (Vaddr va = kStart; va < kEnd; va += kPageSize) {
+    tlb.Insert(va, static_cast<FrameId>(va >> kPageShift), /*writable=*/true);
+  }
+  tlb.Insert(kOutside, 7, /*writable=*/true);
+  uint64_t invalidations_before = tlb.stats().single_invalidations;
+
+  tlb.InvalidateRange(kStart, kEnd);
+
+  FrameId frame = kInvalidFrame;
+  for (Vaddr va = kStart; va < kEnd; va += kPageSize) {
+    EXPECT_FALSE(tlb.Lookup(va, false, &frame)) << "va " << va;
+  }
+  EXPECT_TRUE(tlb.Lookup(kOutside, false, &frame));
+  EXPECT_EQ(frame, 7u);
+  EXPECT_EQ(tlb.stats().single_invalidations - invalidations_before,
+            Tlb::kRangeFlushCeiling);
 }
 
 }  // namespace
