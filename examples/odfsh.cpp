@@ -19,6 +19,7 @@
 
 #include "src/proc/kernel.h"
 #include "src/proc/procfs.h"
+#include "src/trace/metrics.h"
 #include "src/util/stopwatch.h"
 
 namespace {
@@ -237,7 +238,6 @@ int main() {
     } else if (cmd == "stats") {
       odf::FrameAllocatorStats frames = kernel.allocator().Stats();
       odf::SwapStats swap = kernel.swap_space().Stats();
-      const odf::ForkCounters& forks = kernel.fork_counters();
       std::printf("frames: %llu allocated (%llu tables), %llu MB materialised\n",
                   (unsigned long long)frames.allocated_frames,
                   (unsigned long long)frames.page_table_frames,
@@ -247,11 +247,11 @@ int main() {
                   (unsigned long long)swap.reads);
       std::printf("forks:  %llu classic (%llu PTEs copied), %llu on-demand (%llu+%llu tables"
                   " shared), %llu OOM kills\n",
-                  (unsigned long long)forks.classic_forks,
-                  (unsigned long long)forks.pte_entries_copied,
-                  (unsigned long long)forks.on_demand_forks,
-                  (unsigned long long)forks.pte_tables_shared,
-                  (unsigned long long)forks.pmd_tables_shared,
+                  (unsigned long long)odf::ReadVm(odf::VmCounter::k_fork_classic),
+                  (unsigned long long)odf::ReadVm(odf::VmCounter::k_fork_pte_entries_copied),
+                  (unsigned long long)odf::ReadVm(odf::VmCounter::k_fork_on_demand),
+                  (unsigned long long)odf::ReadVm(odf::VmCounter::k_pte_tables_shared),
+                  (unsigned long long)odf::ReadVm(odf::VmCounter::k_pmd_tables_shared),
                   (unsigned long long)kernel.oom_kills());
     } else if (cmd == "memlimit") {
       uint64_t frames = 0;

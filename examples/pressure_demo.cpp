@@ -1,13 +1,15 @@
-// Example: the §4 "Robustness" machinery end to end — cap simulated RAM, watch the clock
-// reclaimer push cold pages to swap while a working set stays resident, then drive the
-// machine into an OOM kill, with procfs-style reports along the way.
+// Example: the §4 "Robustness" machinery end to end — cap simulated RAM, watch direct
+// reclaim (the rmap-driven LRU shrinker) push cold pages to swap while a working set stays
+// resident, then drive the machine into an OOM kill, with procfs-style reports along the
+// way. Exits nonzero when verification finds errors, the auditor fails, or nothing was
+// swapped out.
 //
 //   ./build/examples/pressure_demo
 #include <cstdio>
 
-#include "src/mm/reclaim.h"
 #include "src/proc/auditor.h"
 #include "src/proc/procfs.h"
+#include "src/trace/metrics.h"
 
 int main() {
   odf::Kernel kernel;
@@ -21,17 +23,20 @@ int main() {
   const uint64_t kWorkload = 24ULL << 20;  // 24 MiB of data through 16 MiB of RAM.
   odf::Vaddr buffer = worker.Mmap(kWorkload, odf::kProtRead | odf::kProtWrite);
   std::printf("\nworker writes %llu MB...\n", (unsigned long long)(kWorkload >> 20));
+  const uint64_t swapped_out_before = odf::ReadVm(odf::VmCounter::k_pgswapout);
   for (odf::Vaddr va = buffer; va < buffer + kWorkload; va += odf::kPageSize) {
     worker.StoreU64(va, va);  // Each write may trigger reclaim of colder pages.
   }
   odf::ProcessMemoryReport report = odf::BuildMemoryReport(worker);
   std::printf("after the fill:  %s\n", odf::FormatStatusLine(report).c_str());
+  const uint64_t swapped_out = odf::ReadVm(odf::VmCounter::k_pgswapout) - swapped_out_before;
   std::printf("reclaim activity: %llu pages swapped out so far\n",
-              (unsigned long long)worker.address_space().stats().pages_swapped_out);
+              (unsigned long long)swapped_out);
 
   // Re-touch a hot working set; everything must read back correctly via swap-ins.
   std::printf("\nverifying all %llu MB (transparent swap-ins)...\n",
               (unsigned long long)(kWorkload >> 20));
+  const uint64_t swap_ins_before = odf::ReadVm(odf::VmCounter::k_pgfault_swap_in);
   uint64_t errors = 0;
   for (odf::Vaddr va = buffer; va < buffer + kWorkload; va += odf::kPageSize) {
     if (worker.LoadU64(va) != va) {
@@ -41,7 +46,8 @@ int main() {
   report = odf::BuildMemoryReport(worker);
   std::printf("verified with %llu errors; %llu swap-in faults\n",
               (unsigned long long)errors,
-              (unsigned long long)worker.address_space().stats().swap_in_faults);
+              (unsigned long long)(odf::ReadVm(odf::VmCounter::k_pgfault_swap_in) -
+                                   swap_ins_before));
   std::printf("after verify:    %s\n", odf::FormatStatusLine(report).c_str());
 
   // Invariants still hold under pressure.
@@ -78,5 +84,5 @@ int main() {
   std::printf("\n(victim order follows mapped size, largest first, sparing the allocating\n"
               "process — the paper's §4 robustness story: faulting processes sleep while\n"
               "the kernel frees pages, and the OOM killer is the last resort)\n");
-  return 0;
+  return errors == 0 && audit.ok() && swapped_out > 0 ? 0 : 1;
 }

@@ -6,6 +6,7 @@
 #include <cstdio>
 
 #include "src/proc/kernel.h"
+#include "src/trace/metrics.h"
 #include "src/util/stopwatch.h"
 
 int main() {
@@ -39,14 +40,16 @@ int main() {
 
   // ...and writes are private. The ODF child's first write in this 2 MiB region also copies
   // the shared page table, visible in the fault statistics.
+  const uint64_t table_cows_before = odf::ReadVm(odf::VmCounter::k_pte_table_cow);
   odf_child.StoreU64(buffer, 1111);
+  const uint64_t table_cows = odf::ReadVm(odf::VmCounter::k_pte_table_cow) - table_cows_before;
   classic_child.StoreU64(buffer, 2222);
   std::printf("after child writes: parent=0x%llx odf_child=%llu classic_child=%llu\n",
               (unsigned long long)parent.LoadU64(buffer),
               (unsigned long long)odf_child.LoadU64(buffer),
               (unsigned long long)classic_child.LoadU64(buffer));
   std::printf("odf child PTE-table COW faults: %llu (one per written 2 MiB region)\n",
-              (unsigned long long)odf_child.address_space().stats().pte_table_cow_faults);
+              (unsigned long long)table_cows);
 
   // 4) Clean up.
   kernel.Exit(odf_child, 0);
@@ -54,6 +57,7 @@ int main() {
   kernel.Wait(parent);
   kernel.Wait(parent);
   kernel.Exit(parent, 0);
-  std::printf("all frames released: %s\n", kernel.allocator().AllFree() ? "yes" : "NO");
-  return 0;
+  const bool all_free = kernel.allocator().AllFree();
+  std::printf("all frames released: %s\n", all_free ? "yes" : "NO");
+  return all_free ? 0 : 1;
 }

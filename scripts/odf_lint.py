@@ -162,9 +162,7 @@ GEN_FREE_RE = re.compile(r"\ballocator\s*(?:\.|->)\s*(?:DecRef|DecRefBatch)\s*\(
 # ... preceded in the same function by an entry rewrite ...
 GEN_STORE_RE = re.compile(r"\bStoreEntry\s*\(")
 # ... with no generation bump in between.
-GEN_BUMP_RE = re.compile(
-    r"\b(?:InvalidatePage|InvalidateRange|FlushAll|BumpShard|BumpRange|BumpAll)\s*\("
-)
+GEN_BUMP_RE = re.compile(r"\b(?:InvalidatePage|InvalidateRange|FlushAll)\s*\(")
 GEN_LOOKBACK = 60
 
 TRACE_CALL_RE = re.compile(r"\btrace::Emit\s*\(")

@@ -41,7 +41,7 @@ void CopyVmaList(const AddressSpace& parent, AddressSpace& child) {
 }
 
 bool CopyAddressSpace(AddressSpace& parent, AddressSpace& child, ForkMode mode,
-                      ForkProfile* profile, ForkCounters* counters) {
+                      ForkProfile* profile) {
   ODF_CHECK(child.vmas().empty()) << "fork target must be a fresh address space";
   const bool tracing = trace::Enabled();
   ODF_TRACE(fork_begin, parent.owner_pid(), static_cast<uint64_t>(mode),
@@ -59,33 +59,22 @@ bool CopyAddressSpace(AddressSpace& parent, AddressSpace& child, ForkMode mode,
   }
   switch (mode) {
     case ForkMode::kClassic:
-      ok = ClassicCopyPageTables(parent, child, profile, counters);
-      if (counters != nullptr) {
-        ++counters->classic_forks;
-      }
+      ok = ClassicCopyPageTables(parent, child, profile);
       CountVm(VmCounter::k_fork_classic);
       break;
     case ForkMode::kOnDemand:
-      ok = OnDemandSharePageTables(parent, child, profile, counters,
-                                   /*share_pmd_tables=*/false);
-      if (counters != nullptr) {
-        ++counters->on_demand_forks;
-      }
+      ok = OnDemandSharePageTables(parent, child, profile, /*share_pmd_tables=*/false);
       CountVm(VmCounter::k_fork_on_demand);
       break;
     case ForkMode::kOnDemandHuge:
-      ok = OnDemandSharePageTables(parent, child, profile, counters,
-                                   /*share_pmd_tables=*/true);
-      if (counters != nullptr) {
-        ++counters->on_demand_forks;
-      }
+      ok = OnDemandSharePageTables(parent, child, profile, /*share_pmd_tables=*/true);
       CountVm(VmCounter::k_fork_on_demand);
       break;
   }
   // The parent's cached translations may have lost write permission (PTE-level for classic,
   // PMD-level for on-demand); flush, as the kernel flushes the hardware TLB on fork. On a
   // failed copy the parent may already be partially write-protected, so flush then too.
-  parent.tlb().FlushAll();
+  parent.locks().FlushAll();
   uint64_t elapsed = total.ElapsedNanos();
   if (profile != nullptr) {
     profile->total_ns += elapsed;

@@ -4,7 +4,6 @@
 #ifndef ODF_SRC_CORE_FORK_H_
 #define ODF_SRC_CORE_FORK_H_
 
-#include <atomic>
 #include <cstdint>
 
 #include "src/mm/address_space.h"
@@ -38,17 +37,6 @@ struct ForkProfile {
   }
 };
 
-// Counters the fork paths bump; exposed for tests and the Fig. 2 scalability analysis.
-struct ForkCounters {
-  // Atomic: forks of independent processes may run concurrently (§4 "Thread Safety").
-  std::atomic<uint64_t> classic_forks{0};
-  std::atomic<uint64_t> on_demand_forks{0};
-  std::atomic<uint64_t> pte_entries_copied{0};
-  std::atomic<uint64_t> pte_tables_shared{0};
-  std::atomic<uint64_t> pmd_tables_shared{0};  // kOnDemandHuge only.
-  std::atomic<uint64_t> huge_entries_copied{0};
-};
-
 // Duplicates `parent`'s virtual memory into `child` (a freshly constructed, empty address
 // space) according to `mode`. The VMA list is copied either way; the difference is entirely
 // in how last-level page tables are treated:
@@ -75,7 +63,7 @@ struct ForkCounters {
 // child.TearDown() and the parent is left fully intact (its write-protected entries are
 // benign: the fault path re-enables or COWs them on the next write). See docs/robustness.md.
 bool CopyAddressSpace(AddressSpace& parent, AddressSpace& child, ForkMode mode,
-                      ForkProfile* profile = nullptr, ForkCounters* counters = nullptr);
+                      ForkProfile* profile = nullptr);
 
 const char* ForkModeName(ForkMode mode);
 

@@ -48,8 +48,7 @@ class StopwatchPhaseTimer {
 // the copy, and each copied entry sits at the VA its frame's anon index already names.
 template <typename PhaseTimer>
 void CopyPteSlice(FrameAllocator& allocator, SwapSpace* swap, uint64_t* src, uint64_t* dst,
-                  Vaddr lo, Vaddr hi, bool wrprotect, ForkProfile* profile,
-                  ForkCounters* counters) {
+                  Vaddr lo, Vaddr hi, bool wrprotect, ForkProfile* profile) {
   PhaseTimer timer(profile);
   std::array<uint64_t, kEntriesPerTable> indices;
   std::array<FrameId, kEntriesPerTable> heads;
@@ -103,16 +102,12 @@ void CopyPteSlice(FrameAllocator& allocator, SwapSpace* swap, uint64_t* src, uin
   if (profile != nullptr) {
     profile->pte_entries_copied += copied;
   }
-  if (counters != nullptr) {
-    counters->pte_entries_copied += copied;
-  }
   CountVm(VmCounter::k_fork_pte_entries_copied, copied);  // Batched: one add per table.
 }
 
 }  // namespace
 
-void CopyHugeEntry(FrameAllocator& allocator, uint64_t* parent_slot, uint64_t* child_slot,
-                   ForkCounters* counters) {
+void CopyHugeEntry(FrameAllocator& allocator, uint64_t* parent_slot, uint64_t* child_slot) {
   Pte entry = LoadEntry(parent_slot);
   ODF_DCHECK(entry.IsPresent() && entry.IsHuge());
   FrameId head = entry.frame();
@@ -123,9 +118,6 @@ void CopyHugeEntry(FrameAllocator& allocator, uint64_t* parent_slot, uint64_t* c
     entry = protected_entry;
   }
   StoreEntry(child_slot, entry);
-  if (counters != nullptr) {
-    ++counters->huge_entries_copied;
-  }
   CountVm(VmCounter::k_fork_huge_entries_copied);
 }
 
@@ -136,7 +128,7 @@ namespace {
 // The chunk then COWs lazily exactly like an ODF chunk would. Returns false when even the
 // child's upper-level path to the PMD entry cannot be built.
 bool ShareChunkFallback(AddressSpace& parent, AddressSpace& child, Vaddr chunk,
-                        uint64_t* parent_pmd, ForkCounters* counters) {
+                        uint64_t* parent_pmd) {
   FrameAllocator& allocator = parent.allocator();
   uint64_t* child_pmd = child.walker().TryEnsureEntry(child.pgd(), chunk, PtLevel::kPmd);
   if (child_pmd == nullptr) {
@@ -149,9 +141,6 @@ bool ShareChunkFallback(AddressSpace& parent, AddressSpace& child, Vaddr chunk,
   Pte shared_entry = pmd.WithoutFlag(kPteWritable);
   StoreEntry(parent_pmd, shared_entry);
   StoreEntry(child_pmd, shared_entry);
-  if (counters != nullptr) {
-    ++counters->pte_tables_shared;
-  }
   CountVm(VmCounter::k_pte_tables_shared);
   CountVm(VmCounter::k_fork_degrade_classic);
   ODF_TRACE(pte_table_shared, parent.owner_pid(), table);
@@ -162,8 +151,7 @@ bool ShareChunkFallback(AddressSpace& parent, AddressSpace& child, Vaddr chunk,
 
 }  // namespace
 
-bool ClassicCopyPageTables(AddressSpace& parent, AddressSpace& child, ForkProfile* profile,
-                           ForkCounters* counters) {
+bool ClassicCopyPageTables(AddressSpace& parent, AddressSpace& child, ForkProfile* profile) {
   FrameAllocator& allocator = parent.allocator();
   Walker& parent_walker = parent.walker();
   Walker& child_walker = child.walker();
@@ -199,7 +187,7 @@ bool ClassicCopyPageTables(AddressSpace& parent, AddressSpace& child, ForkProfil
           return false;
         }
         if (!LoadEntry(child_pmd).IsPresent()) {
-          CopyHugeEntry(allocator, parent_pmd, child_pmd, counters);
+          CopyHugeEntry(allocator, parent_pmd, child_pmd);
         }
         continue;
       }
@@ -224,7 +212,7 @@ bool ClassicCopyPageTables(AddressSpace& parent, AddressSpace& child, ForkProfil
       if (first_child_slot == nullptr) {
         // Could not build the child's copy of this chunk — degrade to sharing the parent's
         // table (the on-demand-fork mechanism as a zero-allocation fallback).
-        if (!ShareChunkFallback(parent, child, chunk, parent_pmd, counters)) {
+        if (!ShareChunkFallback(parent, child, chunk, parent_pmd)) {
           return false;
         }
         shared_chunks.insert(chunk);
@@ -235,10 +223,10 @@ bool ClassicCopyPageTables(AddressSpace& parent, AddressSpace& child, ForkProfil
         profile->table_alloc_ns += alloc_sw.ElapsedNanos();
         ++profile->pte_tables_visited;
         CopyPteSlice<StopwatchPhaseTimer>(allocator, parent.swap_space(), src, dst, lo, hi,
-                                          wrprotect, profile, counters);
+                                          wrprotect, profile);
       } else {
         CopyPteSlice<NoPhaseTimer>(allocator, parent.swap_space(), src, dst, lo, hi,
-                                   wrprotect, profile, counters);
+                                   wrprotect, profile);
       }
     }
   }

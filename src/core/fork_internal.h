@@ -10,8 +10,7 @@ namespace odf {
 // unrecoverable mid-copy allocation failure (child partially built; caller tears it down).
 // A failed child PTE-table allocation degrades to ODF-style sharing of the parent's table
 // for that chunk instead of failing the fork (DegradeFlavor::kClassicShareTable).
-bool ClassicCopyPageTables(AddressSpace& parent, AddressSpace& child, ForkProfile* profile,
-                           ForkCounters* counters);
+bool ClassicCopyPageTables(AddressSpace& parent, AddressSpace& child, ForkProfile* profile);
 
 // On-demand-fork's share-last-level walk (fork_odf.cc). With share_pmd_tables, PMD tables
 // are shared as well (the §4 huge-page generalization). Returns false on an unrecoverable
@@ -19,13 +18,12 @@ bool ClassicCopyPageTables(AddressSpace& parent, AddressSpace& child, ForkProfil
 // parent's whole PMD table write-protected at the PUD (DegradeFlavor::kOdfSharePmd) — the
 // kOnDemandHuge mechanism used as a zero-allocation fallback.
 bool OnDemandSharePageTables(AddressSpace& parent, AddressSpace& child, ForkProfile* profile,
-                             ForkCounters* counters, bool share_pmd_tables);
+                             bool share_pmd_tables);
 
 // Copies a huge (PMD-level) mapping entry from `parent_slot` into `child_slot`: takes a
 // reference on the compound page and write-protects private mappings in both entries.
 // Shared-file huge mappings are not supported (matches AddressSpace).
-void CopyHugeEntry(FrameAllocator& allocator, uint64_t* parent_slot, uint64_t* child_slot,
-                   ForkCounters* counters);
+void CopyHugeEntry(FrameAllocator& allocator, uint64_t* parent_slot, uint64_t* child_slot);
 
 }  // namespace odf
 

@@ -28,7 +28,6 @@ namespace {
 
 struct ShareState {
   FrameAllocator* allocator;
-  ForkCounters* counters;
   int32_t pid = 0;
   bool share_pmd_tables = false;
   uint64_t pte_tables_shared = 0;
@@ -65,7 +64,7 @@ void ShareAllPteTables(ShareState& state, uint64_t* src, uint64_t* dst) {
       continue;
     }
     if (entry.IsHuge()) {
-      CopyHugeEntry(allocator, &src[i], &dst[i], state.counters);
+      CopyHugeEntry(allocator, &src[i], &dst[i]);
       continue;
     }
     indices[shared] = i;
@@ -137,16 +136,12 @@ bool ShareLevel(ShareState& state, FrameId parent_table, FrameId child_table, Pt
 }  // namespace
 
 bool OnDemandSharePageTables(AddressSpace& parent, AddressSpace& child, ForkProfile* profile,
-                             ForkCounters* counters, bool share_pmd_tables) {
+                             bool share_pmd_tables) {
   Stopwatch sw;
-  ShareState state{&parent.allocator(), counters};
+  ShareState state{&parent.allocator()};
   state.pid = parent.owner_pid();
   state.share_pmd_tables = share_pmd_tables;
   bool ok = ShareLevel(state, parent.pgd(), child.pgd(), PtLevel::kPgd);
-  if (counters != nullptr) {
-    counters->pte_tables_shared += state.pte_tables_shared;
-    counters->pmd_tables_shared += state.pmd_tables_shared;
-  }
   CountVm(VmCounter::k_pte_tables_shared, state.pte_tables_shared);
   CountVm(VmCounter::k_pmd_tables_shared, state.pmd_tables_shared);
   if (profile != nullptr) {

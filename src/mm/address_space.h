@@ -1,6 +1,6 @@
-// AddressSpace: the simulator's mm_struct. Owns the VMA list, the root page table (PGD), the
-// software TLB, and the sharded MM lock table; provides mmap/munmap/mremap/mprotect and
-// pre-faulting.
+// AddressSpace: the simulator's mm_struct. Owns the VMA list, the root page table (PGD) and
+// the sharded MM lock table (whose shard generations are the TLB-shootdown plane);
+// provides mmap/munmap/mremap/mprotect and pre-faulting.
 //
 // Thread-safety (docs/debugging.md "Lock order", docs/performance.md "Lock sharding"):
 // every layout-mutating entry point (the mmap family, fork's copy phase, teardown) takes
@@ -22,9 +22,7 @@
 #include "src/mm/vma.h"
 #include "src/phys/frame_allocator.h"
 #include "src/pt/mm_locks.h"
-#include "src/pt/tlb.h"
 #include "src/pt/walker.h"
-#include "src/util/relaxed_counter.h"
 
 namespace odf {
 
@@ -32,25 +30,6 @@ namespace reclaim {
 class AnonFamily;
 class Rmap;
 }  // namespace reclaim
-
-// Fault counters. Relaxed atomics: concurrent faulters in disjoint shards bump these with
-// no lock in common, and monitoring reads race the bumps by design (util/relaxed_counter.h).
-struct MmStats {
-  util::RelaxedCounter demand_zero_faults;
-  util::RelaxedCounter file_faults;
-  util::RelaxedCounter cow_page_faults;       // 4 KiB data-page copies.
-  util::RelaxedCounter cow_huge_faults;       // 2 MiB data-page copies.
-  util::RelaxedCounter cow_reuse_faults;      // Sole owner: write-enabled in place, no copy.
-  util::RelaxedCounter pte_table_cow_faults;  // Shared PTE table copied on demand (ODF path).
-  util::RelaxedCounter pte_table_fixups;      // share_count==1: PMD write-enable, no copy.
-  util::RelaxedCounter pmd_table_cow_faults;  // Shared PMD table copied (kOnDemandHuge, §4).
-  util::RelaxedCounter pmd_table_fixups;      // share_count==1: PUD write-enable, no copy.
-  util::RelaxedCounter swap_in_faults;        // Pages read back from the swap device.
-  util::RelaxedCounter pages_swapped_out;     // By the clock reclaimer.
-  util::RelaxedCounter segv_faults;
-  util::RelaxedCounter oom_faults;            // Faults failed with kOom (allocation denied).
-  util::RelaxedCounter swap_io_faults;        // Faults failed with kSwapIoError.
-};
 
 class AddressSpace {
  public:
@@ -108,7 +87,6 @@ class AddressSpace {
   VmArea* FindVma(Vaddr va);
   const std::map<Vaddr, VmArea>& vmas() const { return vmas_; }
   FrameId pgd() const { return pgd_; }
-  Tlb& tlb() { return tlb_; }
   Walker& walker() { return walker_; }
   FrameAllocator& allocator() { return *allocator_; }
   SwapSpace* swap_space() { return swap_; }
@@ -121,12 +99,11 @@ class AddressSpace {
   // the LRU through this thread's add batch (`lru_active` for a workingset refault). The
   // frame must still be private to the caller. No-op outside a family.
   void AddNewAnonRmap(FrameId frame, const VmArea& vma, Vaddr va, bool lru_active = false);
-  MmStats& stats() { return stats_; }
-  const MmStats& stats() const { return stats_; }
 
   // The sharded lock table guarding this address space (src/pt/mm_locks.h): the fault path
   // takes ReadScope + one ShardScope; layout mutators (and fork) take WriteScope; the
-  // lock-free read protocol validates against its shard generations.
+  // lock-free read protocol validates against its shard generations, which mutators bump
+  // through InvalidatePage / InvalidateRange / FlushAll.
   MmLockTable& locks() { return locks_; }
 
   // Pid of the owning process (0 before attachment); lets mm-layer tracepoints attribute
@@ -162,13 +139,9 @@ class AddressSpace {
   size_t family_slot_ = 0;  // Index in anon_family_'s member list.
   Walker walker_;
   FrameId pgd_;
-  // locks_ before tlb_: the TLB routes every invalidation's shard-generation bump into the
-  // lock table, so the table must outlive (construct before, destruct after) the TLB.
   MmLockTable locks_;
-  Tlb tlb_{&locks_};
   std::map<Vaddr, VmArea> vmas_;  // Keyed by start address.
   Vaddr mmap_cursor_;
-  MmStats stats_;
   int32_t owner_pid_ = 0;
   bool torn_down_ = false;
 };

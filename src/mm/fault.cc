@@ -27,8 +27,7 @@ LatencyHistogram& CowPageHistogram() {
 // Records the kOom verdict: the address space is consistent, the access simply could not be
 // served. Callers (Process::AccessMemory, the torture harness) may retry after freeing
 // memory or disarming injection.
-FaultResult FaultOom(AddressSpace& as, Vaddr va) {
-  ++as.stats().oom_faults;
+FaultResult FaultOom([[maybe_unused]] AddressSpace& as, [[maybe_unused]] Vaddr va) {
   CountVm(VmCounter::k_pgfault_oom);
   ODF_TRACE(fault_oom, as.owner_pid(), va);
   return FaultResult::kOom;
@@ -57,7 +56,6 @@ bool DemandInstall(AddressSpace& as, VmArea& vma, Vaddr va, uint64_t* slot) {
       flags |= kPteWritable;
     }
     as.AddNewAnonRmap(frame, vma, va);
-    ++as.stats().demand_zero_faults;
     CountVm(VmCounter::k_pgfault_demand_zero);
     if (tracing) {
       uint64_t ns = trace::NowNanos() - t0;
@@ -72,7 +70,6 @@ bool DemandInstall(AddressSpace& as, VmArea& vma, Vaddr va, uint64_t* slot) {
       flags |= kPteWritable;
     }
     // Private file pages stay read-only: the first write COWs them off the page cache.
-    ++as.stats().file_faults;
     CountVm(VmCounter::k_pgfault_file);
     ODF_TRACE(fault_file, as.owner_pid(), va);
   }
@@ -96,8 +93,7 @@ bool DataCowFault(AddressSpace& as, VmArea& vma, Vaddr va, uint64_t* slot) {
     // Shared mappings never COW; the write permission was only missing transiently (e.g.
     // after a PTE-table dedication write-protected every entry).
     StoreEntry(slot, entry.WithFlag(kPteWritable | kPteDirty));
-    as.tlb().InvalidatePage(va);
-    ++as.stats().cow_reuse_faults;
+    as.locks().InvalidatePage(va);
     CountVm(VmCounter::k_pgfault_cow_reuse);
     ODF_TRACE(fault_cow_reuse, as.owner_pid(), va);
     return true;
@@ -108,8 +104,7 @@ bool DataCowFault(AddressSpace& as, VmArea& vma, Vaddr va, uint64_t* slot) {
     // Sole owner — reuse the page in place. (A frame still owned by the page cache always
     // has the cache's reference, so refs == 1 implies it is exclusively ours.)
     StoreEntry(slot, entry.WithFlag(kPteWritable | kPteDirty));
-    as.tlb().InvalidatePage(va);
-    ++as.stats().cow_reuse_faults;
+    as.locks().InvalidatePage(va);
     CountVm(VmCounter::k_pgfault_cow_reuse);
     ODF_TRACE(fault_cow_reuse, as.owner_pid(), va);
     return true;
@@ -137,9 +132,8 @@ bool DataCowFault(AddressSpace& as, VmArea& vma, Vaddr va, uint64_t* slot) {
   as.AddNewAnonRmap(copy, vma, va);
   StoreEntry(slot, Pte::Make(copy, kPtePresent | kPteWritable | kPteUser | kPteAccessed |
                                        kPteDirty));
-  as.tlb().InvalidatePage(va);  // Gen-before-free: bump the shard before the old frame drops.
+  as.locks().InvalidatePage(va);  // Gen-before-free: bump the shard before the old frame drops.
   PutMappedPage(allocator, entry, /*huge=*/false);
-  ++as.stats().cow_page_faults;
   CountVm(VmCounter::k_pgfault_cow_page);
   if (tracing) {
     uint64_t ns = trace::NowNanos() - t0;
@@ -164,7 +158,6 @@ bool HugeDemandInstall(AddressSpace& as, VmArea& vma, Vaddr chunk_base, uint64_t
   }
   as.AddNewAnonRmap(head, vma, chunk_base);
   StoreEntry(pmd_slot, Pte::Make(head, flags));
-  ++as.stats().demand_zero_faults;
   CountVm(VmCounter::k_pgfault_demand_zero);
   ODF_TRACE(fault_demand_zero, as.owner_pid(), chunk_base, /*ns=*/0, /*huge=*/1);
   return true;
@@ -208,7 +201,7 @@ bool SplitHugeMapping(AddressSpace& as, Vaddr chunk_base, uint64_t* pmd_slot) {
   }
   StoreEntry(pmd_slot, Pte::Make(table, kPtePresent | kPteWritable | kPteUser |
                                             (entry.flags() & kPteAccessed)));
-  as.tlb().InvalidateRange(chunk_base, chunk_base + kHugePageSize);  // Gen-before-free.
+  as.locks().InvalidateRange(chunk_base, chunk_base + kHugePageSize);  // Gen-before-free.
   PutMappedPage(allocator, entry, /*huge=*/true);
   CountVm(VmCounter::k_fork_degrade_classic);
   ODF_TRACE(fork_degrade_classic, as.owner_pid(), chunk_base,
@@ -233,8 +226,7 @@ bool HugeCowFault(AddressSpace& as, const VmArea& vma, Vaddr chunk_base, uint64_
 
   if (meta.refcount.load(std::memory_order_acquire) == 1) {
     StoreEntry(pmd_slot, entry.WithFlag(kPteWritable | kPteDirty));
-    as.tlb().InvalidateRange(chunk_base, chunk_base + kHugePageSize);
-    ++as.stats().cow_reuse_faults;
+    as.locks().InvalidateRange(chunk_base, chunk_base + kHugePageSize);
     CountVm(VmCounter::k_pgfault_cow_reuse);
     ODF_TRACE(fault_cow_reuse, as.owner_pid(), chunk_base, /*ns=*/0, /*huge=*/1);
     return true;
@@ -258,9 +250,8 @@ bool HugeCowFault(AddressSpace& as, const VmArea& vma, Vaddr chunk_base, uint64_
   as.AddNewAnonRmap(copy, vma, chunk_base);
   StoreEntry(pmd_slot, Pte::Make(copy, kPtePresent | kPteWritable | kPteUser | kPteAccessed |
                                            kPteDirty | kPteHuge));
-  as.tlb().InvalidateRange(chunk_base, chunk_base + kHugePageSize);  // Gen-before-free.
+  as.locks().InvalidateRange(chunk_base, chunk_base + kHugePageSize);  // Gen-before-free.
   PutMappedPage(allocator, entry, /*huge=*/true);
-  ++as.stats().cow_huge_faults;
   CountVm(VmCounter::k_pgfault_cow_huge);
   if (tracing) {
     ODF_TRACE(fault_cow_huge, as.owner_pid(), chunk_base, trace::NowNanos() - t0);
@@ -280,8 +271,6 @@ FaultResult HandleFault(AddressSpace& as, Vaddr va, AccessType access, FrameId* 
   for (int attempt = 0; attempt < kFaultRetryBudget; ++attempt) {
     Translation t = walker.Translate(as.pgd(), va, access);
     if (t.status == TranslateStatus::kOk) {
-      bool writable_cached = access == AccessType::kWrite;
-      as.tlb().Insert(va, t.frame, writable_cached);
       if (frame_out != nullptr) {
         *frame_out = t.frame;
       }
@@ -290,14 +279,12 @@ FaultResult HandleFault(AddressSpace& as, Vaddr va, AccessType access, FrameId* 
 
     VmArea* vma = as.FindVma(va);
     if (vma == nullptr) {
-      ++as.stats().segv_faults;
       CountVm(VmCounter::k_pgfault_segv);
       ODF_TRACE(fault_segv, as.owner_pid(), va, /*prot=*/0);
       return FaultResult::kSegvUnmapped;
     }
     uint32_t needed = access == AccessType::kWrite ? kProtWrite : kProtRead;
     if ((vma->prot & needed) == 0) {
-      ++as.stats().segv_faults;
       CountVm(VmCounter::k_pgfault_segv);
       ODF_TRACE(fault_segv, as.owner_pid(), va, /*prot=*/1);
       return FaultResult::kSegvProt;
@@ -412,7 +399,6 @@ FaultResult HandleFault(AddressSpace& as, Vaddr va, AccessType access, FrameId* 
         // Device read failed: drop only the fresh frame. The swap entry and the slot's
         // reference survive untouched, so a retry after the transient error succeeds.
         as.allocator().DecRef(frame);
-        ++as.stats().swap_io_faults;
         return FaultResult::kSwapIoError;
       }
       swap->DecRef(entry.swap_slot());
@@ -426,7 +412,6 @@ FaultResult HandleFault(AddressSpace& as, Vaddr va, AccessType access, FrameId* 
                      as.rmap()->lru()->NoteRefault(entry.swap_slot());
       as.AddNewAnonRmap(frame, *vma, va, /*lru_active=*/refault);
       StoreEntry(slot, Pte::Make(frame, flags));
-      ++as.stats().swap_in_faults;
       CountVm(VmCounter::k_pgfault_swap_in);
       ODF_TRACE(fault_swap_in, as.owner_pid(), va, entry.swap_slot());
       continue;

@@ -54,8 +54,8 @@ enum class DegradeFlavor : uint64_t {
 };
 
 // Resolves all fault causes for an access to `va` until the translation succeeds or the
-// access is found to be illegal. On success the final translation is inserted into the TLB
-// and `frame_out` (if non-null) receives the 4 KiB frame.
+// access is found to be illegal. On success `frame_out` (if non-null) receives the 4 KiB
+// frame; the caller refills its per-thread TranslationCache from it.
 //
 // All allocations on this path are fallible (FrameAllocator::TryAllocate and friends): a
 // denied allocation yields kOom and a failed swap-device read yields kSwapIoError, with the

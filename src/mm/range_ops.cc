@@ -171,8 +171,7 @@ FrameId DedicatePmdTable(AddressSpace& as, Vaddr pud_span_base, uint64_t* pud_sl
   if (share == 1) {
     allocator.DecRef(dedicated);  // The other sharers went away: the spare is unused.
     StoreEntry(pud_slot, pud.WithFlag(kPteWritable));
-    as.tlb().InvalidateRange(pud_span_base, span_end);
-    ++as.stats().pmd_table_fixups;
+    as.locks().InvalidateRange(pud_span_base, span_end);
     CountVm(VmCounter::k_pmd_table_fixup);
     ODF_TRACE(fault_pmd_table_fixup, as.owner_pid(), pud_span_base, shared);
     return shared;
@@ -217,7 +216,7 @@ FrameId DedicatePmdTable(AddressSpace& as, Vaddr pud_span_base, uint64_t* pud_sl
   }
   StoreEntry(pud_slot, Pte::Make(dedicated, kPtePresent | kPteWritable | kPteUser |
                                                 (pud.flags() & kPteAccessed)));
-  as.tlb().InvalidateRange(pud_span_base, span_end);
+  as.locks().InvalidateRange(pud_span_base, span_end);
   // Drop our share of the old table. The other sharers drop theirs without the split lock
   // (an exiting child's teardown), so they may all have gone since `share` was read; this
   // reference is then the last one and releases the table like any other last sharer,
@@ -225,7 +224,6 @@ FrameId DedicatePmdTable(AddressSpace& as, Vaddr pud_span_base, uint64_t* pud_sl
   if (DropPmdTableReference(allocator, as.swap_space(), shared)) {
     PtEpoch::Global().Drain();
   }
-  ++as.stats().pmd_table_cow_faults;
   CountVm(VmCounter::k_pmd_table_cow);
   if (tracing) {
     uint64_t ns = trace::NowNanos() - t0;
@@ -289,8 +287,7 @@ FrameId DedicatePteTable(AddressSpace& as, Vaddr chunk_base, uint64_t* pmd_slot,
     // previously shared table and the new table become dedicated").
     allocator.DecRef(dedicated);
     StoreEntry(pmd_slot, pmd.WithFlag(kPteWritable));
-    as.tlb().InvalidateRange(chunk_base, chunk_base + kPteTableSpan);
-    ++as.stats().pte_table_fixups;
+    as.locks().InvalidateRange(chunk_base, chunk_base + kPteTableSpan);
     CountVm(VmCounter::k_pte_table_fixup);
     ODF_TRACE(fault_pte_table_fixup, as.owner_pid(), chunk_base, shared);
     return shared;
@@ -347,13 +344,12 @@ FrameId DedicatePteTable(AddressSpace& as, Vaddr chunk_base, uint64_t* pmd_slot,
   // at the PMD level, and drop our reference to the shared table.
   StoreEntry(pmd_slot, Pte::Make(dedicated, kPtePresent | kPteWritable | kPteUser |
                                                 (pmd.flags() & kPteAccessed)));
-  as.tlb().InvalidateRange(chunk_base, chunk_base + kPteTableSpan);
+  as.locks().InvalidateRange(chunk_base, chunk_base + kPteTableSpan);
   // Drop our share of the old table; the last sharer may have exited since `share` was
   // read (see DedicatePmdTable), in which case this releases the table.
   if (DropPteTableReference(allocator, as.swap_space(), shared)) {
     PtEpoch::Global().Drain();
   }
-  ++as.stats().pte_table_cow_faults;
   CountVm(VmCounter::k_pte_table_cow);
   if (tracing) {
     uint64_t ns = trace::NowNanos() - t0;
@@ -410,7 +406,7 @@ void ZapRange(AddressSpace& as, Vaddr start, Vaddr end) {
           // (so a lock-free reader's pin-then-generation-recheck can never keep a frame
           // that this drop frees).
           StoreEntry(pud_slot, Pte());
-          as.tlb().InvalidateRange(pud_base, pud_end);
+          as.locks().InvalidateRange(pud_base, pud_end);
           DropPmdTableReference(allocator, as.swap_space(), pud.frame());
           // Skip the rest of this PUD span (the loop increment adds one chunk).
           chunk_base = std::min(pud_end, end) - kPteTableSpan;
@@ -434,7 +430,7 @@ void ZapRange(AddressSpace& as, Vaddr start, Vaddr end) {
       ODF_CHECK(lo == chunk_base && hi == chunk_end)
           << "partial unmap of a huge mapping is not supported";
       StoreEntry(pmd_slot, Pte());
-      as.tlb().InvalidateRange(lo, hi);  // Gen-before-free.
+      as.locks().InvalidateRange(lo, hi);  // Gen-before-free.
       PutMappedPage(allocator, pmd, /*huge=*/true);
       continue;
     }
@@ -451,7 +447,7 @@ void ZapRange(AddressSpace& as, Vaddr start, Vaddr end) {
                                             RangeHasLiveVma(as, hi, chunk_end));
       if (!remainder_live) {
         StoreEntry(pmd_slot, Pte());
-        as.tlb().InvalidateRange(chunk_base, chunk_end);  // Gen-before-free.
+        as.locks().InvalidateRange(chunk_base, chunk_end);  // Gen-before-free.
         DropPteTableReference(allocator, as.swap_space(), table);
         continue;
       }
@@ -460,7 +456,7 @@ void ZapRange(AddressSpace& as, Vaddr start, Vaddr end) {
 
     if (full_chunk) {
       StoreEntry(pmd_slot, Pte());
-      as.tlb().InvalidateRange(chunk_base, chunk_end);  // Gen-before-free.
+      as.locks().InvalidateRange(chunk_base, chunk_end);  // Gen-before-free.
       // Last ref: puts every mapped page and swap slot.
       DropPteTableReference(allocator, as.swap_space(), table);
       continue;
@@ -486,7 +482,7 @@ void ZapRange(AddressSpace& as, Vaddr start, Vaddr end) {
         StoreEntry(slot, Pte());
       }
     }
-    as.tlb().InvalidateRange(lo, hi);  // Gen-before-free: entries above are already clear.
+    as.locks().InvalidateRange(lo, hi);  // Gen-before-free: entries above are already clear.
     allocator.DecRefBatch(std::span<const FrameId>(heads.data(), mapped));
     if (TableIsEmpty(allocator, table)) {
       StoreEntry(pmd_slot, Pte());
@@ -547,8 +543,8 @@ void MovePageRange(AddressSpace& as, Vaddr old_start, Vaddr new_start, uint64_t 
     StoreEntry(dst_slot, entry);
     StoreEntry(src_slot, Pte());
   }
-  as.tlb().InvalidateRange(old_start, old_start + length);
-  as.tlb().InvalidateRange(new_start, new_start + length);
+  as.locks().InvalidateRange(old_start, old_start + length);
+  as.locks().InvalidateRange(new_start, new_start + length);
 }
 
 void ProtectRange(AddressSpace& as, Vaddr start, Vaddr end, uint32_t prot) {
@@ -598,7 +594,7 @@ void ProtectRange(AddressSpace& as, Vaddr start, Vaddr end, uint32_t prot) {
       }
     }
   }
-  as.tlb().InvalidateRange(start, end);
+  as.locks().InvalidateRange(start, end);
 }
 
 namespace {

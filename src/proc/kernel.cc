@@ -56,7 +56,7 @@ reclaim::ShrinkContext Kernel::MakeShrinkContext() {
   ctx.flush_tlbs = [this] {
     debug::MutexGuard guard(table_mutex_, g_table_lock_class);
     for (auto& [pid, process] : processes_) {
-      process->address_space().tlb().FlushAll();
+      process->address_space().locks().FlushAll();
     }
   };
   return ctx;
@@ -72,7 +72,7 @@ mf::MfContext Kernel::MakeMfContext() {
   ctx.flush_tlbs = [this] {
     debug::MutexGuard guard(table_mutex_, g_table_lock_class);
     for (auto& [pid, process] : processes_) {
-      process->address_space().tlb().FlushAll();
+      process->address_space().locks().FlushAll();
     }
   };
   ctx.spaces = [this] {
@@ -283,7 +283,7 @@ Process* Kernel::TryFork(Process& parent, ForkMode mode, ForkProfile* profile) {
     // (the OOM killer's ExitInternal skips the victim's).
     MmLockTable::WriteScope ws(parent.address_space().locks());
     reclaim::MmGate::SharedScope gate;  // Mutator: excludes the shrinker (mm_gate.h).
-    if (!CopyAddressSpace(parent.address_space(), *child_as, mode, profile, &fork_counters_)) {
+    if (!CopyAddressSpace(parent.address_space(), *child_as, mode, profile)) {
       // Transactional rollback: the half-built child holds real references (page refcounts,
       // table share counts, swap-slot refs), all reachable through its own page tables.
       // TearDown clears the VMA list first, so shared tables are dropped whole — never

@@ -79,13 +79,12 @@ class Kernel {
   FrameAllocator& allocator() { return allocator_; }
   MemFilesystem& fs() { return fs_; }
   SwapSpace& swap_space() { return swap_; }
-  ForkCounters& fork_counters() { return fork_counters_; }
 
   // --- Memory pressure (paper §4 "Robustness") ---
 
   // Caps simulated RAM at `frames` 4 KiB frames and arms the reclaimer: allocations beyond
-  // the limit trigger clock reclaim (swap-out of cold pages) and, as a last resort, the OOM
-  // killer. 0 removes the limit.
+  // the limit trigger direct reclaim (ReclaimMemory: rmap-driven swap-out of cold LRU
+  // pages) and, as a last resort, the OOM killer. 0 removes the limit.
   void SetMemoryLimitFrames(uint64_t frames);
 
   // Direct reclaim: shrinks the LRU lists via reverse-map unmapping (src/reclaim); falls
@@ -179,7 +178,6 @@ class Kernel {
   std::map<Pid, std::shared_ptr<Process>> processes_ ODF_GUARDED_BY(table_mutex_);
   Pid next_pid_ ODF_GUARDED_BY(table_mutex_) = 1;
   ForkMode default_fork_mode_ = ForkMode::kClassic;
-  ForkCounters fork_counters_;
 };
 
 }  // namespace odf

@@ -10,6 +10,7 @@
 #include "src/pt/mm_locks.h"
 #include "src/reclaim/mm_gate.h"
 #include "src/replay/recorder.h"
+#include "src/trace/metrics.h"
 #include "src/util/log.h"
 
 namespace odf {
@@ -92,7 +93,7 @@ bool Process::AccessMemory(Vaddr va, std::byte* buffer, uint64_t length, AccessT
         if (cached.gen == locks.ShardGen(current)) {
           FrameId frame = cached.frame;
           FrameId pin = cached.pin;
-          as.tlb().RecordHit();
+          CountVm(VmCounter::k_tlb_hits);
           if (ecc_trips(frame)) {
             allocator.DecRef(pin);
             return false;
@@ -136,7 +137,7 @@ bool Process::AccessMemory(Vaddr va, std::byte* buffer, uint64_t length, AccessT
         reclaim::MmGate::SharedScope gate;
         if (allocator.TryGetRef(pin)) {
           if (locks.ShardGen(current) == g0) {
-            as.tlb().RecordHit();
+            CountVm(VmCounter::k_tlb_hits);
             if (ecc_trips(t.frame)) {
               allocator.DecRef(pin);
               return false;
@@ -160,22 +161,20 @@ bool Process::AccessMemory(Vaddr va, std::byte* buffer, uint64_t length, AccessT
     // one 2 MiB-shard mutex (serializes faults on this range only — disjoint-range faults
     // proceed in parallel), MmGate shared (excludes the evictor). Lock order per
     // docs/debugging.md: AS gate -> shard -> MmGate.
+    CountVm(VmCounter::k_tlb_misses);
     {
       MmLockTable::ReadScope rs(locks);
       MmLockTable::ShardScope shard(locks, current);
       reclaim::MmGate::SharedScope gate;
       FrameId frame = kInvalidFrame;
-      if (!as.tlb().Lookup(current, want_write, &frame)) {
-        Translation t = as.walker().Translate(as.pgd(), current, access);
-        if (t.status == TranslateStatus::kOk) {
-          frame = t.frame;
-          as.tlb().Insert(current, frame, want_write);
-        } else {
-          FaultResult result = HandleFault(as, current, access, &frame);
-          if (result != FaultResult::kHandled) {
-            last_fault_result_ = result;
-            return false;
-          }
+      Translation t = as.walker().Translate(as.pgd(), current, access);
+      if (t.status == TranslateStatus::kOk) {
+        frame = t.frame;
+      } else {
+        FaultResult result = HandleFault(as, current, access, &frame);
+        if (result != FaultResult::kHandled) {
+          last_fault_result_ = result;
+          return false;
         }
       }
       if (ecc_trips(frame)) {

@@ -49,22 +49,24 @@ MmLockTable::MmLockTable() {
   MmLockWaitHistogram();
 }
 
-void MmLockTable::BumpRange(Vaddr start, Vaddr end) {
+void MmLockTable::InvalidateRange(Vaddr start, Vaddr end) {
   if (end <= start) {
     return;
   }
+  CountVm(VmCounter::k_tlb_shootdowns, (end - PageAlignDown(start) + kPageSize - 1) / kPageSize);
+  // Chunks map to shards modulo kShards, so kShards consecutive chunks cover every shard
+  // exactly once: a wider range bumps each shard once too.
   uint64_t first = start >> (kPageShift + kHugePageOrder);
-  uint64_t last = (end - 1) >> (kPageShift + kHugePageOrder);
-  if (last - first >= static_cast<uint64_t>(kShards) - 1) {
-    BumpAll();
-    return;
-  }
+  uint64_t last = std::min((end - 1) >> (kPageShift + kHugePageOrder),
+                           first + static_cast<uint64_t>(kShards) - 1);
   for (uint64_t chunk = first; chunk <= last; ++chunk) {
     shards_[chunk & (kShards - 1)].gen.fetch_add(1, std::memory_order_seq_cst);
   }
 }
 
-void MmLockTable::BumpAll() {
+void MmLockTable::FlushAll() {
+  CountVm(VmCounter::k_tlb_flushes);
+  ODF_TRACE(tlb_flush, /*pid=*/0, as_id_);
   for (Shard& shard : shards_) {
     shard.gen.fetch_add(1, std::memory_order_seq_cst);
   }

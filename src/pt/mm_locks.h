@@ -6,8 +6,8 @@
 //                 (range ops, fork, teardown take it exclusive; fault slow paths take it
 //                 shared) plus 64 range shards, each a 2 MiB-granular mutex and a shard
 //                 *generation* counter. Faults in disjoint shards never contend; a range
-//                 op bumps each covered shard generation ONCE (the batched TLB-shootdown
-//                 generation) instead of flushing per PTE.
+//                 op bumps each covered shard generation ONCE (InvalidateRange, the
+//                 batched TLB shootdown) instead of flushing per PTE.
 //
 //   PtEpoch       a quiescent-state epoch (QSBR) for page-table frames. Lock-free readers
 //                 enter a read section around a table walk; mutators that free a PUBLISHED
@@ -36,6 +36,7 @@
 #include "src/debug/lockdep.h"
 #include "src/phys/frame_allocator.h"
 #include "src/pt/geometry.h"
+#include "src/trace/metrics.h"
 #include "src/util/bravo_gate.h"
 #include "src/util/mutex.h"
 #include "src/util/thread_annotations.h"
@@ -86,14 +87,22 @@ class ODF_CAPABILITY("as_gate") MmLockTable {
     return shards_[ShardOf(va)].gen.load(std::memory_order_seq_cst);
   }
 
-  // Mutator-side generation bumps (the batched shootdown). Callers must respect
-  // gen-before-free: entries already rewritten, frame references not yet dropped.
-  void BumpShard(Vaddr va) {
+  // The TLB-shootdown plane. A mutator invalidates the translations it rewrote by bumping
+  // the covering shard generation(s): that is what invalidates every thread's
+  // TranslationCache entry and fails in-flight lock-free readers' rechecks. Callers must
+  // respect gen-before-free: entries already rewritten, frame references not yet dropped.
+
+  // One page (invlpg analog): bumps the covering shard; counts one tlb_shootdowns entry.
+  void InvalidatePage(Vaddr va) {
+    CountVm(VmCounter::k_tlb_shootdowns);
     shards_[ShardOf(va)].gen.fetch_add(1, std::memory_order_seq_cst);
   }
-  // One bump per covered shard, however many pages the range spans.
-  void BumpRange(Vaddr start, Vaddr end);
-  void BumpAll();
+  // A range (the batched shootdown): one bump per covered shard, however many pages the
+  // range spans, escalating to every shard once it covers kShards or more 2 MiB chunks.
+  // Every covered page counts as one tlb_shootdowns entry, whatever the range's width.
+  void InvalidateRange(Vaddr start, Vaddr end);
+  // Full flush (CR3 reload analog): bumps every shard; counts one tlb_flushes entry.
+  void FlushAll();
 
   // Whole-AS reader (fault slow path). Fast-path cost: one padded fetch_add + one load.
   // The BravoGate token protocol underneath is below the analysis (like std::atomic);
@@ -232,7 +241,8 @@ class ODF_CAPABILITY("epoch") PtEpoch {
   std::vector<RetiredTable> retired_ ODF_GUARDED_BY(retire_mu_);
 };
 
-// Per-thread translation cache: the L0 in front of the per-AS software TLB. Entries are
+// Per-thread translation cache: the L0 of the access path, in front of the lock-free walk
+// (L1) and the locked walk (L2). It is the simulator's only translation cache. Entries are
 // validated by (as id, vpn, shard generation); a hit costs a probe, a refcount pin, and a
 // generation recheck — no locks, no shared cache lines.
 struct TransCacheEntry {

@@ -157,6 +157,10 @@ bool CounterReplayComparable(uint32_t counter) {
     // Lock contention is timing, not semantics: whether a shared-gate acquisition had to
     // wait depends on the physical interleaving, which replay does not reproduce.
     case VmCounter::k_lock_contended:
+    // Translation-cache tiers: whether an access hits the per-thread cache depends on what
+    // the replaying thread touched before, which replay does not reproduce.
+    case VmCounter::k_tlb_hits:
+    case VmCounter::k_tlb_misses:
     // The recorder's own accounting: bumped while recording, quiet while replaying.
     case VmCounter::k_trace_ring_overwrite:
     case VmCounter::k_replay_ops_recorded:

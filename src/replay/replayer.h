@@ -79,8 +79,9 @@ void FinalizeRecording(Kernel& kernel);
 
 // True when the vmstat counter is deterministic under the replay contract and is compared
 // by the final-state check. Excluded: per-CPU cache traffic (pcp_*, batch_free,
-// frames_allocated/freed include refill batching), kswapd scheduling, and the recorder's
-// own counters (recording bumps them; replaying does not).
+// frames_allocated/freed include refill batching), kswapd scheduling, lock contention, the
+// translation-cache tiers (tlb_hits/misses depend on the accessing thread's cache), and the
+// recorder's own counters (recording bumps them; replaying does not).
 bool CounterReplayComparable(uint32_t counter);
 
 }  // namespace replay

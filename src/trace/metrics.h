@@ -87,7 +87,9 @@ namespace odf {
   X(mf_migrated_pages)           \
   X(mf_sigbus)                   \
   X(mf_huge_splits)              \
-  X(lock_contended)
+  X(lock_contended)              \
+  X(tlb_hits)                    \
+  X(tlb_misses)
 
 enum class VmCounter : uint32_t {
 #define ODF_VM_ENUM_MEMBER(name) k_##name,

@@ -53,9 +53,10 @@ TEST_F(AddressSpaceTest, UnalignedCrossPageAccess) {
 
 TEST_F(AddressSpaceTest, AccessOutsideAnyVmaFails) {
   std::byte b{0};
+  VmDeltas accesses;
   EXPECT_FALSE(p_.ReadMemory(0xdead0000, std::span(&b, 1)));
   EXPECT_FALSE(p_.WriteMemory(0xdead0000, std::span(&b, 1)));
-  EXPECT_EQ(p_.address_space().stats().segv_faults, 2u);
+  EXPECT_EQ(accesses.Of(VmCounter::k_pgfault_segv), 2u);
 }
 
 TEST_F(AddressSpaceTest, GuardGapBetweenMappingsFaults) {

@@ -1,7 +1,6 @@
 // The global invariant auditor, plus audit sweeps after every category of complex scenario.
 #include <gtest/gtest.h>
 
-#include "src/mm/reclaim.h"
 #include "src/proc/auditor.h"
 #include "tests/test_util.h"
 
@@ -107,8 +106,7 @@ TEST_F(AuditSweepTest, AfterSwapTraffic) {
   Process& p = kernel_.CreateProcess();
   Vaddr va = p.Mmap(64 * kPageSize, kProtRead | kProtWrite);
   FillPattern(p, va, 64 * kPageSize, 6);
-  ClockReclaimAddressSpace(p.address_space(), kernel_.swap_space(), 1000);
-  ClockReclaimAddressSpace(p.address_space(), kernel_.swap_space(), 1000);
+  kernel_.ReclaimMemory(1000);
   EXPECT_AUDIT_OK(kernel_);
   Process& child = kernel_.Fork(p, ForkMode::kClassic);  // Copies swap entries.
   EXPECT_AUDIT_OK(kernel_);

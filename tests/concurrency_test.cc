@@ -362,7 +362,7 @@ TEST(ConcurrencyTest, RmapFamiliesFaultForkExitUnderKswapdStayConsistent) {
   EXPECT_TRUE(kernel.allocator().AllFree());
 }
 
-TEST(ConcurrencyTest, ConcurrentForkCountersStayConsistent) {
+TEST(ConcurrencyTest, ConcurrentForkVmCountersStayConsistent) {
   Kernel kernel;
   constexpr int kThreads = 4;
   constexpr int kForksPerThread = 50;
@@ -373,6 +373,7 @@ TEST(ConcurrencyTest, ConcurrentForkCountersStayConsistent) {
     parent.address_space().PopulateRange(va, 2 << 20);
     parents.push_back(&parent);
   }
+  uint64_t forks_before = ReadVm(VmCounter::k_fork_on_demand);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
@@ -386,7 +387,7 @@ TEST(ConcurrencyTest, ConcurrentForkCountersStayConsistent) {
   for (auto& thread : threads) {
     thread.join();
   }
-  EXPECT_EQ(kernel.fork_counters().on_demand_forks,
+  EXPECT_EQ(ReadVm(VmCounter::k_fork_on_demand) - forks_before,
             static_cast<uint64_t>(kThreads) * kForksPerThread);
   EXPECT_EQ(kernel.ProcessCount(), static_cast<size_t>(kThreads));
 }

@@ -68,13 +68,13 @@ TEST_F(DebugVmTest, CatchesStalePteToFreedFrame) {
   Pte good = LoadEntry(slot);
   ASSERT_TRUE(good.IsPresent());
   StoreEntry(slot, Pte::Make(freed, good.flags()));
-  as.tlb().FlushAll();  // The stale entry must be read from the table, not the TLB.
+  as.locks().FlushAll();  // The stale entry must be read from the table, not a cache.
 
   EXPECT_FALSE(debug::VerifyKernel(kernel).ok())
       << "a present PTE referencing a freed frame must be reported";
 
   StoreEntry(slot, good);
-  as.tlb().FlushAll();
+  as.locks().FlushAll();
   EXPECT_TRUE(debug::VerifyKernel(kernel).ok());
 }
 

@@ -116,7 +116,7 @@ TEST_F(FileMappingTest, PrivateMappingSeesPreCowFileUpdates) {
   // An update through the file is visible because the mapping still points at the cache.
   std::byte nv{0x99};
   file->Write(0, std::span(&nv, 1));
-  p_.address_space().tlb().FlushAll();
+  p_.address_space().locks().FlushAll();
   EXPECT_EQ(ReadByte(p_, va), std::byte{0x99});
 }
 

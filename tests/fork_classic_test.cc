@@ -50,9 +50,10 @@ TEST_F(ClassicForkTest, ChildGetsPrivateTablesSharedPages) {
 
 TEST_F(ClassicForkTest, EveryPteEntryIsCopied) {
   MapFilled(3 * kHugePageSize);
+  VmDeltas fork;
   kernel_.Fork(parent_, ForkMode::kClassic);
-  EXPECT_EQ(kernel_.fork_counters().pte_entries_copied, 3 * kEntriesPerTable);
-  EXPECT_EQ(kernel_.fork_counters().pte_tables_shared, 0u);
+  EXPECT_EQ(fork.Of(VmCounter::k_fork_pte_entries_copied), 3 * kEntriesPerTable);
+  EXPECT_EQ(fork.Of(VmCounter::k_pte_tables_shared), 0u);
 }
 
 TEST_F(ClassicForkTest, ChildSeesParentData) {
@@ -80,10 +81,11 @@ TEST_F(ClassicForkTest, CowCopiesOnlyTheWrittenPage) {
   Vaddr va = MapFilled(kHugePageSize);
   Process& child = kernel_.Fork(parent_, ForkMode::kClassic);
   FrameId before = FrameOf(child, va);
+  VmDeltas write;
   WriteByte(child, va, std::byte{1});
   FrameId after = FrameOf(child, va);
   EXPECT_NE(before, after);
-  EXPECT_EQ(child.address_space().stats().cow_page_faults, 1u);
+  EXPECT_EQ(write.Of(VmCounter::k_pgfault_cow_page), 1u);
   // Neighbouring page still shared.
   EXPECT_EQ(FrameOf(child, va + kPageSize), FrameOf(parent_, va + kPageSize));
   // The old page's refcount dropped back to 1 (parent only).
@@ -96,10 +98,10 @@ TEST_F(ClassicForkTest, SoleOwnerWriteReusesPageInPlace) {
   WriteByte(child, va, std::byte{1});                       // COW copy.
   kernel_.Exit(child, 0);
   kernel_.Wait(parent_);
-  uint64_t copies = parent_.address_space().stats().cow_page_faults;
+  VmDeltas write;
   WriteByte(parent_, va, std::byte{2});  // Parent now sole owner: reuse, no copy.
-  EXPECT_EQ(parent_.address_space().stats().cow_page_faults, copies);
-  EXPECT_GE(parent_.address_space().stats().cow_reuse_faults, 1u);
+  EXPECT_EQ(write.Of(VmCounter::k_pgfault_cow_page), 0u);
+  EXPECT_GE(write.Of(VmCounter::k_pgfault_cow_reuse), 1u);
 }
 
 TEST_F(ClassicForkTest, ForkAfterOnDemandForkDedicatesSharedTables) {

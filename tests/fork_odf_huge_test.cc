@@ -33,6 +33,7 @@ TEST_F(OdfHugeForkTest, SharesPmdTablesAtPudLevel) {
   ASSERT_TRUE(pud_before.IsPresent());
   FrameId pmd_table = pud_before.frame();
 
+  VmDeltas fork;
   Process& child = kernel_.Fork(parent_, ForkMode::kOnDemandHuge);
   EXPECT_EQ(EntryOf(child, va, PtLevel::kPud).frame(), pmd_table)
       << "parent and child must reference the same PMD table";
@@ -42,17 +43,18 @@ TEST_F(OdfHugeForkTest, SharesPmdTablesAtPudLevel) {
   // The PTE tables below are NOT individually share-counted: the PMD table owns them.
   FrameId pte_table = EntryOf(parent_, va, PtLevel::kPmd).frame();
   EXPECT_EQ(ShareCount(pte_table), 1u);
-  EXPECT_EQ(kernel_.fork_counters().pmd_tables_shared, 1u);
-  EXPECT_EQ(kernel_.fork_counters().pte_tables_shared, 0u);
+  EXPECT_EQ(fork.Of(VmCounter::k_pmd_tables_shared), 1u);
+  EXPECT_EQ(fork.Of(VmCounter::k_pte_tables_shared), 0u);
 }
 
 TEST_F(OdfHugeForkTest, ReadsFlowThroughBothSharedLevels) {
   Vaddr va = parent_.Mmap(4 * kHugePageSize, kProtRead | kProtWrite);
   FillPattern(parent_, va, 4 * kHugePageSize, 2);
   Process& child = kernel_.Fork(parent_, ForkMode::kOnDemandHuge);
+  VmDeltas reads;
   ExpectPattern(child, va, 4 * kHugePageSize, 2);
-  EXPECT_EQ(child.address_space().stats().pmd_table_cow_faults, 0u);
-  EXPECT_EQ(child.address_space().stats().pte_table_cow_faults, 0u);
+  EXPECT_EQ(reads.Of(VmCounter::k_pmd_table_cow), 0u);
+  EXPECT_EQ(reads.Of(VmCounter::k_pte_table_cow), 0u);
 }
 
 TEST_F(OdfHugeForkTest, WriteCowsTablesAtTwoLevelsThenThePage) {
@@ -62,11 +64,13 @@ TEST_F(OdfHugeForkTest, WriteCowsTablesAtTwoLevelsThenThePage) {
   FrameId shared_pmd = EntryOf(child, va, PtLevel::kPud).frame();
   FrameId shared_pte = EntryOf(child, va, PtLevel::kPmd).frame();
 
+  VmDeltas child_writes;
   WriteByte(child, va + 5, std::byte{0x5e});
-  AddressSpace& cas = child.address_space();
-  EXPECT_EQ(cas.stats().pmd_table_cow_faults, 1u) << "first: the PMD table is copied";
-  EXPECT_EQ(cas.stats().pte_table_cow_faults, 1u) << "second: the PTE table is copied";
-  EXPECT_EQ(cas.stats().cow_page_faults, 1u) << "third: the data page is copied";
+  EXPECT_EQ(child_writes.Of(VmCounter::k_pmd_table_cow), 1u) << "first: the PMD table is copied";
+  EXPECT_EQ(child_writes.Of(VmCounter::k_pte_table_cow), 1u)
+      << "second: the PTE table is copied";
+  EXPECT_EQ(child_writes.Of(VmCounter::k_pgfault_cow_page), 1u)
+      << "third: the data page is copied";
   EXPECT_NE(EntryOf(child, va, PtLevel::kPud).frame(), shared_pmd);
   EXPECT_NE(EntryOf(child, va, PtLevel::kPmd).frame(), shared_pte);
   // The parent keeps the old tables, now dedicated.
@@ -78,8 +82,8 @@ TEST_F(OdfHugeForkTest, WriteCowsTablesAtTwoLevelsThenThePage) {
 
   // Writes in a different 2 MiB chunk of the SAME 1 GiB span only copy the PTE table now.
   WriteByte(child, va + kHugePageSize, std::byte{0x11});
-  EXPECT_EQ(cas.stats().pmd_table_cow_faults, 1u);
-  EXPECT_EQ(cas.stats().pte_table_cow_faults, 2u);
+  EXPECT_EQ(child_writes.Of(VmCounter::k_pmd_table_cow), 1u);
+  EXPECT_EQ(child_writes.Of(VmCounter::k_pte_table_cow), 2u);
 }
 
 TEST_F(OdfHugeForkTest, HugeMappingsShareViaPmdTableAndCowWholePages) {
@@ -89,16 +93,18 @@ TEST_F(OdfHugeForkTest, HugeMappingsShareViaPmdTableAndCowWholePages) {
   ASSERT_TRUE(pmd_before.IsHuge());
   FrameId head = pmd_before.frame();
 
+  VmDeltas fork;
   Process& child = kernel_.Fork(parent_, ForkMode::kOnDemandHuge);
   // Unlike kOnDemand, the fork did NOT touch the compound page's refcount — the shared PMD
   // table stands in for it.
   EXPECT_EQ(kernel_.allocator().GetMeta(head).refcount.load(), 1u);
-  EXPECT_EQ(kernel_.fork_counters().huge_entries_copied, 0u);
+  EXPECT_EQ(fork.Of(VmCounter::k_fork_huge_entries_copied), 0u);
 
+  VmDeltas child_write;
   WriteByte(child, va + 100, std::byte{0x77});
   // The PMD-table dedication takes the compound reference; then the 2 MiB page COWs.
-  EXPECT_EQ(child.address_space().stats().pmd_table_cow_faults, 1u);
-  EXPECT_EQ(child.address_space().stats().cow_huge_faults, 1u);
+  EXPECT_EQ(child_write.Of(VmCounter::k_pmd_table_cow), 1u);
+  EXPECT_EQ(child_write.Of(VmCounter::k_pgfault_cow_huge), 1u);
   EXPECT_EQ(ReadByte(child, va + 100), std::byte{0x77});
   ExpectPattern(parent_, va, 2 * kHugePageSize, 4);
 }
@@ -108,10 +114,11 @@ TEST_F(OdfHugeForkTest, SoleSharerGetsPudFixup) {
   FillPattern(parent_, va, kHugePageSize, 5);
   Process& child = kernel_.Fork(parent_, ForkMode::kOnDemandHuge);
   WriteByte(child, va, std::byte{1});  // Child dedicates its chain.
+  VmDeltas parent_write;
   WriteByte(parent_, va + kPageSize, std::byte{2});
-  AddressSpace& pas = parent_.address_space();
-  EXPECT_EQ(pas.stats().pmd_table_cow_faults, 0u);
-  EXPECT_EQ(pas.stats().pmd_table_fixups, 1u) << "sole sharer re-enables the PUD write bit";
+  EXPECT_EQ(parent_write.Of(VmCounter::k_pmd_table_cow), 0u);
+  EXPECT_EQ(parent_write.Of(VmCounter::k_pmd_table_fixup), 1u)
+      << "sole sharer re-enables the PUD write bit";
   EXPECT_TRUE(EntryOf(parent_, va, PtLevel::kPud).IsWritable());
 }
 
@@ -122,9 +129,10 @@ TEST_F(OdfHugeForkTest, UnmapDropsWholePmdTableReference) {
   Process& child = kernel_.Fork(parent_, ForkMode::kOnDemandHuge);
   ASSERT_EQ(ShareCount(pmd_table), 2u);
 
+  VmDeltas unmap;
   child.Munmap(va, 8 * kHugePageSize);
   EXPECT_EQ(ShareCount(pmd_table), 1u);
-  EXPECT_EQ(child.address_space().stats().pmd_table_cow_faults, 0u)
+  EXPECT_EQ(unmap.Of(VmCounter::k_pmd_table_cow), 0u)
       << "a full unmap must drop the span reference without copying";
   ExpectPattern(parent_, va, 8 * kHugePageSize, 6);
 }
@@ -134,8 +142,9 @@ TEST_F(OdfHugeForkTest, PartialUnmapDedicatesPmdTable) {
   FillPattern(parent_, va, 8 * kHugePageSize, 7);
   Process& child = kernel_.Fork(parent_, ForkMode::kOnDemandHuge);
 
+  VmDeltas unmap;
   child.Munmap(va, 2 * kHugePageSize);  // The rest of the mapping is still live.
-  EXPECT_EQ(child.address_space().stats().pmd_table_cow_faults, 1u);
+  EXPECT_EQ(unmap.Of(VmCounter::k_pmd_table_cow), 1u);
   std::byte probe{0};
   EXPECT_FALSE(child.ReadMemory(va, std::span(&probe, 1)));
   ExpectPattern(child, va + 2 * kHugePageSize, 6 * kHugePageSize, 7);
@@ -180,10 +189,11 @@ TEST_F(OdfHugeForkTest, InvocationTouchesFarFewerTablesThanOdf) {
   // 4 GiB mapping -> 2048 PTE tables but only 4 PMD tables.
   Vaddr va = parent_.Mmap(4ULL << 30, kProtRead | kProtWrite);
   parent_.address_space().PopulateRange(va, 4ULL << 30);
+  VmDeltas fork;
   kernel_.Fork(parent_, ForkMode::kOnDemandHuge);
-  EXPECT_EQ(kernel_.fork_counters().pte_tables_shared, 0u);
-  EXPECT_LE(kernel_.fork_counters().pmd_tables_shared, 5u);
-  EXPECT_GE(kernel_.fork_counters().pmd_tables_shared, 4u);
+  EXPECT_EQ(fork.Of(VmCounter::k_pte_tables_shared), 0u);
+  EXPECT_LE(fork.Of(VmCounter::k_pmd_tables_shared), 5u);
+  EXPECT_GE(fork.Of(VmCounter::k_pmd_tables_shared), 4u);
 }
 
 }  // namespace

@@ -105,8 +105,9 @@ TEST_F(OdfForkTest, ReadsDoNotCopyTables) {
   Vaddr va = MapFilled(4 * kHugePageSize);
   Process& child = kernel_.Fork(parent_, ForkMode::kOnDemand);
   std::vector<std::byte> buffer(4 * kHugePageSize);
+  VmDeltas read;
   ASSERT_TRUE(child.ReadMemory(va, buffer));
-  EXPECT_EQ(child.address_space().stats().pte_table_cow_faults, 0u)
+  EXPECT_EQ(read.Of(VmCounter::k_pte_table_cow), 0u)
       << "reads must be served through shared tables without faults (fast read, §3.4)";
   FrameId table = PteTableOf(parent_, va);
   EXPECT_EQ(ShareCount(table), 2u);
@@ -117,9 +118,9 @@ TEST_F(OdfForkTest, FirstWriteCopiesTableOncePer2MiB) {
   Process& child = kernel_.Fork(parent_, ForkMode::kOnDemand);
   FrameId shared_table = PteTableOf(child, va);
 
+  VmDeltas child_writes;
   WriteByte(child, va + 100, std::byte{0xaa});
-  AddressSpace& cas = child.address_space();
-  EXPECT_EQ(cas.stats().pte_table_cow_faults, 1u);
+  EXPECT_EQ(child_writes.Of(VmCounter::k_pte_table_cow), 1u);
   FrameId child_table = PteTableOf(child, va);
   EXPECT_NE(child_table, shared_table) << "child must have its own table after the write";
   EXPECT_EQ(PteTableOf(parent_, va), shared_table);
@@ -131,12 +132,12 @@ TEST_F(OdfForkTest, FirstWriteCopiesTableOncePer2MiB) {
   for (int i = 1; i <= 64; ++i) {
     WriteByte(child, va + static_cast<uint64_t>(i) * kPageSize, std::byte{0xbb});
   }
-  EXPECT_EQ(cas.stats().pte_table_cow_faults, 1u)
+  EXPECT_EQ(child_writes.Of(VmCounter::k_pte_table_cow), 1u)
       << "table COW can only occur once per process per 2 MiB region (§3.4)";
 
   // The second 2 MiB region still shares; writing there copies its table.
   WriteByte(child, va + kHugePageSize, std::byte{0xcc});
-  EXPECT_EQ(cas.stats().pte_table_cow_faults, 2u);
+  EXPECT_EQ(child_writes.Of(VmCounter::k_pte_table_cow), 2u);
 }
 
 TEST_F(OdfForkTest, TableCopyTakesPageReferences) {
@@ -171,12 +172,11 @@ TEST_F(OdfForkTest, SoleSharerGetsFixupNotCopy) {
   Vaddr va = MapFilled(kHugePageSize);
   Process& child = kernel_.Fork(parent_, ForkMode::kOnDemand);
   WriteByte(child, va, std::byte{1});  // Child dedicates; parent's table share drops to 1.
-  AddressSpace& pas = parent_.address_space();
-  uint64_t copies_before = pas.stats().pte_table_cow_faults;
+  VmDeltas parent_write;
   WriteByte(parent_, va + kPageSize, std::byte{2});
-  EXPECT_EQ(pas.stats().pte_table_cow_faults, copies_before)
+  EXPECT_EQ(parent_write.Of(VmCounter::k_pte_table_cow), 0u)
       << "a sole sharer must not copy the table";
-  EXPECT_EQ(pas.stats().pte_table_fixups, 1u)
+  EXPECT_EQ(parent_write.Of(VmCounter::k_pte_table_fixup), 1u)
       << "the PMD write permission is simply re-enabled";
   EXPECT_TRUE(PmdEntryOf(parent_, va).IsWritable());
 }
@@ -261,12 +261,13 @@ TEST_F(OdfForkTest, NoLeaksAfterForkStorm) {
   EXPECT_TRUE(kernel_.allocator().AllFree()) << "fork storm leaked frames";
 }
 
-TEST_F(OdfForkTest, ForkCountersTrackSharing) {
+TEST_F(OdfForkTest, ForkVmCountersTrackSharing) {
   MapFilled(8 * kHugePageSize);
+  VmDeltas fork;
   kernel_.Fork(parent_, ForkMode::kOnDemand);
-  EXPECT_EQ(kernel_.fork_counters().on_demand_forks, 1u);
-  EXPECT_EQ(kernel_.fork_counters().pte_tables_shared, 8u);
-  EXPECT_EQ(kernel_.fork_counters().pte_entries_copied, 0u);
+  EXPECT_EQ(fork.Of(VmCounter::k_fork_on_demand), 1u);
+  EXPECT_EQ(fork.Of(VmCounter::k_pte_tables_shared), 8u);
+  EXPECT_EQ(fork.Of(VmCounter::k_fork_pte_entries_copied), 0u);
 }
 
 // The acceptance scenario from docs/observability.md: with tracing enabled, an on-demand

@@ -165,11 +165,11 @@ TEST_F(ForkOomRollbackTest, OnDemandHugeForkSurvivesFailureAtEveryTableAlloc) {
 
 TEST_F(ForkOomRollbackTest, ClassicForkSharesTableWhenPteTableAllocFails) {
   Process& parent = MakeParent(kPteTableSpan);  // One chunk: child allocs PUD, PMD, PTE.
-  uint64_t shared_before = kernel_.fork_counters().pte_tables_shared.load();
   ScopedInjection inject(FiSite::k_page_table_alloc, FiSiteConfig{.nth = 3});
+  VmDeltas fork;
   Process* child = kernel_.TryFork(parent, ForkMode::kClassic);
   ASSERT_NE(child, nullptr) << "PTE-table failure has a zero-allocation sharing fallback";
-  EXPECT_EQ(kernel_.fork_counters().pte_tables_shared.load(), shared_before + 1);
+  EXPECT_EQ(fork.Of(VmCounter::k_pte_tables_shared), 1u);
 
   // The degraded chunk looks exactly like an on-demand fork: one shared, write-protected
   // PTE table reached from both PMDs.
@@ -191,12 +191,12 @@ TEST_F(ForkOomRollbackTest, ClassicForkSharesTableWhenPteTableAllocFails) {
 
 TEST_F(ForkOomRollbackTest, OnDemandForkSharesPmdTableWhenItsAllocFails) {
   Process& parent = MakeParent(2 * kPteTableSpan);
-  uint64_t pmd_shared_before = kernel_.fork_counters().pmd_tables_shared.load();
   // Call 1 allocates the child PUD table; call 2 would be the child PMD table.
   ScopedInjection inject(FiSite::k_page_table_alloc, FiSiteConfig{.nth = 2});
+  VmDeltas fork;
   Process* child = kernel_.TryFork(parent, ForkMode::kOnDemand);
   ASSERT_NE(child, nullptr) << "PMD-table failure degrades to kOnDemandHuge-style sharing";
-  EXPECT_EQ(kernel_.fork_counters().pmd_tables_shared.load(), pmd_shared_before + 1);
+  EXPECT_EQ(fork.Of(VmCounter::k_pmd_tables_shared), 1u);
   ExpectPattern(*child, region_, region_length_, pattern_seed_);
 
   // Writes still work on both sides of the shared-PMD path and stay isolated.
@@ -273,10 +273,11 @@ TEST_F(ForkOomRollbackTest, FaultReturnsTypedOomAndTheAccessIsRetryable) {
   std::byte value{0x11};
   {
     ScopedInjection inject(FiSite::k_frame_alloc, FiSiteConfig{.nth = 1});
+    VmDeltas write;
     EXPECT_FALSE(parent.WriteMemory(va, std::span(&value, 1)));
     EXPECT_EQ(parent.last_fault_result(), FaultResult::kOom);
     EXPECT_TRUE(IsRecoverableFault(parent.last_fault_result()));
-    EXPECT_EQ(parent.address_space().stats().oom_faults, 1u);
+    EXPECT_EQ(write.Of(VmCounter::k_pgfault_oom), 1u);
     // The schedule fired once; the same access now succeeds (the errno-style retry story).
     EXPECT_TRUE(parent.WriteMemory(va, std::span(&value, 1)));
   }
@@ -303,9 +304,10 @@ TEST_F(ForkOomRollbackTest, SwapInErrorIsRecoverableAndKeepsTheSlot) {
   std::byte out{0};
   {
     ScopedInjection inject(FiSite::k_swap_in, FiSiteConfig{.nth = 1});
+    VmDeltas read;
     EXPECT_FALSE(parent.ReadMemory(victim, std::span(&out, 1)));
     EXPECT_EQ(parent.last_fault_result(), FaultResult::kSwapIoError);
-    EXPECT_EQ(parent.address_space().stats().swap_io_faults, 1u);
+    EXPECT_EQ(read.Of(VmCounter::k_swap_io_errors), 1u);
   }
   // The slot kept its reference, so the retry reads the page back intact.
   ExpectPattern(parent, victim, kPageSize, pattern_seed_);

@@ -70,8 +70,9 @@ TEST_P(HugeForkTest, WriteCopiesWhole2MiB) {
   FillPattern(p_, va, kHugePageSize, 23);
   Process& child = kernel_.Fork(p_, GetParam());
   uint64_t materialized = kernel_.allocator().Stats().materialized_bytes;
+  VmDeltas write;
   WriteByte(child, va + 12345, std::byte{0x44});
-  EXPECT_EQ(child.address_space().stats().cow_huge_faults, 1u);
+  EXPECT_EQ(write.Of(VmCounter::k_pgfault_cow_huge), 1u);
   EXPECT_EQ(kernel_.allocator().Stats().materialized_bytes - materialized, kHugePageSize)
       << "a huge COW fault copies the entire 2 MiB page (the paper's 512x cost)";
   EXPECT_EQ(ReadByte(child, va + 12345), std::byte{0x44});
@@ -84,9 +85,10 @@ TEST_P(HugeForkTest, SoleOwnerHugeWriteReuses) {
   Process& child = kernel_.Fork(p_, GetParam());
   kernel_.Exit(child, 0);
   kernel_.Wait(p_);
+  VmDeltas write;
   WriteByte(p_, va, std::byte{1});
-  EXPECT_EQ(p_.address_space().stats().cow_huge_faults, 0u);
-  EXPECT_GE(p_.address_space().stats().cow_reuse_faults, 1u);
+  EXPECT_EQ(write.Of(VmCounter::k_pgfault_cow_huge), 0u);
+  EXPECT_GE(write.Of(VmCounter::k_pgfault_cow_reuse), 1u);
 }
 
 TEST_P(HugeForkTest, NoLeaks) {

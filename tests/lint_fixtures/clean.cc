@@ -35,9 +35,9 @@ void LockFreeWalkAllowed(Walker& walker) {
   (void)t;
 }
 
-void GenBeforeFreeOrdered(Allocator& allocator, Tlb& tlb, uint64_t* slot) {
+void GenBeforeFreeOrdered(Allocator& allocator, MmLockTable& locks, uint64_t* slot) {
   StoreEntry(slot, Pte());
-  tlb.InvalidatePage(va);  // bump between rewrite and free: no finding
+  locks.InvalidatePage(va);  // bump between rewrite and free: no finding
   allocator.DecRef(frame);
 }
 

@@ -63,15 +63,17 @@ TEST_F(ProcTest, ForkModeConfigIsInherited) {
   kernel_.set_default_fork_mode(ForkMode::kOnDemand);
   Process& p = kernel_.CreateProcess();
   EXPECT_EQ(p.fork_mode(), ForkMode::kOnDemand);
+  VmDeltas first_fork;
   Process& child = kernel_.Fork(p);  // Uses the configured mode.
   EXPECT_EQ(child.fork_mode(), ForkMode::kOnDemand);
-  EXPECT_EQ(kernel_.fork_counters().on_demand_forks, 1u);
-  EXPECT_EQ(kernel_.fork_counters().classic_forks, 0u);
+  EXPECT_EQ(first_fork.Of(VmCounter::k_fork_on_demand), 1u);
+  EXPECT_EQ(first_fork.Of(VmCounter::k_fork_classic), 0u);
 
   child.set_fork_mode(ForkMode::kClassic);
+  VmDeltas second_fork;
   Process& grandchild = kernel_.Fork(child);
   EXPECT_EQ(grandchild.fork_mode(), ForkMode::kClassic);
-  EXPECT_EQ(kernel_.fork_counters().classic_forks, 1u);
+  EXPECT_EQ(second_fork.Of(VmCounter::k_fork_classic), 1u);
 }
 
 TEST_F(ProcTest, TypedAccessorsRoundTrip) {
@@ -111,22 +113,29 @@ TEST_F(ProcTest, TlbAcceleratesRepeatedAccess) {
   Process& p = kernel_.CreateProcess();
   Vaddr va = p.Mmap(kPageSize, kProtRead | kProtWrite);
   WriteByte(p, va, std::byte{1});
-  const TlbStats& stats = p.address_space().tlb().stats();
-  uint64_t hits_before = stats.hits;
+  VmDeltas reads;
   for (int i = 0; i < 100; ++i) {
     ReadByte(p, va);
   }
-  EXPECT_GE(stats.hits - hits_before, 99u) << "hot-page reads must be TLB hits";
+  EXPECT_GE(reads.Of(VmCounter::k_tlb_hits), 99u) << "hot-page reads must be TLB hits";
 }
 
 TEST_F(ProcTest, TlbFlushedOnFork) {
   Process& p = kernel_.CreateProcess();
   Vaddr va = p.Mmap(kPageSize, kProtRead | kProtWrite);
   WriteByte(p, va, std::byte{1});
-  uint64_t flushes_before = p.address_space().tlb().stats().flushes;
+  MmLockTable& locks = p.address_space().locks();
+  std::vector<uint64_t> gens_before;
+  for (int shard = 0; shard < MmLockTable::kShards; ++shard) {
+    gens_before.push_back(locks.ShardGen(static_cast<Vaddr>(shard) * kHugePageSize));
+  }
   kernel_.Fork(p, ForkMode::kOnDemand);
-  EXPECT_GT(p.address_space().tlb().stats().flushes, flushes_before)
-      << "the parent's TLB must be flushed when its PMDs lose write permission";
+  for (int shard = 0; shard < MmLockTable::kShards; ++shard) {
+    EXPECT_GT(locks.ShardGen(static_cast<Vaddr>(shard) * kHugePageSize),
+              gens_before[static_cast<size_t>(shard)])
+        << "shard " << shard
+        << ": the parent's TLB must be flushed when its PMDs lose write permission";
+  }
   // And the stale cached writable translation must not bypass COW:
   WriteByte(p, va, std::byte{2});
   EXPECT_EQ(ReadByte(p, va), std::byte{2});

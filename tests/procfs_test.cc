@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "src/debug/debug.h"
-#include "src/mm/reclaim.h"
 #include "src/proc/procfs.h"
 #include "tests/test_util.h"
 
@@ -84,8 +83,7 @@ TEST_F(ProcfsTest, OnDemandForkSharesTablesInReport) {
 TEST_F(ProcfsTest, SwapBytesReported) {
   Vaddr va = p_.Mmap(32 * kPageSize, kProtRead | kProtWrite);
   FillPattern(p_, va, 32 * kPageSize, 4);
-  ClockReclaimAddressSpace(p_.address_space(), kernel_.swap_space(), 1000);
-  ClockReclaimAddressSpace(p_.address_space(), kernel_.swap_space(), 1000);
+  kernel_.ReclaimMemory(1000);
   ProcessMemoryReport report = BuildMemoryReport(p_);
   EXPECT_EQ(report.swap_bytes, 32 * kPageSize);
   EXPECT_EQ(report.rss_bytes, 0u);

@@ -1,12 +1,12 @@
-// Tests for PTE encoding, address geometry, the software walker, and the TLB.
+// Tests for PTE encoding, address geometry, the software walker, and TLB shootdowns.
 #include <gtest/gtest.h>
 
 #include <array>
 
 #include "src/phys/frame_allocator.h"
 #include "src/pt/geometry.h"
+#include "src/pt/mm_locks.h"
 #include "src/pt/pte.h"
-#include "src/pt/tlb.h"
 #include "src/pt/walker.h"
 #include "src/trace/metrics.h"
 
@@ -147,115 +147,91 @@ TEST_F(WalkerTest, HugeEntryTranslatesInteriorPages) {
   EXPECT_EQ(t.frame, head + 5);
 }
 
-TEST(TlbTest, HitAfterInsert) {
-  Tlb tlb;
-  FrameId frame = kInvalidFrame;
-  EXPECT_FALSE(tlb.Lookup(0x1000, false, &frame));
-  tlb.Insert(0x1000, 42, /*writable=*/false);
-  EXPECT_TRUE(tlb.Lookup(0x1000, false, &frame));
-  EXPECT_EQ(frame, 42u);
-}
+// The TLB-shootdown plane lives on MmLockTable: invalidations bump shard generations, which
+// is what retires every per-thread TranslationCache entry and lock-free reader covering them.
+class TlbTest : public ::testing::Test {
+ protected:
+  static Vaddr ShardBase(int shard) { return static_cast<Vaddr>(shard) * kHugePageSize; }
 
-TEST(TlbTest, WriteLookupRequiresWritableEntry) {
-  Tlb tlb;
-  tlb.Insert(0x1000, 42, /*writable=*/false);
-  FrameId frame = kInvalidFrame;
-  EXPECT_FALSE(tlb.Lookup(0x1000, true, &frame));
-  tlb.Insert(0x1000, 42, /*writable=*/true);
-  EXPECT_TRUE(tlb.Lookup(0x1000, true, &frame));
-}
-
-TEST(TlbTest, InvalidatePageDropsOnlyThatPage) {
-  Tlb tlb;
-  tlb.Insert(0x1000, 1, false);
-  tlb.Insert(0x2000, 2, false);
-  tlb.InvalidatePage(0x1000);
-  FrameId frame = kInvalidFrame;
-  EXPECT_FALSE(tlb.Lookup(0x1000, false, &frame));
-  EXPECT_TRUE(tlb.Lookup(0x2000, false, &frame));
-}
-
-TEST(TlbTest, FlushAllDropsEverything) {
-  Tlb tlb;
-  for (Vaddr va = 0; va < 64 * kPageSize; va += kPageSize) {
-    tlb.Insert(va, static_cast<FrameId>(va >> kPageShift), true);
+  std::array<uint64_t, MmLockTable::kShards> Gens() const {
+    std::array<uint64_t, MmLockTable::kShards> gens{};
+    for (int shard = 0; shard < MmLockTable::kShards; ++shard) {
+      gens[static_cast<size_t>(shard)] = locks_.ShardGen(ShardBase(shard));
+    }
+    return gens;
   }
-  tlb.FlushAll();
-  FrameId frame = kInvalidFrame;
-  for (Vaddr va = 0; va < 64 * kPageSize; va += kPageSize) {
-    EXPECT_FALSE(tlb.Lookup(va, false, &frame));
-  }
-}
 
-TEST(TlbTest, DirectMapConflictEvicts) {
-  Tlb tlb;
-  Vaddr a = 0x1000;
-  Vaddr b = a + Tlb::kEntries * kPageSize;  // Same slot.
-  tlb.Insert(a, 1, false);
-  tlb.Insert(b, 2, false);
-  FrameId frame = kInvalidFrame;
-  EXPECT_FALSE(tlb.Lookup(a, false, &frame));
-  EXPECT_TRUE(tlb.Lookup(b, false, &frame));
-}
+  // Invalidates [start, end) and checks that exactly the shards in [first, last] advanced,
+  // each by one, that every covered page counted as one shootdown, and that no full flush
+  // was counted.
+  void ExpectRangeBumps(Vaddr start, Vaddr end, int first, int last) {
+    std::array<uint64_t, MmLockTable::kShards> before = Gens();
+    uint64_t shootdowns_before = ReadVm(VmCounter::k_tlb_shootdowns);
+    uint64_t flushes_before = ReadVm(VmCounter::k_tlb_flushes);
 
-TEST(TlbTest, RangeAboveCeilingDropsSlotsWithOneGenerationBump) {
-  MmLockTable locks;
-  Tlb tlb(&locks);
-  // 64 pages straddling the first 2 MiB boundary: covers shards 0 and 1 only.
-  constexpr uint64_t kPages = 2 * (Tlb::kRangeFlushCeiling - 1);
-  constexpr Vaddr kStart = kHugePageSize - (kPages / 2) * kPageSize;
-  constexpr Vaddr kEnd = kStart + kPages * kPageSize;
-  static_assert(kPages > Tlb::kRangeFlushCeiling && kPages <= Tlb::kEntries);
-  for (Vaddr va = kStart; va < kEnd; va += kPageSize) {
-    tlb.Insert(va, static_cast<FrameId>(va >> kPageShift), /*writable=*/true);
+    locks_.InvalidateRange(start, end);
+
+    std::array<uint64_t, MmLockTable::kShards> after = Gens();
+    for (int shard = 0; shard < MmLockTable::kShards; ++shard) {
+      uint64_t bumps = shard >= first && shard <= last ? 1 : 0;
+      EXPECT_EQ(after[static_cast<size_t>(shard)], before[static_cast<size_t>(shard)] + bumps)
+          << "shard " << shard;
+    }
+    EXPECT_EQ(ReadVm(VmCounter::k_tlb_shootdowns) - shootdowns_before,
+              (end - start) / kPageSize);
+    EXPECT_EQ(ReadVm(VmCounter::k_tlb_flushes), flushes_before)
+        << "a range shootdown is not a full flush";
   }
-  std::array<uint64_t, MmLockTable::kShards> gens_before{};
-  for (int shard = 0; shard < MmLockTable::kShards; ++shard) {
-    gens_before[static_cast<size_t>(shard)] =
-        locks.ShardGen(static_cast<Vaddr>(shard) * kHugePageSize);
-  }
-  uint64_t invalidations_before = tlb.stats().single_invalidations;
-  uint64_t flushes_before = tlb.stats().flushes;
+
+  MmLockTable locks_;
+};
+
+TEST_F(TlbTest, InvalidatePageBumpsOnlyItsShard) {
+  std::array<uint64_t, MmLockTable::kShards> before = Gens();
   uint64_t shootdowns_before = ReadVm(VmCounter::k_tlb_shootdowns);
-
-  tlb.InvalidateRange(kStart, kEnd);
-
-  FrameId frame = kInvalidFrame;
-  for (Vaddr va = kStart; va < kEnd; va += kPageSize) {
-    EXPECT_FALSE(tlb.Lookup(va, false, &frame)) << "va " << va;
-  }
+  locks_.InvalidatePage(ShardBase(3) + 5 * kPageSize);
+  std::array<uint64_t, MmLockTable::kShards> after = Gens();
   for (int shard = 0; shard < MmLockTable::kShards; ++shard) {
-    uint64_t bumps = shard <= 1 ? 1 : 0;
-    EXPECT_EQ(locks.ShardGen(static_cast<Vaddr>(shard) * kHugePageSize),
-              gens_before[static_cast<size_t>(shard)] + bumps)
+    EXPECT_EQ(after[static_cast<size_t>(shard)],
+              before[static_cast<size_t>(shard)] + (shard == 3 ? 1 : 0))
         << "shard " << shard;
   }
-  EXPECT_EQ(tlb.stats().single_invalidations - invalidations_before, kPages);
-  EXPECT_EQ(ReadVm(VmCounter::k_tlb_shootdowns) - shootdowns_before, kPages);
-  EXPECT_EQ(tlb.stats().flushes, flushes_before) << "a range shootdown is not a full flush";
+  EXPECT_EQ(ReadVm(VmCounter::k_tlb_shootdowns) - shootdowns_before, 1u);
 }
 
-TEST(TlbTest, RangeAtCeilingKeepsSlotsOutsideTheRange) {
-  Tlb tlb;
-  constexpr Vaddr kStart = 0x40000;
-  constexpr Vaddr kEnd = kStart + Tlb::kRangeFlushCeiling * kPageSize;
-  constexpr Vaddr kOutside = kEnd + kPageSize;
-  for (Vaddr va = kStart; va < kEnd; va += kPageSize) {
-    tlb.Insert(va, static_cast<FrameId>(va >> kPageShift), /*writable=*/true);
-  }
-  tlb.Insert(kOutside, 7, /*writable=*/true);
-  uint64_t invalidations_before = tlb.stats().single_invalidations;
+TEST_F(TlbTest, ShortRangeBumpsCoveredShardsOnce) {
+  // 33 pages (Linux's tlb_single_page_flush_ceiling) straddling the shard 4/5 boundary.
+  constexpr uint64_t kPages = 33;
+  Vaddr start = ShardBase(5) - 16 * kPageSize;
+  ExpectRangeBumps(start, start + kPages * kPageSize, 4, 5);
+}
 
-  tlb.InvalidateRange(kStart, kEnd);
+TEST_F(TlbTest, LongRangeBumpsCoveredShardsOnce) {
+  // 1 536 pages (6 MiB, far over the 33-page ceiling) spanning shards 1..4: still one
+  // bump each, and still counted page by page rather than as a full flush.
+  constexpr uint64_t kPages = 3 * kEntriesPerTable;
+  Vaddr start = ShardBase(1) + kHugePageSize / 2;
+  ExpectRangeBumps(start, start + kPages * kPageSize, 1, 4);
+}
 
-  FrameId frame = kInvalidFrame;
-  for (Vaddr va = kStart; va < kEnd; va += kPageSize) {
-    EXPECT_FALSE(tlb.Lookup(va, false, &frame)) << "va " << va;
+TEST_F(TlbTest, WideRangeBumpsEveryShard) {
+  // 65 chunks: more than there are shards, so every shard advances exactly once.
+  Vaddr start = ShardBase(7);
+  ExpectRangeBumps(start, start + 65 * kHugePageSize, 0, MmLockTable::kShards - 1);
+}
+
+TEST_F(TlbTest, FlushAllDropsEverything) {
+  std::array<uint64_t, MmLockTable::kShards> before = Gens();
+  uint64_t flushes_before = ReadVm(VmCounter::k_tlb_flushes);
+  uint64_t shootdowns_before = ReadVm(VmCounter::k_tlb_shootdowns);
+  locks_.FlushAll();
+  std::array<uint64_t, MmLockTable::kShards> after = Gens();
+  for (int shard = 0; shard < MmLockTable::kShards; ++shard) {
+    EXPECT_EQ(after[static_cast<size_t>(shard)], before[static_cast<size_t>(shard)] + 1)
+        << "shard " << shard;
   }
-  EXPECT_TRUE(tlb.Lookup(kOutside, false, &frame));
-  EXPECT_EQ(frame, 7u);
-  EXPECT_EQ(tlb.stats().single_invalidations - invalidations_before,
-            Tlb::kRangeFlushCeiling);
+  EXPECT_EQ(ReadVm(VmCounter::k_tlb_flushes) - flushes_before, 1u);
+  EXPECT_EQ(ReadVm(VmCounter::k_tlb_shootdowns), shootdowns_before);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/debug/verify.h"
@@ -159,6 +160,61 @@ TEST_F(ReplayTest, RecordWriteParseRoundTrip) {
 TEST_F(ReplayTest, ReplayReproducesFinalStateAndCounters) {
   replay::ReplayLog log = RecordMixedWorkload(TempPath("replay_determinism.odflog"));
   replay::ReplayReport report = replay::Replay(log, replay::ReplayOptions{});
+  EXPECT_TRUE(report.ok()) << report.Describe();
+  EXPECT_EQ(report.ops_replayed, report.ops_total);
+}
+
+// tlb_hits / tlb_misses say which tier served each access, and that depends on what the
+// accessing thread's TranslationCache already holds. The recording drives one process from
+// two threads: the main thread writes every page, then a worker, whose cache is cold,
+// rewrites and reads them back. Replay runs every op on one fresh thread, where the
+// rewrites hit the cache the first writes filled. The tiers differ; the replay must not
+// call that a divergence.
+TEST_F(ReplayTest, TranslationCacheTiersAreNotReplayed) {
+  constexpr uint64_t kPages = 16;
+  const std::string path = TempPath("replay_tlb_tiers.odflog");
+  replay::RecorderOptions options;
+  options.mode = replay::RecorderMode::kFull;
+  ASSERT_TRUE(replay::Recorder::Global().Start(options));
+  {
+    Kernel kernel;
+    Process& process = kernel.CreateProcess();
+    Vaddr va = process.Mmap(kPages * kPageSize, kProtRead | kProtWrite);
+    std::vector<std::byte> page(kPageSize, std::byte{0x5a});
+    for (uint64_t i = 0; i < kPages; ++i) {
+      ASSERT_TRUE(process.WriteMemory(va + i * kPageSize, page));
+    }
+    std::thread worker([&] {
+      std::vector<std::byte> back(kPageSize);
+      for (uint64_t i = 0; i < kPages; ++i) {
+        ASSERT_TRUE(process.WriteMemory(va + i * kPageSize, page));
+        ASSERT_TRUE(process.ReadMemory(va + i * kPageSize, back));
+      }
+    });
+    worker.join();
+    std::string error;
+    ASSERT_TRUE(replay::StopAndWriteLog(kernel, path, &error)) << error;
+  }
+  replay::ReplayLog log;
+  std::string error;
+  ASSERT_TRUE(replay::ReadLogFile(path, &log, &error)) << error;
+  uint64_t recorded_misses = 0;
+  for (const replay::FinalVmRecord& vm : log.final_vm) {
+    if (vm.counter == static_cast<uint32_t>(VmCounter::k_tlb_misses)) {
+      recorded_misses = vm.delta;
+    }
+  }
+
+  replay::ReplayReport report;
+  uint64_t replayed_misses = 0;
+  std::thread fresh([&] {
+    uint64_t before = ReadVm(VmCounter::k_tlb_misses);
+    report = replay::Replay(log, replay::ReplayOptions{});
+    replayed_misses = ReadVm(VmCounter::k_tlb_misses) - before;
+  });
+  fresh.join();
+  EXPECT_EQ(recorded_misses, 2 * kPages) << "each thread's first write of a page misses";
+  EXPECT_EQ(replayed_misses, kPages) << "one thread: the rewrites hit the warm cache";
   EXPECT_TRUE(report.ok()) << report.Describe();
   EXPECT_EQ(report.ops_replayed, report.ops_total);
 }

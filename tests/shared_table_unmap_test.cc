@@ -36,9 +36,10 @@ TEST_F(SharedTableUnmapTest, UnmapWholeRegionDropsShareWithoutCopy) {
   Process& child = kernel_.Fork(parent_, ForkMode::kOnDemand);
   ASSERT_EQ(ShareCount(table), 2u);
 
+  VmDeltas unmap;
   child.Munmap(va, 2 * kHugePageSize);
   EXPECT_EQ(ShareCount(table), 1u) << "full unmap only clears the PMD reference (§3.3)";
-  EXPECT_EQ(child.address_space().stats().pte_table_cow_faults, 0u);
+  EXPECT_EQ(unmap.Of(VmCounter::k_pte_table_cow), 0u);
   ExpectPattern(parent_, va, 2 * kHugePageSize, 1);  // Parent view must be intact.
 }
 
@@ -62,8 +63,9 @@ TEST_F(SharedTableUnmapTest, PartialUnmapWithLiveNeighborCopiesTableFirst) {
 
   // Child unmaps VMA `a` only; VMA `b` still needs its entries -> the table must be COWed
   // for the child before zapping (§3.3).
+  VmDeltas unmap;
   child.Munmap(a, 256 * kPageSize);
-  EXPECT_EQ(child.address_space().stats().pte_table_cow_faults, 1u);
+  EXPECT_EQ(unmap.Of(VmCounter::k_pte_table_cow), 1u);
   EXPECT_EQ(ShareCount(table), 1u);
   ExpectPattern(child, b, 4 * kPageSize, 3);
   ExpectPattern(parent_, a, 256 * kPageSize, 2);
@@ -82,8 +84,9 @@ TEST_F(SharedTableUnmapTest, PartialUnmapWithoutLiveNeighborJustDropsReference) 
   Process& child = kernel_.Fork(parent_, ForkMode::kOnDemand);
   // Unmap only half the VMA — but the rest of the chunk has no other VMA in the child after
   // this unmap... it does: the un-unmapped half of `a` remains. So a copy is required.
+  VmDeltas unmap;
   child.Munmap(a, 256 * kPageSize);
-  EXPECT_EQ(child.address_space().stats().pte_table_cow_faults, 1u);
+  EXPECT_EQ(unmap.Of(VmCounter::k_pte_table_cow), 1u);
   ExpectPattern(child, a + 256 * kPageSize, 256 * kPageSize, 4);
   ExpectPattern(parent_, a, 512 * kPageSize, 4);
 

@@ -1,8 +1,8 @@
-// Memory pressure (paper §4 "Robustness"): frame quota, clock reclaim over accessed bits,
-// the swap device, swap-entry interaction with both fork flavours, and the OOM killer.
+// Memory pressure (paper §4 "Robustness"): frame quota, direct reclaim (second chance over
+// accessed bits, rmap-driven swap-out), the swap device, swap-entry interaction with both
+// fork flavours, and the OOM killer.
 #include <gtest/gtest.h>
 
-#include "src/mm/reclaim.h"
 #include "tests/test_util.h"
 
 namespace odf {
@@ -60,49 +60,56 @@ TEST_F(ReclaimTest, ClockSwapsOutColdPagesAfterSecondChance) {
   Vaddr va = p_.Mmap(64 * kPageSize, kProtRead | kProtWrite);
   FillPattern(p_, va, 64 * kPageSize, 1);
 
-  // Pass 1 clears accessed bits; pass 2 collects cold pages.
-  uint64_t freed1 = ClockReclaimAddressSpace(p_.address_space(), kernel_.swap_space(), 1000);
-  EXPECT_EQ(freed1, 0u) << "all pages were recently accessed: only second chances";
-  uint64_t freed2 = ClockReclaimAddressSpace(p_.address_space(), kernel_.swap_space(), 1000);
-  EXPECT_EQ(freed2, 64u);
-  EXPECT_EQ(p_.address_space().stats().pages_swapped_out, 64u);
+  // The first scan gives every recently written page its second chance (accessed bit
+  // harvested, page re-activated); the aging pass then demotes them cold and the next scan
+  // evicts them — all inside one direct-reclaim call.
+  VmDeltas reclaim;
+  EXPECT_EQ(kernel_.ReclaimMemory(1000), 64u);
+  EXPECT_EQ(reclaim.Of(VmCounter::k_pgactivate), 64u)
+      << "all pages were recently accessed: each got its second chance first";
+  EXPECT_EQ(reclaim.Of(VmCounter::k_pgswapout), 64u);
   EXPECT_EQ(kernel_.swap_space().Stats().slots_in_use, 64u);
 
   // Content must survive the round trip through the device (swap-in faults).
+  VmDeltas reads;
   ExpectPattern(p_, va, 64 * kPageSize, 1);
-  EXPECT_EQ(p_.address_space().stats().swap_in_faults, 64u);
+  EXPECT_EQ(reads.Of(VmCounter::k_pgfault_swap_in), 64u);
   EXPECT_TRUE(kernel_.swap_space().AllFree());
 }
 
 TEST_F(ReclaimTest, AccessedPagesSurviveOnePass) {
-  Vaddr va = p_.Mmap(32 * kPageSize, kProtRead | kProtWrite);
-  FillPattern(p_, va, 32 * kPageSize, 2);
-  ClockReclaimAddressSpace(p_.address_space(), kernel_.swap_space(), 1000);  // Clear bits.
-  // Touch the first half again: those pages get their accessed bit back.
-  std::vector<std::byte> buffer(16 * kPageSize);
-  ASSERT_TRUE(p_.ReadMemory(va, buffer));
-  uint64_t freed = ClockReclaimAddressSpace(p_.address_space(), kernel_.swap_space(), 1000);
+  Vaddr va = p_.Mmap(48 * kPageSize, kProtRead | kProtWrite);
+  FillPattern(p_, va, 48 * kPageSize, 2);
+  // Every page takes its second chance (accessed bits cleared), then the 16 coldest go.
+  ASSERT_EQ(kernel_.ReclaimMemory(16), 16u);
+  std::vector<uint8_t> residency = p_.Mincore(va, 48 * kPageSize);
+  std::vector<Vaddr> resident;
+  for (uint64_t i = 0; i < residency.size(); ++i) {
+    if (residency[i] == 1) {
+      resident.push_back(va + i * kPageSize);
+    }
+  }
+  ASSERT_EQ(resident.size(), 32u);
+  // Touch half of the survivors again: those pages get their accessed bit back.
+  for (size_t i = 0; i < 16; ++i) {
+    ReadByte(p_, resident[i]);
+  }
+  uint64_t freed = kernel_.ReclaimMemory(16);
   EXPECT_EQ(freed, 16u) << "only the untouched half is cold";
-  ExpectPattern(p_, va, 32 * kPageSize, 2);
+  residency = p_.Mincore(va, 48 * kPageSize);
+  for (size_t i = 0; i < 16; ++i) {
+    EXPECT_EQ(residency[(resident[i] - va) / kPageSize], 1) << "touched page was evicted";
+  }
+  ExpectPattern(p_, va, 48 * kPageSize, 2);
 }
 
 TEST_F(ReclaimTest, NeverMaterializedPagesAreDroppedWithoutSwap) {
   Vaddr va = p_.Mmap(16 * kPageSize, kProtRead | kProtWrite);
   p_.address_space().PopulateRange(va, 16 * kPageSize);
-  ClockReclaimAddressSpace(p_.address_space(), kernel_.swap_space(), 1000);
-  uint64_t freed = ClockReclaimAddressSpace(p_.address_space(), kernel_.swap_space(), 1000);
+  uint64_t freed = kernel_.ReclaimMemory(1000);
   EXPECT_EQ(freed, 16u);
   EXPECT_EQ(kernel_.swap_space().Stats().writes, 0u) << "zero pages need no swap slots";
   EXPECT_EQ(ReadByte(p_, va), std::byte{0});
-}
-
-TEST_F(ReclaimTest, SharedTablesAreSkipped) {
-  Vaddr va = p_.Mmap(kHugePageSize, kProtRead | kProtWrite);
-  FillPattern(p_, va, kHugePageSize, 3);
-  kernel_.Fork(p_, ForkMode::kOnDemand);  // Table now shared.
-  ClockReclaimAddressSpace(p_.address_space(), kernel_.swap_space(), 1000);
-  uint64_t freed = ClockReclaimAddressSpace(p_.address_space(), kernel_.swap_space(), 1000);
-  EXPECT_EQ(freed, 0u) << "pages under shared PTE tables must not be reclaimed";
 }
 
 class SwapForkTest : public ReclaimTest, public ::testing::WithParamInterface<ForkMode> {};
@@ -110,8 +117,7 @@ class SwapForkTest : public ReclaimTest, public ::testing::WithParamInterface<Fo
 TEST_P(SwapForkTest, ForkWithSwappedPagesKeepsCowSemantics) {
   Vaddr va = p_.Mmap(32 * kPageSize, kProtRead | kProtWrite);
   FillPattern(p_, va, 32 * kPageSize, 4);
-  ClockReclaimAddressSpace(p_.address_space(), kernel_.swap_space(), 1000);
-  uint64_t freed = ClockReclaimAddressSpace(p_.address_space(), kernel_.swap_space(), 1000);
+  uint64_t freed = kernel_.ReclaimMemory(1000);
   ASSERT_EQ(freed, 32u);
 
   Process& child = kernel_.Fork(p_, GetParam());
@@ -135,8 +141,7 @@ TEST_P(SwapForkTest, ForkWithSwappedPagesKeepsCowSemantics) {
 TEST_P(SwapForkTest, UnmapReleasesSwapSlots) {
   Vaddr va = p_.Mmap(16 * kPageSize, kProtRead | kProtWrite);
   FillPattern(p_, va, 16 * kPageSize, 5);
-  ClockReclaimAddressSpace(p_.address_space(), kernel_.swap_space(), 1000);
-  ASSERT_EQ(ClockReclaimAddressSpace(p_.address_space(), kernel_.swap_space(), 1000), 16u);
+  ASSERT_EQ(kernel_.ReclaimMemory(1000), 16u);
   Process& child = kernel_.Fork(p_, GetParam());
   ASSERT_GT(kernel_.swap_space().Stats().slots_in_use, 0u);
   child.Munmap(va, 16 * kPageSize);
@@ -158,14 +163,13 @@ TEST(MemoryPressureTest, QuotaTriggersTransparentSwapping) {
   kernel.SetMemoryLimitFrames(2048);
   Vaddr va = p.Mmap(12 << 20, kProtRead | kProtWrite);
   FillPattern(p, va, 12 << 20, 6);
-  // The rmap shrinker evicts via reverse-map walks, not per-address-space clock sweeps,
-  // so swap-out shows up in the swap device's ledger rather than per-AS stats.
   EXPECT_GT(kernel.swap_space().Stats().writes, 0u)
       << "filling past the quota must push pages to swap";
   EXPECT_LE(kernel.allocator().Stats().allocated_frames, 2048u);
   // Every byte must still read back correctly through swap-in faults.
+  VmDeltas reads;
   ExpectPattern(p, va, 12 << 20, 6);
-  EXPECT_GT(p.address_space().stats().swap_in_faults, 0u);
+  EXPECT_GT(reads.Of(VmCounter::k_pgfault_swap_in), 0u);
   EXPECT_EQ(kernel.oom_kills(), 0u);
   kernel.Exit(p, 0);
   EXPECT_TRUE(kernel.allocator().AllFree());
@@ -195,8 +199,9 @@ TEST(MemoryPressureTest, OomKillerFiresWhenNothingIsReclaimable) {
   Process& small = kernel.CreateProcess();
   Process& big = kernel.CreateProcess();
 
-  // Huge (compound) pages are not swappable by the clock reclaimer, so filling the machine
-  // with them leaves the OOM killer as the only way out — like a hugetlbfs-heavy box.
+  // Huge (compound) pages are not on the LRU, so the reclaimer cannot swap them; filling
+  // the machine with them leaves the OOM killer as the only way out — like a
+  // hugetlbfs-heavy box.
   Vaddr big_va = big.Mmap(8 * kHugePageSize, kProtRead | kProtWrite, /*huge=*/true);
   WriteByte(big, big_va, std::byte{1});  // Populate all 8 compounds.
   for (int i = 1; i < 8; ++i) {

@@ -2,12 +2,14 @@
 #ifndef ODF_TESTS_TEST_UTIL_H_
 #define ODF_TESTS_TEST_UTIL_H_
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "src/proc/kernel.h"
 #include "src/proc/process.h"
+#include "src/trace/metrics.h"
 #include "src/util/rng.h"
 
 namespace odf {
@@ -41,6 +43,20 @@ inline std::byte ReadByte(Process& p, Vaddr va) {
 inline void WriteByte(Process& p, Vaddr va, std::byte value) {
   EXPECT_TRUE(p.WriteMemory(va, std::span(&value, 1)));
 }
+
+// Brackets an operation with vmstat reads: construct it just before the access or fork a
+// test attributes counts to; Of(counter) is then how far `counter` has moved since.
+// vmstat is machine-global, so the bracket is what makes a count per access.
+class VmDeltas {
+ public:
+  VmDeltas() : before_(ReadAllVm()) {}
+  uint64_t Of(VmCounter counter) const {
+    return ReadVm(counter) - before_[static_cast<size_t>(counter)];
+  }
+
+ private:
+  std::array<uint64_t, kVmCounterCount> before_;
+};
 
 }  // namespace odf
 
