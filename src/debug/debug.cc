@@ -25,7 +25,7 @@ std::string DescribePage(const PageMeta& meta, FrameId frame) {
   } else {
     out << " head=" << meta.compound_head;
   }
-  out << (meta.data.load(std::memory_order_relaxed) != nullptr ? " data" : " nodata") << "]";
+  out << (meta.materialized.load(std::memory_order_relaxed) != 0 ? " data" : " nodata") << "]";
   return out.str();
 }
 

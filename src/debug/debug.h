@@ -14,11 +14,12 @@
 //       PageMeta (flags/refcount/pt_share/order/compound_head) to the abort message.
 //
 //   ODF_VM_POISON(...) / poison constants below:
-//       Freed frames carry a canary in PageMeta::reserved and their data buffers are
-//       filled with kPoisonByte before release; allocation re-checks the canary and the
-//       zeroed counters, catching stale IncRef/DecRef/flag writes on freed frames at the
-//       next allocation (use-after-free of the *data* bytes is delegated to ASan — the
-//       buffers are really freed, so any touch through a stale pointer is a heap UAF).
+//       Freed frames carry a canary in PageMeta::reserved and their materialised bytes
+//       are filled with kPoisonByte before release; allocation re-checks the canary and
+//       the zeroed counters, catching stale IncRef/DecRef/flag writes on freed frames at
+//       the next allocation (use-after-free of the *data* bytes is delegated to ASan —
+//       the allocator poisons a freed frame's bytes, so any touch through a stale
+//       pointer is a use-after-poison report).
 //
 // Cost model (mirrors ODF_TRACE): with -DODF_DEBUG_VM=OFF (the default) every macro
 // expands to a constant-folded no-op — condition expressions are parsed but never
@@ -49,9 +50,9 @@ constexpr bool Compiled() { return ODF_DEBUG_VM_COMPILED != 0; }
 
 // --- Poison values (PAGE_POISON analogs) ---
 
-// Written into every byte of a frame's data buffer just before it is released. Any stale
-// pointer that reads the buffer between the memset and the heap free observes this
-// pattern instead of plausible page contents.
+// Written into every byte of a materialised frame just before it is released. Any stale
+// pointer that reads the frame's bytes before their next owner materialises them observes
+// this pattern instead of plausible page contents.
 inline constexpr uint8_t kPoisonByte = 0xaa;
 
 // PageMeta::reserved canaries. A frame's `reserved` field is 0 only before its first

@@ -122,7 +122,7 @@ void SweepFrameArray(Kernel& kernel, const AuditResult& audit, VerifyResult& res
       if (refcount != 1) {
         violation(frame, meta, "page-table frame refcount is not 1");
       }
-      if (meta.data.load(std::memory_order_acquire) == nullptr) {
+      if (meta.materialized.load(std::memory_order_acquire) == 0) {
         violation(frame, meta, "page-table frame without entry storage");
       }
     } else {

@@ -225,7 +225,7 @@ MfResult HardOffline(MfContext& ctx, FrameId frame) {
   if (is_file) {
     const std::byte* src = allocator.PeekData(frame);
     if (src != nullptr) {
-      std::memcpy(allocator.MaterializeData(replacement, /*zero=*/false), src, kPageSize);
+      std::memcpy(allocator.MaterializeForOverwrite(replacement), src, kPageSize);
     }
     relocated = RelocateFileCache(ctx, frame, replacement);
     if (relocated == 0) {
@@ -326,7 +326,7 @@ MfResult SoftOffline(MfContext& ctx, FrameId frame) {
   allocator.IncRef(holder);  // Pin across the per-location DecRefs.
   const std::byte* src = allocator.PeekData(frame);
   if (src != nullptr) {
-    std::memcpy(allocator.MaterializeData(replacement, /*zero=*/false), src, kPageSize);
+    std::memcpy(allocator.MaterializeForOverwrite(replacement), src, kPageSize);
   }
   // The replacement inherits the source's place in the reverse map (same family, same
   // anon index — every repointed slot sits where the old stamp leads) and its LRU slot.

@@ -1,7 +1,10 @@
 #include "src/mm/address_space.h"
 
+#include <sanitizer/asan_interface.h>
+
 #include <algorithm>
 #include <array>
+#include <new>
 #include <span>
 #include <vector>
 
@@ -21,7 +24,56 @@ constexpr Vaddr kMmapBase = 0x0000'1000'0000ULL;
 // Guard gap between consecutive mappings so off-by-one accesses fault in tests.
 constexpr Vaddr kGuardGap = kPageSize;
 
+constexpr std::align_val_t kAddressSpaceAlign{alignof(AddressSpace)};
+
+// The calling thread's free AddressSpace storage. Trivially destructible, so it outlives
+// the thread's other thread_local objects: an AddressSpace freed by a later destructor
+// (or, on the main thread, by a static one) finds `retired` set and goes to the heap.
+struct AddressSpaceFreeList {
+  static constexpr size_t kCapacity = 4;
+  std::array<void*, kCapacity> slots;
+  size_t count;
+  bool retired;
+};
+thread_local AddressSpaceFreeList t_address_space_free;
+
+// Releases the calling thread's free list at thread exit.
+struct AddressSpaceFreeListReaper {
+  ~AddressSpaceFreeListReaper() {
+    AddressSpaceFreeList& list = t_address_space_free;
+    while (list.count > 0) {
+      void* storage = list.slots[--list.count];
+      ASAN_UNPOISON_MEMORY_REGION(storage, sizeof(AddressSpace));
+      ::operator delete(storage, kAddressSpaceAlign);
+    }
+    list.retired = true;
+  }
+};
+thread_local AddressSpaceFreeListReaper t_address_space_reaper;
+
 }  // namespace
+
+void* AddressSpace::operator new(size_t size) {
+  ODF_DCHECK(size == sizeof(AddressSpace));
+  AddressSpaceFreeList& list = t_address_space_free;
+  if (list.count == 0) {
+    return ::operator new(size, kAddressSpaceAlign);
+  }
+  void* storage = list.slots[--list.count];
+  ASAN_UNPOISON_MEMORY_REGION(storage, sizeof(AddressSpace));
+  return storage;
+}
+
+void AddressSpace::operator delete(void* storage) noexcept {
+  AddressSpaceFreeList& list = t_address_space_free;
+  if (list.retired || list.count == AddressSpaceFreeList::kCapacity) {
+    ::operator delete(storage, kAddressSpaceAlign);
+    return;
+  }
+  (void)&t_address_space_reaper;  // First use registers the thread-exit release.
+  ASAN_POISON_MEMORY_REGION(storage, sizeof(AddressSpace));
+  list.slots[list.count++] = storage;
+}
 
 AddressSpace::AddressSpace(FrameAllocator* allocator, SwapSpace* swap,
                            reclaim::Rmap* rmap)

@@ -44,6 +44,14 @@ class AddressSpace {
   AddressSpace(const AddressSpace&) = delete;
   AddressSpace& operator=(const AddressSpace&) = delete;
 
+  // Object cache (the mm_cachep analog): every fork allocates one AddressSpace and every
+  // exit frees one. Storage comes from a small per-thread free list with a fixed cap, so a
+  // fork does not pay a general-purpose heap's large-request path (which first consolidates
+  // the small-allocation garbage of the whole process). A free on another thread lands in
+  // that thread's list; a thread's list is released at its exit.
+  static void* operator new(size_t size);
+  static void operator delete(void* storage) noexcept;
+
   // --- Mapping syscall analogs (addresses chosen by a bump allocator unless hinted) ---
 
   // mmap(MAP_PRIVATE|MAP_ANONYMOUS). `huge` requests 2 MiB pages (MAP_HUGETLB analog);

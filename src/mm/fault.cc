@@ -125,7 +125,7 @@ bool DataCowFault(AddressSpace& as, VmArea& vma, Vaddr va, uint64_t* slot) {
   }
   const std::byte* src = allocator.PeekData(frame);
   if (src != nullptr) {
-    std::byte* dst = allocator.MaterializeData(copy, /*zero=*/false);
+    std::byte* dst = allocator.MaterializeForOverwrite(copy);
     std::memcpy(dst, src, kPageSize);
   }
   // else: the source was never materialised (logical zero) — the copy stays lazy-zero.
@@ -244,7 +244,7 @@ bool HugeCowFault(AddressSpace& as, const VmArea& vma, Vaddr chunk_base, uint64_
   }
   const std::byte* src = allocator.PeekData(head);
   if (src != nullptr) {
-    std::byte* dst = allocator.MaterializeData(copy, /*zero=*/false);
+    std::byte* dst = allocator.MaterializeForOverwrite(copy);
     std::memcpy(dst, src, kHugePageSize);
   }
   as.AddNewAnonRmap(copy, vma, chunk_base);
@@ -394,7 +394,7 @@ FaultResult HandleFault(AddressSpace& as, Vaddr va, AccessType access, FrameId* 
       if (frame == kInvalidFrame) {
         return FaultOom(as, va);
       }
-      std::byte* dst = as.allocator().MaterializeData(frame, /*zero=*/false);
+      std::byte* dst = as.allocator().MaterializeForOverwrite(frame);
       if (!swap->TryReadIn(entry.swap_slot(), dst)) {
         // Device read failed: drop only the fresh frame. The swap entry and the slot's
         // reference survive untouched, so a retry after the transient error succeeds.

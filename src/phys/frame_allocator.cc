@@ -1,10 +1,14 @@
 #include "src/phys/frame_allocator.h"
 
-#include <malloc.h>
+#include <sanitizer/asan_interface.h>
+#include <sys/mman.h>
 
+#include <algorithm>
 #include <array>
+#include <cerrno>
 #include <cstring>
-#include <mutex>
+#include <memory>
+#include <vector>
 
 #include "src/debug/debug.h"
 #include "src/debug/lockdep.h"
@@ -18,6 +22,7 @@ namespace odf {
 
 namespace {
 
+using phys_internal::AddDelta;
 using phys_internal::CacheForThread;
 using phys_internal::PerCpuCache;
 
@@ -30,23 +35,27 @@ std::atomic<uint64_t> g_next_allocator_id{1};
 constexpr size_t kMaterializeStripes = 64;
 util::Mutex g_materialize_stripes[kMaterializeStripes];
 
-// Frame data buffers stand in for physical memory, and fork/exit churns them by the
-// hundred: every classic-fork round allocates and frees each child PTE table and COW copy.
-// With glibc's default heap trimming, each exit's burst of frees is handed back to the OS
-// (brk shrink, madvise on thread arenas) and the next round takes a real page fault per
-// buffer re-growing the heap — half of the child COW faults of a 256 MiB fork loop, and
-// most of a fresh faulting thread's. Simulated RAM should stay resident like real RAM, so
-// trimming is turned off once per process, and the mmap threshold is pinned above the
-// 2 MiB compound buffer (where glibc's dynamic threshold settles after the first huge free;
-// pinning one threshold disables that adjustment). Sanitizer runtimes ignore both.
-void KeepFrameMemoryResident() {
-#if defined(__GLIBC__)
-  static std::once_flag once;
-  std::call_once(once, [] {
-    mallopt(M_TRIM_THRESHOLD, -1);
-    mallopt(M_MMAP_THRESHOLD, static_cast<int>(2 * kHugePageSize));
-  });
-#endif
+// A chunk's storage: its PageMeta array and its frame data mapping.
+struct ChunkStorage {
+  PageMeta* meta = nullptr;
+  std::byte* data = nullptr;
+};
+
+// Chunk storage outlives the allocator that reserved it. Like a machine's memmap and RAM it
+// belongs to the process: a destroyed allocator's chunks go back here and the next
+// allocator's chunks come from here, so its metadata and frames start on pages the host
+// already backs rather than taking a host page fault on first touch (a fresh Kernel per
+// run in the paper's benches would otherwise pay one per frame it touches, some of them
+// inside the very fault being timed). Leaked on purpose, like the cache registry:
+// allocators may die during static destruction.
+struct ChunkPool {
+  util::Mutex mu;
+  std::vector<ChunkStorage> free ODF_GUARDED_BY(mu);
+};
+
+ChunkPool& GlobalChunkPool() {
+  static ChunkPool* pool = new ChunkPool;
+  return *pool;
 }
 
 util::Mutex& MaterializeStripe(FrameId frame) {
@@ -57,28 +66,24 @@ util::Mutex& MaterializeStripe(FrameId frame) {
 // stripes share one class, exactly like lockdep keying lock instances by type.
 debug::LockClass g_pool_lock_class("FrameAllocator::mutex_");
 debug::LockClass g_materialize_lock_class("FrameAllocator::materialize_stripe");
+debug::LockClass g_chunk_pool_lock_class("phys::ChunkPool::mu");
 
 }  // namespace
 
 FrameAllocator::FrameAllocator()
-    : id_(g_next_allocator_id.fetch_add(1, std::memory_order_relaxed)) {
-  KeepFrameMemoryResident();
-}
+    : id_(g_next_allocator_id.fetch_add(1, std::memory_order_relaxed)) {}
 
 FrameAllocator::~FrameAllocator() {
   // First orphan this allocator's per-thread caches so exiting threads do not drain into
   // freed memory; the frame ids parked in them die with the metadata below.
   phys_internal::RetireAllocatorCaches(this);
-  // Frame data buffers are owned here; release whatever is still materialised.
-  for (auto& chunk : chunks_) {
-    for (size_t i = 0; i < kChunkSize; ++i) {
-      PageMeta& meta = chunk[i];
-      std::byte* data = meta.data.load(std::memory_order_relaxed);
-      if (data != nullptr && !meta.IsCompoundTail()) {
-        delete[] data;
-        meta.data.store(nullptr, std::memory_order_relaxed);
-      }
-    }
+  ChunkPool& pool = GlobalChunkPool();
+  debug::MutexGuard guard(pool.mu, g_chunk_pool_lock_class);
+  // In reverse, so the next allocator's chunk i reuses this one's chunk i (the pool pops
+  // from the back): a workload run again finds the same pages warm in the same roles.
+  for (size_t slot = chunk_count_; slot-- > 0;) {
+    pool.free.push_back({chunk_table_[slot].load(std::memory_order_relaxed),
+                         chunk_data_[slot].load(std::memory_order_relaxed)});
   }
 }
 
@@ -96,25 +101,52 @@ PageMeta& FrameAllocator::MetaRef(FrameId frame) const {
 PageMeta& FrameAllocator::GetMeta(FrameId frame) { return MetaRef(frame); }
 const PageMeta& FrameAllocator::GetMeta(FrameId frame) const { return MetaRef(frame); }
 
-void FrameAllocator::AddChunkLocked() {
-  ODF_CHECK(chunks_.size() < kMaxChunks)
+std::byte* FrameAllocator::FrameBytes(FrameId frame) const {
+  // Acquire pairs with the release store in AddChunkLocked, as in MetaRef.
+  std::byte* base = chunk_data_[frame >> kChunkShift].load(std::memory_order_acquire);
+  return base + (static_cast<uint64_t>(frame & (kChunkSize - 1)) << kPageShift);
+}
+
+FrameId FrameAllocator::AddChunkLocked() {
+  ODF_CHECK(chunk_count_ < kMaxChunks)
       << "simulated physical memory exhausted (" << kMaxChunks << " chunks)";
-  auto chunk = std::make_unique<PageMeta[]>(kChunkSize);
-  size_t slot = chunks_.size();
-  FrameId base = static_cast<FrameId>(slot << kChunkShift);
-  chunk_table_[slot].store(chunk.get(), std::memory_order_release);
-  chunks_.push_back(std::move(chunk));
-  stats_.total_frames.fetch_add(kChunkSize, std::memory_order_relaxed);
-  // Push in reverse so low frame ids are handed out first (mildly better locality).
-  for (size_t i = kChunkSize; i-- > 0;) {
-    free_list_.push_back(base + static_cast<FrameId>(i));
+  ChunkStorage storage;
+  {
+    ChunkPool& pool = GlobalChunkPool();
+    debug::MutexGuard guard(pool.mu, g_chunk_pool_lock_class);
+    if (!pool.free.empty()) {
+      storage = pool.free.back();
+      pool.free.pop_back();
+    }
   }
+  if (storage.data == nullptr) {
+    // The chunk's frame data: address space only until frames are materialised, so a
+    // chunk of never-written frames costs the host nothing but its metadata.
+    void* mapped = mmap(nullptr, kChunkDataBytes, PROT_READ | PROT_WRITE,
+                        MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    ODF_CHECK(mapped != MAP_FAILED) << "cannot reserve frame data for chunk " << chunk_count_
+                                    << ": " << std::strerror(errno);
+    storage.data = static_cast<std::byte*>(mapped);
+    storage.meta = static_cast<PageMeta*>(::operator new(kChunkSize * sizeof(PageMeta)));
+  }
+  // Fresh metadata either way. A reused chunk's stale frame bytes are harmless: no frame
+  // is read before it is materialised.
+  std::uninitialized_value_construct_n(storage.meta, kChunkSize);
+  size_t slot = chunk_count_++;
+  chunk_data_[slot].store(storage.data, std::memory_order_release);
+  chunk_table_[slot].store(storage.meta, std::memory_order_release);
+  stats_.total_frames.fetch_add(kChunkSize, std::memory_order_relaxed);
+  return static_cast<FrameId>(slot << kChunkShift);
 }
 
 FrameId FrameAllocator::PopFreeLocked() {
   for (;;) {
     if (free_list_.empty()) {
-      AddChunkLocked();
+      FrameId base = AddChunkLocked();
+      // Push in reverse so low frame ids are handed out first (mildly better locality).
+      for (size_t i = kChunkSize; i-- > 0;) {
+        free_list_.push_back(base + static_cast<FrameId>(i));
+      }
     }
     FrameId frame = free_list_.back();
     free_list_.pop_back();
@@ -135,15 +167,24 @@ void FrameAllocator::QuarantineLocked(FrameId frame) {
 }
 
 void FrameAllocator::SetFrameLimit(uint64_t frames) {
-  debug::MutexGuard guard(mutex_, g_pool_lock_class);
-  frame_limit_.store(frames, std::memory_order_relaxed);
-  if (!watermarks_explicit_) {
-    // min_free_kbytes-style scaling; +4 keeps tiny test pools from a zero floor.
-    uint64_t min = frames == 0 ? 0 : frames / 64 + 4;
-    wm_min_.store(min, std::memory_order_relaxed);
-    wm_low_.store(min * 2, std::memory_order_relaxed);
-    wm_high_.store(min * 3, std::memory_order_relaxed);
+  {
+    debug::MutexGuard guard(mutex_, g_pool_lock_class);
+    frame_limit_.store(frames, std::memory_order_relaxed);
+    if (!watermarks_explicit_) {
+      // min_free_kbytes-style scaling; +4 keeps tiny test pools from a zero floor.
+      uint64_t min = frames == 0 ? 0 : frames / 64 + 4;
+      wm_min_.store(min, std::memory_order_relaxed);
+      wm_low_.store(min * 2, std::memory_order_relaxed);
+      wm_high_.store(min * 3, std::memory_order_relaxed);
+    }
   }
+  // With the caches standing down, the quota gate reads the shared allocated_frames alone:
+  // fold every thread's deltas into it. Outside mutex_ (registry -> pool order).
+  phys_internal::WithCaches(this, [this](std::span<PerCpuCache* const> caches) {
+    for (PerCpuCache* cache : caches) {
+      FoldCacheStats(*cache);
+    }
+  });
 }
 
 uint64_t FrameAllocator::frame_limit() const {
@@ -174,8 +215,8 @@ uint64_t FrameAllocator::FreeFrames() const {
   if (limit == 0) {
     return UINT64_MAX;
   }
-  uint64_t allocated = stats_.allocated_frames.load(std::memory_order_relaxed);
-  return allocated >= limit ? 0 : limit - allocated;
+  int64_t allocated = stats_.allocated_frames.load(std::memory_order_relaxed);
+  return allocated >= static_cast<int64_t>(limit) ? 0 : limit - static_cast<uint64_t>(allocated);
 }
 
 void FrameAllocator::SetPressureCallback(PressureCallback callback) {
@@ -214,9 +255,7 @@ bool FrameAllocator::TryWaitForQuota(uint64_t frames) {
   // Like the kernel putting the faulting process to sleep while it frees memory (§4): run
   // reclaim rounds until the allocation fits, or report OOM when no progress is possible.
   for (int attempt = 0; attempt < 16; ++attempt) {
-    uint64_t limit = frame_limit_.load(std::memory_order_relaxed);
-    if (limit == 0 ||
-        stats_.allocated_frames.load(std::memory_order_relaxed) + frames <= limit) {
+    if (FreeFrames() >= frames) {
       return true;
     }
     ReclaimCallback callback;
@@ -232,9 +271,7 @@ bool FrameAllocator::TryWaitForQuota(uint64_t frames) {
       break;
     }
   }
-  uint64_t limit = frame_limit_.load(std::memory_order_relaxed);
-  return limit == 0 ||
-         stats_.allocated_frames.load(std::memory_order_relaxed) + frames <= limit;
+  return FreeFrames() >= frames;
 }
 
 void FrameAllocator::WaitForQuota(uint64_t frames) {
@@ -243,7 +280,52 @@ void FrameAllocator::WaitForQuota(uint64_t frames) {
       << " wanted, reclaim exhausted (NOFAIL allocation)";
 }
 
-void FrameAllocator::InitAllocatedFrame(FrameId frame, uint8_t flags) {
+void FrameAllocator::CountAllocated(PerCpuCache& cache, int64_t frames) {
+  if (CacheEligible()) {
+    AddDelta(cache.allocated_frames, frames);
+  } else {
+    stats_.allocated_frames.fetch_add(frames, std::memory_order_relaxed);
+  }
+}
+
+void FrameAllocator::FoldCacheStats(PerCpuCache& cache) {
+  stats_.allocated_frames.fetch_add(cache.allocated_frames.exchange(0, std::memory_order_relaxed),
+                                    std::memory_order_relaxed);
+  stats_.materialized_bytes.fetch_add(
+      cache.materialized_bytes.exchange(0, std::memory_order_relaxed), std::memory_order_relaxed);
+  stats_.page_table_frames.fetch_add(
+      cache.page_table_frames.exchange(0, std::memory_order_relaxed), std::memory_order_relaxed);
+}
+
+std::byte* FrameAllocator::PublishMaterialized(PerCpuCache& cache, FrameId frame,
+                                               PageMeta& meta, uint64_t bytes, bool zero) {
+  std::byte* data = FrameBytes(frame);
+  ASAN_UNPOISON_MEMORY_REGION(data, bytes);
+  if (zero) {
+    // Not optional: a reused frame's bytes still hold its previous owner's content.
+    std::memset(data, 0, bytes);
+  }
+  AddDelta(cache.materialized_bytes, static_cast<int64_t>(bytes));
+  // Release pairs with the acquire in PeekData/MaterializeData: whoever sees the frame
+  // materialised also sees the bytes written above.
+  meta.materialized.store(1, std::memory_order_release);
+  return data;
+}
+
+void FrameAllocator::ScrubFreedBytes(FrameId frame, uint64_t bytes) {
+  std::byte* data = FrameBytes(frame);
+#if ODF_DEBUG_VM_COMPILED
+  // Poison-on-free: a stale reader racing the free observes 0xaa..aa instead of plausible
+  // page contents.
+  std::memset(data, static_cast<int>(debug::kPoisonByte), bytes);
+  debug::internal::g_poison_writes.fetch_add(1, std::memory_order_relaxed);
+#endif
+  // The bytes stay mapped, so under ASan a stale access through an old PeekData pointer is
+  // reported only because of this poisoning, until the frame is materialised again.
+  ASAN_POISON_MEMORY_REGION(data, bytes);
+}
+
+void FrameAllocator::InitAllocatedFrame(PerCpuCache& cache, FrameId frame, uint8_t flags) {
   PageMeta& meta = MetaRef(frame);
   ODF_VM_BUG_ON_PAGE((meta.flags & kPageFlagAllocated) != 0, meta, frame)
       << "double allocation";
@@ -273,25 +355,17 @@ void FrameAllocator::InitAllocatedFrame(FrameId frame, uint8_t flags) {
   meta.refcount.store(1, std::memory_order_relaxed);
   meta.pt_share_count.store((flags & kPageFlagPageTable) != 0 ? 1 : 0,
                             std::memory_order_relaxed);
-  stats_.allocated_frames.fetch_add(1, std::memory_order_relaxed);
+  CountAllocated(cache, 1);
   if ((flags & kPageFlagPageTable) != 0) {
-    stats_.page_table_frames.fetch_add(1, std::memory_order_relaxed);
-    std::byte* data = meta.data.load(std::memory_order_relaxed);
-    if (data == nullptr) {
-      data = new std::byte[kPageSize];
-      std::memset(data, 0, kPageSize);
-      stats_.materialized_bytes.fetch_add(kPageSize, std::memory_order_relaxed);
-      // Release pairs with the acquire in TableEntries: a walker that can see this table
-      // frame also sees the zeroed entries.
-      meta.data.store(data, std::memory_order_release);
-    } else {
-      std::memset(data, 0, kPageSize);
-    }
+    AddDelta(cache.page_table_frames, 1);
+    // Tables are always real memory. The frame is still private to this thread; a walker
+    // reaches the zeroed entries only through the (release-stored) entry that links it.
+    PublishMaterialized(cache, frame, meta, kPageSize, /*zero=*/true);
   }
   CountVm(VmCounter::k_frames_allocated);
 }
 
-void FrameAllocator::ReleaseFrameState(PageMeta& meta) {
+void FrameAllocator::ReleaseFrameState(PerCpuCache& cache, FrameId frame, PageMeta& meta) {
   ODF_VM_BUG_ON((meta.flags & kPageFlagAllocated) == 0) << "double free";
   // At free time the counters must be spent: refcount 0 (DecRef path) or exactly 1
   // (FreeBatch's sole-owner contract); table shares 0 (dropped) or 1 (the allocation
@@ -305,21 +379,13 @@ void FrameAllocator::ReleaseFrameState(PageMeta& meta) {
   ODF_VM_BUG_ON(meta.lru_state.load(std::memory_order_relaxed) != 0)
       << "freeing a frame that is still on the LRU";
   meta.ClearAnonStamp();
-  std::byte* data = meta.data.load(std::memory_order_relaxed);
-  if (data != nullptr) {
-#if ODF_DEBUG_VM_COMPILED
-    // Poison-on-free: a stale reader racing the free observes 0xaa..aa instead of
-    // plausible page contents. A stale access after the delete[] is a heap UAF — ASan's
-    // department (the asan-ubsan preset).
-    std::memset(data, static_cast<int>(debug::kPoisonByte), kPageSize);
-    debug::internal::g_poison_writes.fetch_add(1, std::memory_order_relaxed);
-#endif
-    delete[] data;
-    meta.data.store(nullptr, std::memory_order_relaxed);
-    stats_.materialized_bytes.fetch_sub(kPageSize, std::memory_order_relaxed);
+  if (meta.materialized.load(std::memory_order_relaxed) != 0) {
+    ScrubFreedBytes(frame, kPageSize);
+    meta.materialized.store(0, std::memory_order_relaxed);
+    AddDelta(cache.materialized_bytes, -static_cast<int64_t>(kPageSize));
   }
   if ((meta.flags & kPageFlagPageTable) != 0) {
-    stats_.page_table_frames.fetch_sub(1, std::memory_order_relaxed);
+    AddDelta(cache.page_table_frames, -1);
   }
   meta.flags = 0;
   meta.compound_head = kInvalidFrame;
@@ -330,7 +396,7 @@ void FrameAllocator::ReleaseFrameState(PageMeta& meta) {
 #if ODF_DEBUG_VM_COMPILED
   meta.reserved = debug::kPoisonFreed;
 #endif
-  stats_.allocated_frames.fetch_sub(1, std::memory_order_relaxed);
+  CountAllocated(cache, -1);
   CountVm(VmCounter::k_frames_freed);
 }
 
@@ -363,14 +429,13 @@ FrameId FrameAllocator::AllocateFromCache(uint8_t flags) {
       QuarantineLocked(frame);
       continue;
     }
-    InitAllocatedFrame(frame, flags);
+    InitAllocatedFrame(cache, frame, flags);
     return frame;
   }
 }
 
-void FrameAllocator::FreeToCache(FrameId frame) {
-  ReleaseFrameState(MetaRef(frame));
-  PerCpuCache& cache = CacheForThread(this, id_);
+void FrameAllocator::FreeToCache(PerCpuCache& cache, FrameId frame) {
+  ReleaseFrameState(cache, frame, MetaRef(frame));
   if (cache.count == PerCpuCache::kCapacity) {
     // Spill half the cache back to the shared pool in one lock hold.
     CountVm(VmCounter::k_pcp_drain, PerCpuCache::kBatch);
@@ -424,6 +489,7 @@ bool FrameAllocator::IsHwPoisoned(FrameId frame) const {
 }
 
 void FrameAllocator::DrainCacheToPool(phys_internal::PerCpuCache& cache) {
+  FoldCacheStats(cache);
   if (cache.count == 0) {
     return;
   }
@@ -462,12 +528,13 @@ FrameId FrameAllocator::TryAllocate(uint8_t flags) {
 }
 
 FrameId FrameAllocator::AllocateGranted(uint8_t flags) {
+  PerCpuCache& cache = CacheForThread(this, id_);
   FrameId frame;
   {
     debug::MutexGuard guard(mutex_, g_pool_lock_class);
     frame = PopFreeLocked();
   }
-  InitAllocatedFrame(frame, flags);
+  InitAllocatedFrame(cache, frame, flags);
   return frame;
 }
 
@@ -483,6 +550,7 @@ void FrameAllocator::AllocateBatch(uint8_t flags, std::span<FrameId> out) {
     }
     return;
   }
+  PerCpuCache& cache = CacheForThread(this, id_);
   {
     debug::MutexGuard guard(mutex_, g_pool_lock_class);
     for (FrameId& slot : out) {
@@ -490,7 +558,7 @@ void FrameAllocator::AllocateBatch(uint8_t flags, std::span<FrameId> out) {
     }
   }
   for (FrameId frame : out) {
-    InitAllocatedFrame(frame, flags);
+    InitAllocatedFrame(cache, frame, flags);
   }
 }
 
@@ -511,6 +579,7 @@ FrameId FrameAllocator::TryAllocateCompound(uint8_t flags) {
 
 FrameId FrameAllocator::AllocateCompoundGranted(uint8_t flags) {
   constexpr FrameId kCompoundFrames = 1u << kHugePageOrder;
+  PerCpuCache& cache = CacheForThread(this, id_);
   debug::MutexGuard guard(mutex_, g_pool_lock_class);
   FrameId head;
   if (!compound_free_list_.empty()) {
@@ -520,14 +589,7 @@ FrameId FrameAllocator::AllocateCompoundGranted(uint8_t flags) {
     // Grow by one chunk dedicated to compounds (like a hugetlb pool): all of its 512-aligned
     // runs go onto the compound free list, amortising the chunk-add cost over 128 compound
     // allocations instead of paying it per fault.
-    ODF_CHECK(chunks_.size() < kMaxChunks)
-        << "simulated physical memory exhausted (" << kMaxChunks << " chunks)";
-    auto chunk = std::make_unique<PageMeta[]>(kChunkSize);
-    size_t slot = chunks_.size();
-    FrameId base = static_cast<FrameId>(slot << kChunkShift);
-    chunk_table_[slot].store(chunk.get(), std::memory_order_release);
-    chunks_.push_back(std::move(chunk));
-    stats_.total_frames.fetch_add(kChunkSize, std::memory_order_relaxed);
+    FrameId base = AddChunkLocked();
     for (FrameId run = static_cast<FrameId>(kChunkSize); run > kCompoundFrames;
          run -= kCompoundFrames) {
       compound_free_list_.push_back(base + run - kCompoundFrames);
@@ -564,7 +626,7 @@ FrameId FrameAllocator::AllocateCompoundGranted(uint8_t flags) {
     tail.reserved = debug::kPoisonAllocated;
 #endif
   }
-  stats_.allocated_frames.fetch_add(kCompoundFrames, std::memory_order_relaxed);
+  CountAllocated(cache, kCompoundFrames);
   CountVm(VmCounter::k_frames_allocated, kCompoundFrames);
   return head;
 }
@@ -672,12 +734,13 @@ void FrameAllocator::DecRef(FrameId frame) {
     DetachFromLru(std::span<const FrameId>(&frame, 1));
   }
   // Poisoned frames always take the locked path: they retire to quarantine, never a cache.
+  PerCpuCache& cache = CacheForThread(this, id_);
   if (!meta.IsCompoundHead() && !meta.IsHwPoisoned() && CacheEligible()) {
-    FreeToCache(frame);
+    FreeToCache(cache, frame);
     return;
   }
   debug::MutexGuard guard(mutex_, g_pool_lock_class);
-  FreeOneLocked(frame);
+  FreeOneLocked(cache, frame);
 }
 
 void FrameAllocator::DecRefBatch(std::span<const FrameId> frames) {
@@ -714,8 +777,11 @@ void FrameAllocator::FreeBatch(std::span<const FrameId> frames) {
   CountVm(VmCounter::k_batch_free, frames.size());
   ODF_TRACE(batch_free, 0, static_cast<uint64_t>(frames.size()));
   DetachFromLru(frames);
+  PerCpuCache& cache = CacheForThread(this, id_);
   debug::MutexGuard guard(mutex_, g_pool_lock_class);
-  FreeBatchLocked(frames);
+  for (FrameId frame : frames) {
+    FreeOneLocked(cache, frame);
+  }
 }
 
 void FrameAllocator::SetLruReleaseHook(LruReleaseHook hook) {
@@ -745,13 +811,7 @@ void FrameAllocator::DetachFromLru(std::span<const FrameId> frames) {
   }
 }
 
-void FrameAllocator::FreeBatchLocked(std::span<const FrameId> frames) {
-  for (FrameId frame : frames) {
-    FreeOneLocked(frame);
-  }
-}
-
-void FrameAllocator::FreeOneLocked(FrameId frame) {
+void FrameAllocator::FreeOneLocked(PerCpuCache& cache, FrameId frame) {
   PageMeta& meta = MetaRef(frame);
   ODF_VM_BUG_ON_PAGE((meta.flags & kPageFlagAllocated) == 0, meta, frame) << "double free";
   ODF_DCHECK((meta.flags & kPageFlagAllocated) != 0) << "double free of frame " << frame;
@@ -768,11 +828,12 @@ void FrameAllocator::FreeOneLocked(FrameId frame) {
     }
     if (any_poisoned) {
       // A subpage of this compound died to a memory error. The compound cannot be recycled
-      // whole: quarantine the dead subframes (each keeps a private copy of its corrupted
-      // 4 KiB so dumps stay inspectable) and salvage the clean ones onto the order-0 free
-      // list. The 512-aligned run is forfeited — exactly like the kernel refusing to
-      // rebuild a huge page around a PageHWPoison tail.
-      std::byte* data = meta.data.load(std::memory_order_relaxed);
+      // whole: quarantine the dead subframes (each keeps its corrupted 4 KiB in place, so
+      // dumps stay inspectable) and salvage the clean ones onto the order-0 free list. The
+      // 512-aligned run is forfeited — exactly like the kernel refusing to rebuild a huge
+      // page around a PageHWPoison tail.
+      const bool materialized = meta.materialized.load(std::memory_order_relaxed) != 0;
+      int64_t kept_bytes = 0;
       for (FrameId i = 0; i < kCompoundFrames; ++i) {
         PageMeta& sub = MetaRef(frame + i);
         if (i != 0) {
@@ -780,54 +841,41 @@ void FrameAllocator::FreeOneLocked(FrameId frame) {
                              frame + i)
               << "compound tail gained its own references";
         }
-        std::byte* page = nullptr;
-        if (sub.IsHwPoisoned() && data != nullptr) {
-          page = new std::byte[kPageSize];
-          std::memcpy(page, data + (static_cast<uint64_t>(i) << kPageShift), kPageSize);
-          stats_.materialized_bytes.fetch_add(kPageSize, std::memory_order_relaxed);
+        const bool quarantine = sub.IsHwPoisoned();
+        const bool keep_bytes = quarantine && materialized;
+        if (materialized && !quarantine) {
+          ScrubFreedBytes(frame + i, kPageSize);
         }
-        sub.flags = sub.IsHwPoisoned() ? kPageFlagHwPoison : 0;
+        sub.flags = quarantine ? kPageFlagHwPoison : 0;
         sub.order = 0;
         sub.ClearAnonStamp();
         sub.compound_head = kInvalidFrame;
         sub.refcount.store(0, std::memory_order_relaxed);
         sub.pt_share_count.store(0, std::memory_order_relaxed);
-        sub.data.store(page, std::memory_order_relaxed);
+        sub.materialized.store(keep_bytes ? 1 : 0, std::memory_order_relaxed);
 #if ODF_DEBUG_VM_COMPILED
         sub.reserved = debug::kPoisonFreed;
 #endif
-        if (sub.IsHwPoisoned()) {
+        if (keep_bytes) {
+          kept_bytes += static_cast<int64_t>(kPageSize);
+        }
+        if (quarantine) {
           QuarantineLocked(frame + i);
         } else {
           free_list_.push_back(frame + i);
         }
       }
-      if (data != nullptr) {
-        // The poisoned subpages were copied out above; the shared 2 MiB buffer itself can
-        // take the normal poison-on-free treatment before it dies.
-#if ODF_DEBUG_VM_COMPILED
-        std::memset(data, static_cast<int>(debug::kPoisonByte), kHugePageSize);
-        debug::internal::g_poison_writes.fetch_add(1, std::memory_order_relaxed);
-#endif
-        delete[] data;
-        stats_.materialized_bytes.fetch_sub(kHugePageSize, std::memory_order_relaxed);
+      if (materialized) {
+        AddDelta(cache.materialized_bytes, kept_bytes - static_cast<int64_t>(kHugePageSize));
       }
-      stats_.allocated_frames.fetch_sub(kCompoundFrames, std::memory_order_relaxed);
+      CountAllocated(cache, -static_cast<int64_t>(kCompoundFrames));
       CountVm(VmCounter::k_frames_freed, kCompoundFrames);
       return;
     }
-    std::byte* data = meta.data.load(std::memory_order_relaxed);
-    if (data != nullptr) {
-#if ODF_DEBUG_VM_COMPILED
-      std::memset(data, static_cast<int>(debug::kPoisonByte), kHugePageSize);
-      debug::internal::g_poison_writes.fetch_add(1, std::memory_order_relaxed);
-#endif
-      delete[] data;
-      meta.data.store(nullptr, std::memory_order_relaxed);
-      stats_.materialized_bytes.fetch_sub(kHugePageSize, std::memory_order_relaxed);
-    }
-    if ((meta.flags & kPageFlagPageTable) != 0) {
-      stats_.page_table_frames.fetch_sub(1, std::memory_order_relaxed);
+    if (meta.materialized.load(std::memory_order_relaxed) != 0) {
+      ScrubFreedBytes(frame, kHugePageSize);
+      meta.materialized.store(0, std::memory_order_relaxed);
+      AddDelta(cache.materialized_bytes, -static_cast<int64_t>(kHugePageSize));
     }
     for (FrameId i = 1; i < kCompoundFrames; ++i) {
       PageMeta& tail = MetaRef(frame + i);
@@ -847,20 +895,20 @@ void FrameAllocator::FreeOneLocked(FrameId frame) {
 #if ODF_DEBUG_VM_COMPILED
     meta.reserved = debug::kPoisonFreed;
 #endif
-    stats_.allocated_frames.fetch_sub(kCompoundFrames, std::memory_order_relaxed);
+    CountAllocated(cache, -static_cast<int64_t>(kCompoundFrames));
     compound_free_list_.push_back(frame);
     CountVm(VmCounter::k_frames_freed, kCompoundFrames);
     return;
   }
   if (meta.IsHwPoisoned()) {
     // Final free of a poisoned order-0 frame: retire to quarantine. Unlike
-    // ReleaseFrameState this keeps the data buffer exactly as the error left it — the
+    // ReleaseFrameState this keeps the bytes materialised exactly as the error left them — the
     // poison-on-free 0xaa memset would destroy the one artifact worth inspecting in an
     // ODF_VM_BUG_ON_PAGE dump or a black-box replay log (docs/memory-failure.md).
     ODF_VM_BUG_ON_PAGE(meta.refcount.load(std::memory_order_relaxed) > 1, meta, frame)
         << "quarantining a frame that still has owners";
     if ((meta.flags & kPageFlagPageTable) != 0) {
-      stats_.page_table_frames.fetch_sub(1, std::memory_order_relaxed);
+      AddDelta(cache.page_table_frames, -1);
     }
     ODF_VM_BUG_ON_PAGE(meta.lru_state.load(std::memory_order_relaxed) != 0, meta, frame)
         << "quarantining a frame that is still on the LRU";
@@ -872,53 +920,50 @@ void FrameAllocator::FreeOneLocked(FrameId frame) {
 #if ODF_DEBUG_VM_COMPILED
     meta.reserved = debug::kPoisonFreed;
 #endif
-    stats_.allocated_frames.fetch_sub(1, std::memory_order_relaxed);
+    CountAllocated(cache, -1);
     CountVm(VmCounter::k_frames_freed);
     QuarantineLocked(frame);
     return;
   }
-  ReleaseFrameState(meta);
+  ReleaseFrameState(cache, frame, meta);
   free_list_.push_back(frame);
 }
 
-std::byte* FrameAllocator::MaterializeData(FrameId frame, bool zero) {
+std::byte* FrameAllocator::MaterializeData(FrameId frame) {
   PageMeta& meta = GetMeta(frame);
   if (meta.IsCompoundTail()) {
     FrameId head = meta.compound_head;
-    // A tail materialisation touches only part of the 2 MiB buffer; the rest must be zero.
-    std::byte* base = MaterializeData(head, /*zero=*/true);
-    return base + (static_cast<uint64_t>(frame - head) << kPageShift);
+    // A tail materialisation touches only part of the 2 MiB; the rest must be zero.
+    return MaterializeData(head) + (static_cast<uint64_t>(frame - head) << kPageShift);
   }
-  std::byte* data = meta.data.load(std::memory_order_acquire);
-  if (data != nullptr) {
-    return data;
-  }
-  debug::MutexGuard guard(MaterializeStripe(frame), g_materialize_lock_class);
-  data = meta.data.load(std::memory_order_acquire);
-  if (data == nullptr) {
-    uint64_t bytes = meta.IsCompoundHead() ? kHugePageSize : kPageSize;
-    auto* buffer = new std::byte[bytes];
-    if (zero) {
-      std::memset(buffer, 0, bytes);
+  if (meta.materialized.load(std::memory_order_acquire) == 0) {
+    PerCpuCache& cache = CacheForThread(this, id_);  // Before the stripe: it may lock.
+    debug::MutexGuard guard(MaterializeStripe(frame), g_materialize_lock_class);
+    if (meta.materialized.load(std::memory_order_acquire) == 0) {
+      PublishMaterialized(cache, frame, meta, meta.IsCompoundHead() ? kHugePageSize : kPageSize,
+                          /*zero=*/true);
     }
-    stats_.materialized_bytes.fetch_add(bytes, std::memory_order_relaxed);
-    meta.data.store(buffer, std::memory_order_release);
-    data = buffer;
   }
-  return data;
+  return FrameBytes(frame);
+}
+
+std::byte* FrameAllocator::MaterializeForOverwrite(FrameId frame) {
+  PageMeta& meta = GetMeta(frame);
+  ODF_VM_BUG_ON_PAGE(meta.IsCompoundTail() || meta.refcount.load(std::memory_order_relaxed) != 1 ||
+                         meta.materialized.load(std::memory_order_relaxed) != 0,
+                     meta, frame)
+      << "materialising for overwrite a frame the caller does not own fresh";
+  return PublishMaterialized(CacheForThread(this, id_), frame, meta,
+                             meta.IsCompoundHead() ? kHugePageSize : kPageSize, /*zero=*/false);
 }
 
 std::byte* FrameAllocator::PeekData(FrameId frame) {
-  PageMeta& meta = GetMeta(frame);
-  if (meta.IsCompoundTail()) {
-    FrameId head = meta.compound_head;
-    std::byte* base = PeekData(head);
-    if (base == nullptr) {
-      return nullptr;
-    }
-    return base + (static_cast<uint64_t>(frame - head) << kPageShift);
+  const PageMeta& meta = GetMeta(frame);
+  const PageMeta& owner = meta.IsCompoundTail() ? MetaRef(meta.compound_head) : meta;
+  if (owner.materialized.load(std::memory_order_acquire) == 0) {
+    return nullptr;
   }
-  return meta.data.load(std::memory_order_acquire);
+  return FrameBytes(frame);
 }
 
 const std::byte* FrameAllocator::PeekData(FrameId frame) const {
@@ -926,28 +971,45 @@ const std::byte* FrameAllocator::PeekData(FrameId frame) const {
 }
 
 uint64_t* FrameAllocator::TableEntries(FrameId frame) {
-  PageMeta& meta = GetMeta(frame);
-  ODF_DCHECK(meta.IsPageTable()) << "frame " << frame << " is not a page table";
-  return reinterpret_cast<uint64_t*>(meta.data.load(std::memory_order_acquire));
+  ODF_DCHECK(MetaRef(frame).IsPageTable()) << "frame " << frame << " is not a page table";
+  return reinterpret_cast<uint64_t*>(FrameBytes(frame));
 }
 
 FrameAllocatorStats FrameAllocator::Stats() const {
   FrameAllocatorStats snapshot;
   snapshot.total_frames = stats_.total_frames.load(std::memory_order_relaxed);
-  snapshot.allocated_frames = stats_.allocated_frames.load(std::memory_order_relaxed);
-  snapshot.materialized_bytes = stats_.materialized_bytes.load(std::memory_order_relaxed);
-  snapshot.page_table_frames = stats_.page_table_frames.load(std::memory_order_relaxed);
   snapshot.hwpoisoned_frames = stats_.hwpoisoned_frames.load(std::memory_order_relaxed);
   snapshot.quarantined_frames = stats_.quarantined_frames.load(std::memory_order_relaxed);
+  // The shared totals are read under the registry lock too: an exiting thread folds its
+  // deltas into them and unregisters under that lock, so no delta is missed or counted
+  // twice.
+  phys_internal::WithCaches(this, [&](std::span<PerCpuCache* const> caches) {
+    int64_t allocated = stats_.allocated_frames.load(std::memory_order_relaxed);
+    int64_t materialized = stats_.materialized_bytes.load(std::memory_order_relaxed);
+    int64_t page_tables = stats_.page_table_frames.load(std::memory_order_relaxed);
+    for (const PerCpuCache* cache : caches) {
+      allocated += cache->allocated_frames.load(std::memory_order_relaxed);
+      materialized += cache->materialized_bytes.load(std::memory_order_relaxed);
+      page_tables += cache->page_table_frames.load(std::memory_order_relaxed);
+    }
+    // A snapshot taken while other threads run may catch a free before its allocation.
+    snapshot.allocated_frames = static_cast<uint64_t>(std::max<int64_t>(allocated, 0));
+    snapshot.materialized_bytes = static_cast<uint64_t>(std::max<int64_t>(materialized, 0));
+    snapshot.page_table_frames = static_cast<uint64_t>(std::max<int64_t>(page_tables, 0));
+  });
   return snapshot;
 }
 
-bool FrameAllocator::AllFree() const {
-  return stats_.allocated_frames.load(std::memory_order_relaxed) == 0;
-}
+bool FrameAllocator::AllFree() const { return Stats().allocated_frames == 0; }
 
 uint64_t FrameAllocator::CachedFrames() const {
-  return phys_internal::CachedFrameCount(this);
+  uint64_t total = 0;
+  phys_internal::WithCaches(this, [&](std::span<PerCpuCache* const> caches) {
+    for (const PerCpuCache* cache : caches) {
+      total += cache->count;
+    }
+  });
+  return total;
 }
 
 }  // namespace odf

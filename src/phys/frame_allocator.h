@@ -1,16 +1,24 @@
 // Physical frame allocator for the simulated machine.
 //
 // Frames are identified by dense FrameId indices into a chunked metadata array (the analog of
-// the kernel's memmap/`struct page` array). Frame *data* (the 4 KiB contents) is materialised
-// lazily on first write so that a 50 GB simulated mapping costs only metadata — this is the
-// substitution that lets paper-scale sweeps run in a small container (see DESIGN.md).
+// the kernel's memmap/`struct page` array). Frame *data* lives at a fixed address, like
+// physical memory: each 64 Ki-frame chunk reserves its 256 MiB of bytes with one
+// MAP_NORESERVE mmap, and frame f's 4 KiB sit at chunk_base[f >> 16] + (f & 0xffff) * 4 KiB
+// (a compound's 2 MiB is contiguous by construction). No frame allocation, COW copy or free
+// calls the heap. Chunk storage (metadata and data) belongs to the process, not the
+// allocator: a destroyed allocator's chunks are reused by the next one. The host backs a
+// page only once a frame is materialised (written or explicitly zeroed), so a 50 GB
+// simulated mapping costs only metadata — the substitution that lets paper-scale sweeps run
+// in a small container (see DESIGN.md). A freed frame keeps its host page resident, exactly
+// as memory does.
 //
 // Concurrency model (docs/performance.md): order-0 allocation and free are served from
 // per-thread frame caches (src/phys/per_cpu_cache.h, the pcplist analog) and touch the
 // shared-pool mutex only to refill or spill a batch of frames. Refcount/free traffic on the
 // fork and teardown paths goes through the batch APIs below so a 512-entry table costs one
-// lock round-trip instead of 512. Statistics are relaxed atomics, so `Stats()` is race-free
-// while caches run uncoordinated.
+// lock round-trip instead of 512. The allocated, materialised and page-table counts are
+// per-thread deltas on those caches (the vm_stat_diff analog), so no allocation, free or
+// materialisation writes a line other threads share; `Stats()` sums them.
 #ifndef ODF_SRC_PHYS_FRAME_ALLOCATOR_H_
 #define ODF_SRC_PHYS_FRAME_ALLOCATOR_H_
 
@@ -32,12 +40,13 @@ namespace phys_internal {
 struct PerCpuCache;
 }  // namespace phys_internal
 
-// Aggregate allocator statistics: a coherent-enough snapshot assembled from relaxed atomic
-// counters, readable at any time without taking the allocator lock.
+// Aggregate allocator statistics: a coherent-enough snapshot assembled from the shared totals
+// and every thread's deltas, readable at any time without taking the allocator lock. Exact
+// whenever the allocating threads are quiescent.
 struct FrameAllocatorStats {
   uint64_t total_frames = 0;      // Frames ever created (high-water mark).
   uint64_t allocated_frames = 0;  // Currently allocated (counting each tail of a compound).
-  uint64_t materialized_bytes = 0;  // Real memory held by frame data buffers.
+  uint64_t materialized_bytes = 0;  // Bytes of frames whose content is materialised.
   uint64_t page_table_frames = 0;
   uint64_t hwpoisoned_frames = 0;   // Frames carrying kPageFlagHwPoison (mapped or retired).
   uint64_t quarantined_frames = 0;  // Poisoned frames parked on the quarantine list.
@@ -134,20 +143,26 @@ class FrameAllocator {
   PageMeta& GetMeta(FrameId frame);
   const PageMeta& GetMeta(FrameId frame) const;
 
-  // Returns the frame's data buffer, materialising (and zero-filling) it if absent.
-  // For compound tails, returns the interior pointer into the head's 2 MiB buffer.
-  // Pass zero=false only when the caller immediately overwrites the whole buffer (COW
-  // copies), saving a redundant clear.
+  // Returns the frame's bytes, materialising (zero-filling) them if the content is still
+  // logical zero. For compound tails, returns the tail's 4 KiB inside the head's 2 MiB.
   //
-  // Materialisation synchronises on a striped lock keyed by frame id — concurrent faults on
-  // different frames never serialise here, and the shared-pool lock is not involved.
-  std::byte* MaterializeData(FrameId frame, bool zero = true);
+  // The frame may be shared, so materialisation settles races on a striped lock keyed by
+  // frame id — concurrent faults on different frames never serialise here, and the
+  // shared-pool lock is not involved. The zeroing is real work: a reused frame's bytes
+  // still hold its previous owner's content.
+  std::byte* MaterializeData(FrameId frame);
 
-  // Returns the data buffer or nullptr if the frame's content is still logical-zero.
+  // Materialises a frame the caller owns exclusively and will overwrite in full before
+  // publishing it (a COW copy, a swap-in target, a memory-failure replacement): no zeroing
+  // and no stripe lock. `frame` is an order-0 frame or a compound head.
+  std::byte* MaterializeForOverwrite(FrameId frame);
+
+  // Returns the frame's bytes, or nullptr while its content is still logical zero.
   std::byte* PeekData(FrameId frame);
   const std::byte* PeekData(FrameId frame) const;
 
-  // Entries view for page-table frames (asserts kPageFlagPageTable).
+  // Entries view for page-table frames (asserts kPageFlagPageTable). Pure address
+  // arithmetic: a table frame is materialised from allocation to free.
   uint64_t* TableEntries(FrameId frame);
 
   FrameAllocatorStats Stats() const;
@@ -168,7 +183,9 @@ class FrameAllocator {
   // make progress the allocation is a fatal OOM.
   //
   // Arming a limit routes every allocation and free through the locked quota path (the
-  // per-thread caches stand down) so the limit is enforced exactly, not approximately.
+  // per-thread caches stand down and the allocated count becomes one shared counter again)
+  // so the limit is enforced exactly, not approximately. Folds every thread's statistics
+  // deltas into the shared totals; call it while no other thread allocates or frees.
   void SetFrameLimit(uint64_t frames);
   uint64_t frame_limit() const;
 
@@ -227,8 +244,9 @@ class FrameAllocator {
   using LruReleaseHook = std::function<void(std::span<const FrameId>)>;
   void SetLruReleaseHook(LruReleaseHook hook);
 
-  // Internal: returns `cache`'s frames to the shared free list. Called (under the cache
-  // registry lock) when a thread exits with cached frames; see src/phys/per_cpu_cache.h.
+  // Internal: returns `cache`'s frames to the shared free list and folds its statistics
+  // deltas into the shared totals. Called (under the cache registry lock) when a thread
+  // exits; see src/phys/per_cpu_cache.h.
   void DrainCacheToPool(phys_internal::PerCpuCache& cache);
 
  private:
@@ -238,21 +256,29 @@ class FrameAllocator {
   // with a release store and read with an acquire load (the sparse-memmap-section analog).
   // 4096 chunks x 64 Ki frames x 4 KiB = 1 TiB of simulated memory, far above any sweep.
   static constexpr size_t kMaxChunks = 4096;
+  static constexpr size_t kChunkDataBytes = kChunkSize << kPageShift;  // 256 MiB.
 
   struct AtomicStats {
     std::atomic<uint64_t> total_frames{0};
-    std::atomic<uint64_t> allocated_frames{0};
-    std::atomic<uint64_t> materialized_bytes{0};
-    std::atomic<uint64_t> page_table_frames{0};
+    // Shared totals of the three per-thread counters: deltas folded in at thread exit and
+    // SetFrameLimit, plus allocated_frames updates made while a frame limit is armed.
+    // Signed, because a thread that freed more frames than it allocated folds a negative
+    // delta.
+    std::atomic<int64_t> allocated_frames{0};
+    std::atomic<int64_t> materialized_bytes{0};
+    std::atomic<int64_t> page_table_frames{0};
     std::atomic<uint64_t> hwpoisoned_frames{0};
     std::atomic<uint64_t> quarantined_frames{0};
   };
 
-  // Grows the metadata array by one chunk and pushes its frames onto the free list.
-  void AddChunkLocked() ODF_REQUIRES(mutex_);
+  // Grows the allocator by one chunk (metadata array and frame data, reused from the
+  // process-wide pool when it has any) and returns the chunk's first frame id. The caller
+  // hands the new frames to a free list.
+  FrameId AddChunkLocked() ODF_REQUIRES(mutex_);
   FrameId PopFreeLocked() ODF_REQUIRES(mutex_);
-  void FreeOneLocked(FrameId frame) ODF_REQUIRES(mutex_);
-  void FreeBatchLocked(std::span<const FrameId> frames) ODF_REQUIRES(mutex_);
+  // The locked free paths take the calling thread's cache as an argument: looking it up can
+  // take the registry lock, which must never nest inside mutex_.
+  void FreeOneLocked(phys_internal::PerCpuCache& cache, FrameId frame) ODF_REQUIRES(mutex_);
   // Parks a free poisoned frame on the quarantine list (terminal; never popped again).
   void QuarantineLocked(FrameId frame) ODF_REQUIRES(mutex_);
 
@@ -260,19 +286,36 @@ class FrameAllocator {
   // down (frame limit armed); FreeToCache requires an order-0 non-compound frame whose
   // refcount already reached zero.
   FrameId AllocateFromCache(uint8_t flags);
-  void FreeToCache(FrameId frame);
+  void FreeToCache(phys_internal::PerCpuCache& cache, FrameId frame);
   bool CacheEligible() const {
     return frame_limit_.load(std::memory_order_relaxed) == 0;
   }
 
   // Marks `frame` allocated and initialises its metadata. Caller owns the frame exclusively
   // (just popped from the free list or a cache); no lock is required.
-  void InitAllocatedFrame(FrameId frame, uint8_t flags);
-  // Inverse: tears down an order-0 non-compound frame's state (drops the data buffer,
-  // adjusts stats) before the id is parked in a cache or the free list.
-  void ReleaseFrameState(PageMeta& meta);
+  void InitAllocatedFrame(phys_internal::PerCpuCache& cache, FrameId frame, uint8_t flags);
+  // Inverse: tears down an order-0 non-compound frame's state (drops its materialised
+  // content, adjusts stats) before the id is parked in a cache or the free list.
+  void ReleaseFrameState(phys_internal::PerCpuCache& cache, FrameId frame, PageMeta& meta);
+
+  // Books `frames` allocated (positive) or freed (negative) frames: on the calling thread's
+  // cache while caches serve allocations, on the shared total the quota gate reads while a
+  // frame limit is armed.
+  void CountAllocated(phys_internal::PerCpuCache& cache, int64_t frames);
+  // Adds `cache`'s statistics deltas to the shared totals and zeroes them.
+  void FoldCacheStats(phys_internal::PerCpuCache& cache);
+
+  // Marks the `bytes` at `frame` materialised for a caller that owns the frame exclusively
+  // or holds its materialise stripe, zero-filling them first when `zero`.
+  std::byte* PublishMaterialized(phys_internal::PerCpuCache& cache, FrameId frame,
+                                 PageMeta& meta, uint64_t bytes, bool zero);
+  // Poisons the `bytes` at `frame` as they are freed (debug-vm poison fill, ASan
+  // poisoning). The caller clears the materialised state.
+  void ScrubFreedBytes(FrameId frame, uint64_t bytes);
 
   PageMeta& MetaRef(FrameId frame) const;
+  // The fixed address of `frame`'s bytes.
+  std::byte* FrameBytes(FrameId frame) const;
 
   // Blocks (outside the lock) until `frames` more can be allocated under the limit; aborts
   // when reclaim cannot make room (the NOFAIL contract).
@@ -306,15 +349,19 @@ class FrameAllocator {
   PressureCallback pressure_callback_ ODF_GUARDED_BY(mutex_);
   std::atomic<bool> pressure_armed_{false};
   LruReleaseHook lru_release_hook_;
-  // Ownership; indexing goes via the spine.
-  std::vector<std::unique_ptr<PageMeta[]>> chunks_ ODF_GUARDED_BY(mutex_);
+  // Chunks grown so far. Each chunk's metadata array and frame data mapping
+  // (kChunkDataBytes) are published in the spines below; both come from and return to a
+  // process-wide pool of chunk storage.
+  size_t chunk_count_ ODF_GUARDED_BY(mutex_) = 0;
   std::array<std::atomic<PageMeta*>, kMaxChunks> chunk_table_{};
+  std::array<std::atomic<std::byte*>, kMaxChunks> chunk_data_{};
   std::vector<FrameId> free_list_ ODF_GUARDED_BY(mutex_);
   // Free list of 512-aligned compound candidates (freed compounds are recycled whole).
   std::vector<FrameId> compound_free_list_ ODF_GUARDED_BY(mutex_);
   // Terminal parking lot for hwpoisoned frames: never popped, never re-entering any free
-  // list. A quarantined frame keeps its data buffer (corrupted contents stay inspectable
-  // in crash dumps and replay logs — the poison-on-free memset is skipped for them).
+  // list. A quarantined frame keeps its bytes at its own address, materialised (corrupted
+  // contents stay inspectable in crash dumps and replay logs — the poison-on-free memset
+  // is skipped for them).
   std::vector<FrameId> quarantine_ ODF_GUARDED_BY(mutex_);
   AtomicStats stats_;
 };

@@ -35,7 +35,7 @@ enum PageFlag : uint8_t {
   kPageFlagCompoundTail = 1u << 3,  // Non-first frame of a compound page.
   kPageFlagAnon = 1u << 4,          // Backs a private anonymous mapping.
   kPageFlagFile = 1u << 5,          // Owned by the page cache (file-backed).
-  kPageFlagZeroFill = 1u << 6,      // Logical content is all-zero; data_ may be null.
+  kPageFlagZeroFill = 1u << 6,      // Logical content is all-zero until materialised.
   // The PG_hwpoison analog: the frame took an (injected) uncorrectable memory error. Set
   // under the exclusive MmGate by src/mf via FrameAllocator::MarkHwPoison — never anywhere
   // else (scripts/odf_lint.py `hwpoison-flag`). The flag is permanent: a poisoned frame is
@@ -62,13 +62,16 @@ struct PageMeta {
   // For compound tails: frame id of the head. For heads/singles: the frame's own id.
   FrameId compound_head = kInvalidFrame;
 
-  // Lazily materialised backing store (kPageSize bytes, or kHugePageSize on compound heads).
-  // Null means the frame's logical content is all-zero. Page-table frames always have data.
+  // Whether the frame's bytes are real: 0 means the logical content is all-zero (the bytes
+  // at the frame's fixed address are stale and must not be read), 1 means they hold the
+  // frame's content. A frame's bytes always live at the same address
+  // (FrameAllocator::MaterializeData); compound tails follow their head's state. Page-table
+  // frames are always materialised.
   //
   // Atomic so concurrent faulting threads can check-then-materialise without the shared pool
-  // lock: MaterializeData publishes the filled buffer with a release store and readers load
-  // acquire, so whoever observes the pointer also observes the bytes behind it.
-  std::atomic<std::byte*> data{nullptr};
+  // lock: MaterializeData publishes the filled bytes with a release store and readers load
+  // acquire, so whoever observes the state also observes the bytes behind it.
+  std::atomic<uint8_t> materialized{0};
 
   // --- Object-based reverse map (docs/reclaim.md "Reverse mapping") ---
   // An anonymous frame records the anon family whose page tables map it and the anon page

@@ -44,8 +44,8 @@ Registry& GlobalRegistry() {
 }
 
 // The calling thread's caches, destroyed at thread exit: each live cache drains its frames
-// back to the owning allocator's free list (pcplists are drained on CPU hot-unplug; thread
-// exit is our analog).
+// back to the owning allocator's free list and folds its statistics deltas into the
+// allocator's totals (pcplists are drained on CPU hot-unplug; thread exit is our analog).
 struct ThreadCaches {
   std::vector<PerCpuCache*> entries;
 
@@ -120,18 +120,16 @@ void RetireAllocatorCaches(FrameAllocator* allocator) {
   });
 }
 
-uint64_t CachedFrameCount(const FrameAllocator* allocator) {
+void WithCaches(const FrameAllocator* allocator,
+                const std::function<void(std::span<PerCpuCache* const>)>& visit) {
   Registry& registry = GlobalRegistry();
   debug::MutexGuard guard(registry.mu, g_registry_lock_class);
   Registry::AllocatorEntry* entry = registry.Find(allocator);
   if (entry == nullptr) {
-    return 0;
+    visit({});
+    return;
   }
-  uint64_t total = 0;
-  for (const PerCpuCache* cache : entry->caches) {
-    total += cache->count;
-  }
-  return total;
+  visit(entry->caches);
 }
 
 }  // namespace phys_internal

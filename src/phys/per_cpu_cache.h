@@ -13,13 +13,22 @@
 //   - A global registry mutex serialises the two rare cross-thread events: a thread exiting
 //     (drains each live cache back to its allocator's free list) and an allocator being
 //     destroyed (marks its caches orphaned so exiting threads skip them). Lock order is
-//     registry mutex -> allocator mutex, never the reverse.
+//     registry mutex -> allocator mutex, never the reverse. A thread's first CacheForThread
+//     takes the registry mutex, so allocator paths look their cache up before taking the
+//     allocator mutex, never under it.
+//
+// Each cache also carries its thread's share of the allocator statistics (the per-CPU
+// vm_stat_diff analog): signed deltas the owner updates without a shared atomic, summed by
+// FrameAllocator::Stats and folded into the allocator's totals at thread exit.
 #ifndef ODF_SRC_PHYS_PER_CPU_CACHE_H_
 #define ODF_SRC_PHYS_PER_CPU_CACHE_H_
 
 #include <array>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <span>
 
 #include "src/phys/page_meta.h"
 
@@ -38,6 +47,13 @@ struct PerCpuCache {
   std::array<FrameId, kCapacity> slots;
   size_t count = 0;
 
+  // This thread's signed deltas of FrameAllocatorStats fields. Only the owner writes them
+  // (relaxed load + store, no locked instruction); readers load them under the registry
+  // mutex. A frame allocated on one thread and freed on another leaves +1 and -1 behind.
+  std::atomic<int64_t> allocated_frames{0};
+  std::atomic<int64_t> materialized_bytes{0};
+  std::atomic<int64_t> page_table_frames{0};
+
   // Identity of the owning allocator. `allocator_id` is globally unique and never reused;
   // `owner` is nulled (under the registry mutex) when the allocator dies before this thread.
   uint64_t allocator_id = 0;
@@ -52,9 +68,17 @@ PerCpuCache& CacheForThread(FrameAllocator* allocator, uint64_t allocator_id);
 // threads do not drain into freed memory. The frames inside die with the allocator.
 void RetireAllocatorCaches(FrameAllocator* allocator);
 
-// Sum of `count` across this allocator's caches. Test/introspection helper: callers must be
-// quiescent (no thread concurrently allocating from this allocator).
-uint64_t CachedFrameCount(const FrameAllocator* allocator);
+// Owner-only update of one of a cache's statistic deltas.
+inline void AddDelta(std::atomic<int64_t>& delta, int64_t amount) {
+  delta.store(delta.load(std::memory_order_relaxed) + amount, std::memory_order_relaxed);
+}
+
+// Calls `visit` once, under the registry mutex, with every cache registered against
+// `allocator` (possibly none). Exiting threads fold and unregister under the same mutex, so
+// `visit` sees each thread's deltas exactly once. `count` and `slots` are only stable when
+// the owners are quiescent; the deltas are atomic and may be loaded at any time.
+void WithCaches(const FrameAllocator* allocator,
+                const std::function<void(std::span<PerCpuCache* const>)>& visit);
 
 }  // namespace phys_internal
 }  // namespace odf

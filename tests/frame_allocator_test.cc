@@ -99,6 +99,24 @@ TEST(FrameAllocatorTest, CompoundTailDataPointsIntoHeadBuffer) {
   EXPECT_EQ(allocator.Stats().materialized_bytes, kHugePageSize);
 }
 
+#if defined(__SANITIZE_ADDRESS__)
+// A freed frame's bytes stay mapped at their fixed address, so a stale read through an old
+// PeekData pointer would silently succeed; the allocator poisons them for ASan instead.
+TEST(FrameAllocatorDeathTest, ReadThroughFreedFramePointerIsReported) {
+  FrameAllocator allocator;
+  FrameId frame = allocator.Allocate(kPageFlagAnon);
+  allocator.MaterializeData(frame)[0] = std::byte{1};
+  const std::byte* stale = allocator.PeekData(frame);
+  allocator.DecRef(frame);
+  EXPECT_DEATH(
+      {
+        volatile std::byte value = stale[0];
+        (void)value;
+      },
+      "use-after-poison");
+}
+#endif
+
 TEST(FrameAllocatorTest, CompoundFreeReleasesWholeUnitAndRecycles) {
   FrameAllocator allocator;
   FrameId head = allocator.AllocateCompound(kPageFlagAnon);

@@ -1,6 +1,8 @@
 // Per-thread frame caches (src/phys/per_cpu_cache.h, the pcplist analog) and the batched
 // refcount/free paths: cache hit/miss/refill/drain behaviour, drain on thread exit, leak
-// freedom under randomized multi-thread churn, and scalar/batch API equivalence. Part of the
+// freedom under randomized multi-thread churn, scalar/batch API equivalence, the per-thread
+// statistics deltas, and that a reused frame's stale bytes never leak to its next owner
+// (frame data lives at fixed addresses, so a reused frame still holds them). Part of the
 // `concurrency` ctest label and expected to run clean under -fsanitize=thread (the tsan
 // preset, docs/testing.md).
 #include "src/phys/frame_allocator.h"
@@ -8,13 +10,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <set>
 #include <span>
 #include <thread>
 #include <vector>
 
+#include "src/proc/kernel.h"
 #include "src/trace/metrics.h"
 #include "src/util/rng.h"
+#include "tests/test_util.h"
 
 namespace odf {
 namespace {
@@ -351,6 +356,271 @@ TEST(FrameCacheTest, RandomizedTortureAcrossThreadsEndsAllFree) {
   }
   EXPECT_TRUE(allocator.AllFree())
       << "randomized alloc/free/batch/compound torture must end with every frame free";
+}
+
+// --- Stale bytes never leak: a freed frame keeps its bytes at its fixed address ---
+
+constexpr std::byte kStale{0xee};
+
+bool AllBytesAre(const std::byte* data, std::byte value) {
+  for (uint64_t i = 0; i < kPageSize; ++i) {
+    if (data[i] != value) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Resolves the frame backing `va` in `p`, or kInvalidFrame when it is not present.
+FrameId PresentFrame(Process& p, Vaddr va) {
+  AddressSpace& as = p.address_space();
+  Translation t = as.walker().Translate(as.pgd(), va, AccessType::kRead);
+  return t.status == TranslateStatus::kOk ? t.frame : kInvalidFrame;
+}
+
+// Allocates `count` frames, fills each with kStale and frees them one by one: they park,
+// dirty, on top of this thread's cache, first in line for its next allocations.
+std::set<FrameId> LeaveStaleFrames(FrameAllocator& allocator, size_t count) {
+  std::vector<FrameId> frames;
+  for (size_t i = 0; i < count; ++i) {
+    frames.push_back(allocator.Allocate(kPageFlagAnon));
+    std::memset(allocator.MaterializeData(frames.back()), static_cast<int>(kStale), kPageSize);
+  }
+  for (FrameId frame : frames) {
+    allocator.DecRef(frame);
+  }
+  return {frames.begin(), frames.end()};
+}
+
+TEST(FrameCacheTest, ReusedFrameStartsLogicallyZero) {
+  FrameAllocator allocator;
+  FrameId frame = allocator.Allocate(kPageFlagAnon);
+  std::memset(allocator.MaterializeData(frame), static_cast<int>(kStale), kPageSize);
+  allocator.DecRef(frame);
+  FrameId reused = allocator.Allocate(kPageFlagAnon | kPageFlagZeroFill);
+  ASSERT_EQ(reused, frame) << "the LIFO cache must hand the dirty frame straight back";
+  EXPECT_EQ(allocator.PeekData(reused), nullptr) << "a reused frame must start logical zero";
+  EXPECT_TRUE(AllBytesAre(allocator.MaterializeData(reused), std::byte{0}))
+      << "materialising a reused frame must clear its previous owner's bytes";
+  allocator.DecRef(reused);
+  EXPECT_EQ(allocator.Stats().materialized_bytes, 0u);
+}
+
+TEST(FrameCacheTest, ReusedFrameReadsZerosThroughReadMemory) {
+  Kernel kernel;
+  Process& p = kernel.CreateProcess();
+  constexpr uint64_t kPages = 16;
+  std::set<FrameId> stale = LeaveStaleFrames(kernel.allocator(), 8);
+  Vaddr va = p.Mmap(kPages * kPageSize, kProtRead | kProtWrite);
+  std::vector<std::byte> bytes(kPages * kPageSize, std::byte{0x11});
+  ASSERT_TRUE(p.ReadMemory(va, bytes));
+  for (std::byte b : bytes) {
+    ASSERT_EQ(b, std::byte{0}) << "a fresh anonymous mapping must read zeros";
+  }
+  size_t reused = 0;
+  for (uint64_t i = 0; i < kPages; ++i) {
+    FrameId frame = PresentFrame(p, va + i * kPageSize);
+    if (frame != kInvalidFrame && stale.count(frame) != 0) {
+      ++reused;
+      EXPECT_EQ(kernel.allocator().PeekData(frame), nullptr)
+          << "reused frame " << frame << " must be logical zero until written";
+    }
+  }
+  EXPECT_GT(reused, 0u) << "the read faults should have recycled the stale frames";
+  kernel.Exit(p, 0);
+}
+
+TEST(FrameCacheTest, ReusedPageTableFrameStartsAllZero) {
+  FrameAllocator allocator;
+  FrameId data = allocator.Allocate(kPageFlagAnon);
+  std::memset(allocator.MaterializeData(data), static_cast<int>(kStale), kPageSize);
+  allocator.DecRef(data);
+  FrameId table = allocator.Allocate(kPageFlagPageTable);
+  ASSERT_EQ(table, data);
+  EXPECT_TRUE(AllBytesAre(reinterpret_cast<std::byte*>(allocator.TableEntries(table)),
+                          std::byte{0}))
+      << "a data frame reused as a page table must start with empty entries";
+  std::memset(allocator.TableEntries(table), 0xff, kPageSize);
+  allocator.DecRef(table);
+  FrameId again = allocator.Allocate(kPageFlagPageTable);
+  ASSERT_EQ(again, table);
+  EXPECT_TRUE(AllBytesAre(reinterpret_cast<std::byte*>(allocator.TableEntries(again)),
+                          std::byte{0}))
+      << "a reused page-table frame must start with empty entries";
+  allocator.DecRef(again);
+  EXPECT_TRUE(allocator.AllFree());
+}
+
+TEST(FrameCacheTest, CowCopyOverwritesAReusedFrameInFull) {
+  Kernel kernel;
+  Process& parent = kernel.CreateProcess();
+  Vaddr va = parent.Mmap(kPageSize, kProtRead | kProtWrite);
+  FillPattern(parent, va, kPageSize, 5);
+  Process& child = kernel.Fork(parent, ForkMode::kOnDemand);
+  std::set<FrameId> stale = LeaveStaleFrames(kernel.allocator(), 8);
+  WriteByte(child, va, std::byte{0x42});  // COW: the copy comes from the stale frames.
+  FrameId copy = PresentFrame(child, va);
+  EXPECT_NE(stale.count(copy), 0u) << "the COW copy should have recycled a stale frame";
+  std::vector<std::byte> expected(kPageSize);
+  ASSERT_TRUE(parent.ReadMemory(va, expected));
+  expected[0] = std::byte{0x42};
+  const std::byte* bytes = kernel.allocator().PeekData(copy);
+  ASSERT_NE(bytes, nullptr);
+  EXPECT_EQ(std::memcmp(bytes, expected.data(), kPageSize), 0)
+      << "the COW copy must overwrite all 4 KiB of the reused frame";
+  kernel.Exit(child, 0);
+  kernel.Wait(parent);
+  kernel.Exit(parent, 0);
+}
+
+TEST(FrameCacheTest, SwapInOverwritesAReusedFrameInFull) {
+  Kernel kernel;
+  Process& p = kernel.CreateProcess();
+  constexpr uint64_t kPages = 8;
+  Vaddr va = p.Mmap(kPages * kPageSize, kProtRead | kProtWrite);
+  FillPattern(p, va, kPages * kPageSize, 9);
+  kernel.ReclaimMemory(kPages);
+  Vaddr swapped = 0;
+  for (uint64_t i = 0; i < kPages && swapped == 0; ++i) {
+    if (PresentFrame(p, va + i * kPageSize) == kInvalidFrame) {
+      swapped = va + i * kPageSize;
+    }
+  }
+  ASSERT_NE(swapped, 0u) << "reclaim swapped nothing out";
+  std::set<FrameId> stale = LeaveStaleFrames(kernel.allocator(), 8);
+  ExpectPattern(p, va, kPages * kPageSize, 9);  // Swap-in: the target is a stale frame.
+  FrameId frame = PresentFrame(p, swapped);
+  EXPECT_NE(stale.count(frame), 0u) << "the swap-in target should be a recycled stale frame";
+  kernel.Exit(p, 0);
+}
+
+// --- Per-thread statistics deltas ---
+
+TEST(FrameCacheTest, StatsAreExactAfterThreadsAllocateMaterialiseAndFree) {
+  FrameAllocator allocator;
+  constexpr int kThreads = 4;
+  constexpr size_t kPerThread = 200;
+  std::vector<std::vector<FrameId>> kept(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&allocator, &kept, t] {
+      Rng rng(static_cast<uint64_t>(t) + 11);
+      std::vector<FrameId>& mine = kept[static_cast<size_t>(t)];
+      for (size_t i = 0; i < kPerThread; ++i) {
+        bool table = i % 5 == 0;
+        FrameId frame = allocator.Allocate(table ? kPageFlagPageTable : kPageFlagAnon);
+        if (!table && i % 2 == 0) {
+          allocator.MaterializeData(frame);
+        }
+        if (rng.Next() % 2 == 0) {
+          allocator.DecRef(frame);
+        } else {
+          mine.push_back(frame);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  // Every thread has exited: its deltas were folded into the totals at exit.
+  uint64_t frames = 0;
+  uint64_t materialized = 0;
+  uint64_t tables = 0;
+  for (const std::vector<FrameId>& mine : kept) {
+    for (FrameId frame : mine) {
+      ++frames;
+      tables += allocator.GetMeta(frame).IsPageTable() ? 1u : 0u;
+      materialized += allocator.PeekData(frame) != nullptr ? kPageSize : 0;
+    }
+  }
+  FrameAllocatorStats stats = allocator.Stats();
+  EXPECT_EQ(stats.allocated_frames, frames);
+  EXPECT_EQ(stats.materialized_bytes, materialized);
+  EXPECT_EQ(stats.page_table_frames, tables);
+  // Freed on another thread than allocated: the deltas go negative here and still sum.
+  for (const std::vector<FrameId>& mine : kept) {
+    for (FrameId frame : mine) {
+      allocator.DecRef(frame);
+    }
+  }
+  stats = allocator.Stats();
+  EXPECT_EQ(stats.allocated_frames, 0u);
+  EXPECT_EQ(stats.materialized_bytes, 0u);
+  EXPECT_EQ(stats.page_table_frames, 0u);
+  EXPECT_TRUE(allocator.AllFree());
+}
+
+TEST(FrameCacheTest, ThreadDeltasSurviveThreadExit) {
+  FrameAllocator allocator;
+  FrameId anon = kInvalidFrame;
+  FrameId table = kInvalidFrame;
+  std::thread worker([&] {
+    anon = allocator.Allocate(kPageFlagAnon);
+    allocator.MaterializeData(anon);
+    table = allocator.Allocate(kPageFlagPageTable);
+  });
+  worker.join();
+  FrameAllocatorStats stats = allocator.Stats();
+  EXPECT_EQ(stats.allocated_frames, 2u);
+  EXPECT_EQ(stats.materialized_bytes, 2 * kPageSize);
+  EXPECT_EQ(stats.page_table_frames, 1u);
+  EXPECT_FALSE(allocator.AllFree());
+  allocator.DecRef(anon);
+  allocator.DecRef(table);
+  EXPECT_TRUE(allocator.AllFree());
+  EXPECT_EQ(allocator.Stats().materialized_bytes, 0u);
+}
+
+// A thread's first allocator call may take the cache registry lock (CacheForThread), so the
+// locked free and allocation paths look the cache up before the pool lock. With debug-vm
+// lockdep, one thread exiting with cached frames records registry -> pool, and a thread
+// whose first call lands on a locked path would record the inversion and abort.
+TEST(FrameCacheTest, FirstCallOnALockedPathTakesRegistryBeforePool) {
+  FrameAllocator allocator;
+  std::thread([&allocator] { allocator.DecRef(allocator.Allocate(kPageFlagAnon)); }).join();
+  FrameId head = allocator.AllocateCompound(kPageFlagAnon);
+  std::thread([&allocator, head] { allocator.DecRef(head); }).join();  // Locked compound free.
+  allocator.SetFrameLimit(1024);
+  std::thread([&allocator] { allocator.DecRef(allocator.Allocate(kPageFlagAnon)); }).join();
+  EXPECT_TRUE(allocator.AllFree());
+}
+
+TEST(FrameCacheTest, SetFrameLimitFoldsDeltasForAnExactFreeCount) {
+  FrameAllocator allocator;
+  std::vector<FrameId> mine;
+  for (int i = 0; i < 10; ++i) {
+    mine.push_back(allocator.Allocate(kPageFlagAnon));
+  }
+  // A live worker parks its own delta, then waits (quiescent) while the limit is armed.
+  std::atomic<int> step{0};
+  std::vector<FrameId> theirs;
+  std::thread worker([&] {
+    for (int i = 0; i < 7; ++i) {
+      theirs.push_back(allocator.Allocate(kPageFlagAnon));
+    }
+    step.store(1, std::memory_order_release);
+    while (step.load(std::memory_order_acquire) != 2) {
+      std::this_thread::yield();
+    }
+    for (FrameId frame : theirs) {
+      allocator.DecRef(frame);
+    }
+  });
+  while (step.load(std::memory_order_acquire) != 1) {
+    std::this_thread::yield();
+  }
+  constexpr uint64_t kLimit = 1000;
+  allocator.SetFrameLimit(kLimit);
+  EXPECT_EQ(allocator.FreeFrames(), kLimit - 17);
+  step.store(2, std::memory_order_release);
+  worker.join();
+  EXPECT_EQ(allocator.FreeFrames(), kLimit - 10);
+  for (FrameId frame : mine) {
+    allocator.DecRef(frame);
+  }
+  EXPECT_EQ(allocator.FreeFrames(), kLimit);
+  EXPECT_TRUE(allocator.AllFree());
 }
 
 }  // namespace

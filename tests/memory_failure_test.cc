@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "src/debug/verify.h"
@@ -189,6 +190,8 @@ TEST_F(MemoryFailureTest, HugeMappingSplitsAndLosesOneSubpage) {
 
   Vaddr dead_va = base + 5 * kPageSize;
   FrameId frame = FrameAt(parent, dead_va);
+  std::vector<std::byte> written(kPageSize);
+  ASSERT_TRUE(parent.ReadMemory(dead_va, written));
   uint64_t splits_before = ReadVm(VmCounter::k_mf_huge_splits);
   EXPECT_EQ(kernel.MemoryFailure(frame), MfResult::kRecovered);
   EXPECT_GT(ReadVm(VmCounter::k_mf_huge_splits), splits_before);
@@ -207,6 +210,11 @@ TEST_F(MemoryFailureTest, HugeMappingSplitsAndLosesOneSubpage) {
   // With the compound fully unmapped, its last free salvages the run: the one poisoned
   // subpage is quarantined, the 511 healthy ones return to the allocator.
   EXPECT_EQ(kernel.allocator().Stats().quarantined_frames, 1u);
+  // The quarantined subpage keeps the bytes written before the error, in place (the
+  // debug-vm poison fill of the salvaged run skips it).
+  const std::byte* kept = kernel.allocator().PeekData(frame);
+  ASSERT_NE(kept, nullptr) << "quarantined subpage lost its bytes";
+  EXPECT_EQ(std::memcmp(kept, written.data(), kPageSize), 0);
   EXPECT_TRUE(debug::VerifyKernel(kernel).ok());
 }
 
