@@ -3,7 +3,10 @@
 //   fork            -> COW one 4 KiB page                       (paper: 0.0023 ms)
 //   fork w/ huge    -> COW one 2 MiB page                       (paper: 0.1984 ms, ~86x)
 //   on-demand-fork  -> copy the shared PTE table + COW the page (paper: 0.0122 ms, ~5.3x)
-// The orderings (fork < ODF << huge) are the shape under test.
+// The orderings (fork < ODF << huge) are the shape under test: the binary exits 1 unless
+// fork < ODF <= 6x fork and huge >= 10x ODF, all on the printed means.
+#include <cstdio>
+
 #include "bench/bench_common.h"
 
 namespace odf {
@@ -32,7 +35,13 @@ double MeasureFaultMs(ForkMode mode, bool huge, int reps) {
   return stats.mean();
 }
 
-void Run() {
+// Table 1's shape, checked on the means: a table copy costs more than one 4 KiB COW but a
+// small multiple of it (the paper's 5.3x, with headroom), and copying 2 MiB costs an order
+// of magnitude more than copying a table.
+constexpr double kMaxOdfOverFork = 6.0;
+constexpr double kMinHugeOverOdf = 10.0;
+
+bool Run() {
   BenchConfig config = BenchConfig::FromEnv();
   int reps = config.fast ? 3 : 10;  // The paper averages 10 runs.
   PrintHeader("Table 1 — worst-case page-fault handling cost",
@@ -52,12 +61,26 @@ void Run() {
   WriteBenchJson("tab01_fault_cost", config, {{"fault_cost", &table}});
   std::printf("\nShape check: fork < on-demand-fork << fork w/ huge pages; ODF should be\n"
               "several times fork (table copy) and ~an order of magnitude under huge pages.\n");
+  bool ok = true;
+  if (!(classic < odf)) {
+    std::printf("SHAPE BROKEN: on-demand-fork %.4f ms is not above fork %.4f ms\n", odf,
+                classic);
+    ok = false;
+  }
+  if (!(odf <= kMaxOdfOverFork * classic)) {
+    std::printf("SHAPE BROKEN: on-demand-fork is %.1fx fork, above %.0fx\n", odf / classic,
+                kMaxOdfOverFork);
+    ok = false;
+  }
+  if (!(huge >= kMinHugeOverOdf * odf)) {
+    std::printf("SHAPE BROKEN: fork w/ huge pages is %.1fx on-demand-fork, below %.0fx\n",
+                huge / odf, kMinHugeOverOdf);
+    ok = false;
+  }
+  return ok;
 }
 
 }  // namespace
 }  // namespace odf
 
-int main() {
-  odf::Run();
-  return 0;
-}
+int main() { return odf::Run() ? 0 : 1; }

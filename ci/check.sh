@@ -85,6 +85,15 @@ if [[ -z "$ONLY" || "$ONLY" == "default" ]]; then
   fi
 fi
 
+# Table 1 shape gate: the fault-cost bench in fast mode exits nonzero unless fork < ODF,
+# ODF <= 6x fork and huge >= 10x ODF on the means it prints.
+if [[ -z "$ONLY" || "$ONLY" == "default" ]]; then
+  note "tab01 fault-cost shape (default preset, ODF_BENCH_FAST=1)"
+  if ! ODF_BENCH_FAST=1 ODF_BENCH_JSON=0 ./build/bench/tab01_fault_cost; then
+    FAILURES+=("tab01 shape")
+  fi
+fi
+
 # Memory failure (docs/memory-failure.md): the labeled suite by itself — hard/soft
 # offline, containment through shared ODF tables, quarantine permanence, the poisoned-PTE
 # fault contract — must stay a usable developer entry point like the other labels.

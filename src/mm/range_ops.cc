@@ -70,15 +70,16 @@ bool DropPteTableReference(FrameAllocator& allocator, SwapSpace* swap, FrameId t
   // Last reference: release the per-page references this table holds on behalf of all its
   // (former) sharers, then free the table frame itself. Swap entries release their slot.
   // The per-page drops go through DecRefBatch so the whole table costs one shared-pool lock
-  // round-trip, not one per entry that hits refcount zero (docs/performance.md).
+  // round-trip, not one per entry that hits refcount zero (docs/performance.md). This loop
+  // touches only the entries: DecRefBatch resolves compound tails in the same metadata
+  // visit as the refcount drop.
   uint64_t* entries = allocator.TableEntries(table);
-  std::array<FrameId, kEntriesPerTable> heads;
+  std::array<FrameId, kEntriesPerTable> frames;
   size_t mapped = 0;
   for (uint64_t i = 0; i < kEntriesPerTable; ++i) {
     Pte entry = LoadEntry(&entries[i]);
     if (entry.IsPresent()) {
-      FrameId frame = entry.frame();
-      heads[mapped++] = ResolveCompoundHead(allocator.GetMeta(frame), frame);
+      frames[mapped++] = entry.frame();
       StoreEntry(&entries[i], Pte());
     } else if (entry.IsSwap()) {
       ODF_CHECK(swap != nullptr) << "swap entry without a swap device";
@@ -94,7 +95,7 @@ bool DropPteTableReference(FrameAllocator& allocator, SwapSpace* swap, FrameId t
   // share (ZapRange's "unlink, bump, THEN drop" ordering); by the time this runs no
   // lock-free reader can pass its generation recheck.
   // odf-lint: allow(gen-before-free)
-  allocator.DecRefBatch(std::span<const FrameId>(heads.data(), mapped));
+  allocator.DecRefBatch(std::span<const FrameId>(frames.data(), mapped));
   // The table was published (linked into at least one live tree), so a lock-free walker
   // may still be reading its (now empty) entries: defer the frame free past the grace
   // period. The caller drains the epoch before its leak checks can observe the deferral.
@@ -179,15 +180,10 @@ FrameId DedicatePmdTable(AddressSpace& as, Vaddr pud_span_base, uint64_t* pud_sl
 
   uint64_t* src = allocator.TableEntries(shared);
   uint64_t* dst = allocator.TableEntries(dedicated);
-  // Collect first, then take every reference in two batch calls (huge-page refcounts and
-  // PTE-table share counts), then publish the entries — all references exist before any
-  // entry of the new table is visible.
-  std::array<uint64_t, kEntriesPerTable> indices;
-  std::array<FrameId, kEntriesPerTable> huge_heads;
-  std::array<FrameId, kEntriesPerTable> pte_tables;
-  size_t present = 0;
-  size_t huge_count = 0;
-  size_t table_count = 0;
+  // One pass, one metadata touch per entry: take the entry's reference (a huge page's
+  // refcount, or one more sharer of a PTE table), write-protect the source, copy it. The
+  // private table stays unpublished until the PUD store below, so every reference exists
+  // before any entry of it is visible.
   for (uint64_t i = 0; i < kEntriesPerTable; ++i) {
     Pte entry = LoadEntry(&src[i]);
     if (!entry.IsPresent()) {
@@ -195,22 +191,14 @@ FrameId DedicatePmdTable(AddressSpace& as, Vaddr pud_span_base, uint64_t* pud_sl
     }
     if (entry.IsHuge()) {
       // A reference on the 2 MiB compound page; both entries stay COW-protected.
-      huge_heads[huge_count++] = entry.frame();
+      allocator.IncRef(entry.frame());
     } else {
-      // The copy becomes one more sharer of the PTE table below.
-      pte_tables[table_count++] = entry.frame();
+      // The copy becomes one more sharer of the PTE table.
+      allocator.IncPtShare(entry.frame());
     }
-    indices[present++] = i;
-  }
-  allocator.IncRefBatch(std::span<const FrameId>(huge_heads.data(), huge_count));
-  allocator.IncPtShareBatch(std::span<const FrameId>(pte_tables.data(), table_count));
-  for (size_t k = 0; k < present; ++k) {
-    uint64_t i = indices[k];
-    Pte entry = LoadEntry(&src[i]);
     if (entry.IsWritable()) {
-      Pte protected_entry = entry.WithoutFlag(kPteWritable);
-      StoreEntry(&src[i], protected_entry);
-      entry = protected_entry;
+      entry = entry.WithoutFlag(kPteWritable);
+      StoreEntry(&src[i], entry);
     }
     StoreEntry(&dst[i], entry);
   }
@@ -295,13 +283,12 @@ FrameId DedicatePteTable(AddressSpace& as, Vaddr chunk_base, uint64_t* pmd_slot,
 
   uint64_t* src = allocator.TableEntries(shared);
   uint64_t* dst = allocator.TableEntries(dedicated);
-  // This is the deferred cost the paper measures in Table 1: one metadata lookup per entry,
-  // and (now) ONE batched refcount call for the whole table. References are taken before any
-  // entry of the new table is published. No reverse-map work: the copy sits at the same VA
-  // in a member of the same family, where the frames' stamps already lead the walk.
-  std::array<uint64_t, kEntriesPerTable> indices;
-  std::array<FrameId, kEntriesPerTable> heads;
-  size_t present = 0;
+  // This is the deferred cost the paper measures in Table 1: one pass over the table that
+  // touches each entry's metadata once, resolving the compound head and taking its reference
+  // in the same visit. The private table stays unpublished until the PMD store below, so
+  // every reference exists before any entry of it is visible. No reverse-map work: the copy
+  // sits at the same VA in a member of the same family, where the frames' stamps already
+  // lead the walk.
   for (uint64_t i = 0; i < kEntriesPerTable; ++i) {
     Pte entry = LoadEntry(&src[i]);
     if (entry.IsSwap()) {
@@ -322,21 +309,12 @@ FrameId DedicatePteTable(AddressSpace& as, Vaddr chunk_base, uint64_t* pmd_slot,
       continue;
     }
     FrameId frame = entry.frame();
-    PageMeta& meta = allocator.GetMeta(frame);
-    heads[present] = ResolveCompoundHead(meta, frame);
-    indices[present] = i;
-    ++present;
-  }
-  allocator.IncRefBatch(std::span<const FrameId>(heads.data(), present));
-  for (size_t k = 0; k < present; ++k) {
-    uint64_t i = indices[k];
-    Pte entry = LoadEntry(&src[i]);
+    allocator.IncRef(ResolveCompoundHead(allocator.GetMeta(frame), frame));
     // Write-protect the entry in both copies so the first write to each data page still
     // triggers a per-page COW; the accessed bit is duplicated as-is (§3.2).
     if (entry.IsWritable()) {
-      Pte protected_entry = entry.WithoutFlag(kPteWritable);
-      StoreEntry(&src[i], protected_entry);
-      entry = protected_entry;
+      entry = entry.WithoutFlag(kPteWritable);
+      StoreEntry(&src[i], entry);
     }
     StoreEntry(&dst[i], entry);
   }
@@ -463,14 +441,13 @@ void ZapRange(AddressSpace& as, Vaddr start, Vaddr end) {
     }
 
     uint64_t* entries = allocator.TableEntries(table);
-    std::array<FrameId, kEntriesPerTable> heads;
+    std::array<FrameId, kEntriesPerTable> frames;  // Raw frames: DecRefBatch resolves tails.
     size_t mapped = 0;
     for (Vaddr va = lo; va < hi; va += kPageSize) {
       uint64_t* slot = &entries[TableIndex(va, PtLevel::kPte)];
       Pte entry = LoadEntry(slot);
       if (entry.IsPresent()) {
-        FrameId frame = entry.frame();
-        heads[mapped++] = ResolveCompoundHead(allocator.GetMeta(frame), frame);
+        frames[mapped++] = entry.frame();
         StoreEntry(slot, Pte());
       } else if (entry.IsSwap()) {
         ODF_CHECK(as.swap_space() != nullptr);
@@ -483,7 +460,7 @@ void ZapRange(AddressSpace& as, Vaddr start, Vaddr end) {
       }
     }
     as.locks().InvalidateRange(lo, hi);  // Gen-before-free: entries above are already clear.
-    allocator.DecRefBatch(std::span<const FrameId>(heads.data(), mapped));
+    allocator.DecRefBatch(std::span<const FrameId>(frames.data(), mapped));
     if (TableIsEmpty(allocator, table)) {
       StoreEntry(pmd_slot, Pte());
       DropPteTableReference(allocator, as.swap_space(), table);

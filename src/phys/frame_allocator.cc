@@ -746,16 +746,20 @@ void FrameAllocator::DecRef(FrameId frame) {
 void FrameAllocator::DecRefBatch(std::span<const FrameId> frames) {
   // Drop every reference first, collecting the frames that hit zero, then free those under
   // a single shared-pool lock acquisition (one lock round-trip per 512-entry table instead
-  // of one per entry).
+  // of one per entry). A compound tail is resolved to its head in the same metadata visit
+  // as the drop, so callers pass the frames their entries name.
   std::array<FrameId, 512> dead;
   size_t dead_count = 0;
   for (FrameId frame : frames) {
-    PageMeta& meta = MetaRef(frame);
-    ODF_VM_BUG_ON_PAGE((meta.flags & kPageFlagAllocated) == 0, meta, frame)
+    PageMeta* meta = &MetaRef(frame);
+    if (meta->IsCompoundTail()) {  // A split huge mapping's subpage: the head holds the ref.
+      frame = meta->compound_head;
+      meta = &MetaRef(frame);
+    }
+    ODF_VM_BUG_ON_PAGE((meta->flags & kPageFlagAllocated) == 0, *meta, frame)
         << "DecRef on freed frame";
-    ODF_DCHECK(!meta.IsCompoundTail()) << "DecRef on compound tail " << frame;
-    uint32_t previous = meta.refcount.fetch_sub(1, std::memory_order_acq_rel);
-    ODF_VM_BUG_ON_PAGE(previous == 0, meta, frame) << "refcount underflow";
+    uint32_t previous = meta->refcount.fetch_sub(1, std::memory_order_acq_rel);
+    ODF_VM_BUG_ON_PAGE(previous == 0, *meta, frame) << "refcount underflow";
     ODF_DCHECK(previous != 0) << "refcount underflow on frame " << frame;
     if (previous == 1) {
       dead[dead_count++] = frame;

@@ -129,12 +129,16 @@ class FrameAllocator {
   // single lock acquisition. The bulk-teardown analog of free_pages_bulk.
   void FreeBatch(std::span<const FrameId> frames);
 
-  // Adds one reference to each frame (callers pass resolved compound heads). One call per
-  // copied PTE table keeps the fork-path cost visible at a single site.
+  // Adds one reference to each frame (callers pass resolved compound heads). Classic fork
+  // calls it once per copied PTE table so its refcount pass stays a separately timed Fig. 3
+  // phase; the table-COW paths take references inline with IncRef, one metadata visit per
+  // entry (docs/performance.md).
   void IncRefBatch(std::span<const FrameId> frames);
 
   // Drops one reference from each frame; all frames that hit zero are freed together under
-  // a single lock acquisition (counted as batch_free in vmstat).
+  // a single lock acquisition (counted as batch_free in vmstat). Frames may be compound
+  // tails (the subpages of a split huge mapping): each resolves to its head in the same
+  // metadata visit as the drop, and a head or order-0 frame resolves to itself.
   void DecRefBatch(std::span<const FrameId> frames);
 
   // Adds one sharer to each PTE/PMD-table frame's pt_share_count (fork_odf table sharing).

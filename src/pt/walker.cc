@@ -34,14 +34,16 @@ Translation Walker::Translate(FrameId pgd, Vaddr va, AccessType access) {
       result.status = TranslateStatus::kNotWritable;
       return result;
     }
-    // Hardware sets the accessed bit on every level it traverses. fetch_or (not a blind
-    // store of the snapshot) so a concurrent COW install or protection change in a sharing
-    // thread is never reverted — the bit set is monotonic.
+    // Hardware sets the accessed bit on every level it traverses, and the dirty bit on a
+    // written leaf. fetch_or (not a blind store of the snapshot) so a concurrent COW install
+    // or protection change in a sharing thread is never reverted. A bit the snapshot shows
+    // set takes no locked instruction: nothing clears the dirty bit, so every re-walk of a
+    // written page (the one after each COW install included) skips it.
     if (!entry.IsAccessed()) {
       entry = SetEntryFlags(slot, kPteAccessed);
     }
     if (level == PtLevel::kPmd && entry.IsHuge()) {
-      if (access == AccessType::kWrite) {
+      if (access == AccessType::kWrite && !entry.IsDirty()) {
         SetEntryFlags(slot, kPteDirty);
       }
       FrameId head = entry.frame();
@@ -62,7 +64,7 @@ Translation Walker::Translate(FrameId pgd, Vaddr va, AccessType access) {
       return result;
     }
     if (level == PtLevel::kPte) {
-      if (access == AccessType::kWrite) {
+      if (access == AccessType::kWrite && !entry.IsDirty()) {
         SetEntryFlags(slot, kPteDirty);
       }
       FrameId frame = entry.frame();

@@ -66,27 +66,51 @@ void Kswapd::Loop() {
       }
       pending_ = false;
     }
-    stats_.wakeups.fetch_add(1, std::memory_order_relaxed);
     CountVm(VmCounter::k_kswapd_wake);
     ODF_TRACE(kswapd_wake, 0);
-    Balance();
+    // Premature-sleep check (kswapd_try_to_sleep): allocations that land between LOW and
+    // HIGH after a balance wake nobody, so nap briefly first and balance again if free
+    // frames sank below HIGH meanwhile. A Wake() or Stop() ends the nap early.
+    while (Balance() && NapEndsBelowHigh()) {
+      // Free frames sank below HIGH during the nap: balance again before sleeping.
+    }
+    // Published after the cycle's rounds (release): whoever sees this wakeup also sees the
+    // pages it freed, which a reader of FreeFrames() can otherwise observe first.
+    stats_.wakeups.fetch_add(1, std::memory_order_release);
     ODF_TRACE(kswapd_sleep, 0);
   }
 }
 
-void Kswapd::Balance() {
+bool Kswapd::NapEndsBelowHigh() {
+  {
+    util::MutexLock lock(mu_);
+    const auto deadline = std::chrono::steady_clock::now() + kNap;
+    while (!stop_ && !pending_) {
+      if (!cv_.WaitUntil(mu_, deadline)) {
+        break;
+      }
+    }
+    if (stop_ || pending_) {
+      return false;  // The loop's next turn handles the stop or the wake.
+    }
+  }
+  FrameAllocator& allocator = *ctx_.allocator;
+  return allocator.frame_limit() != 0 && allocator.FreeFrames() < allocator.watermarks().high;
+}
+
+bool Kswapd::Balance() {
   FrameAllocator& allocator = *ctx_.allocator;
   // Balance until free frames recover to HIGH. One gate acquisition per round keeps
   // exclusive holds short: mutators (and the auto-verifier) interleave between rounds.
   for (int round = 0; round < 256; ++round) {
     uint64_t limit = allocator.frame_limit();
     if (limit == 0) {
-      return;
+      return false;
     }
     FrameAllocator::Watermarks wm = allocator.watermarks();
     uint64_t free = allocator.FreeFrames();
     if (free >= wm.high) {
-      return;
+      return true;
     }
     uint64_t freed;
     {
@@ -97,9 +121,10 @@ void Kswapd::Balance() {
     stats_.balance_rounds.fetch_add(1, std::memory_order_relaxed);
     stats_.pages_freed.fetch_add(freed, std::memory_order_relaxed);
     if (freed == 0) {
-      return;  // Nothing reclaimable: sleep; direct reclaim / the OOM killer take over.
+      return false;  // Nothing reclaimable: sleep; direct reclaim / the OOM killer take over.
     }
   }
+  return false;
 }
 
 }  // namespace reclaim

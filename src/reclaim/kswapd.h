@@ -3,7 +3,8 @@
 // The FrameAllocator's pressure callback (SetPressureCallback) calls Wake() whenever an
 // allocation finds free frames below the LOW watermark; the daemon then runs balance
 // rounds — each one taking the MmGate exclusively and calling ReclaimPages — until free
-// frames recover to the HIGH watermark, and goes back to sleep. Mutators never wait for
+// frames recover to the HIGH watermark, naps for kNap, balances again if free frames sank
+// below HIGH during the nap, and goes back to sleep. Mutators never wait for
 // kswapd: a quota-blocked allocation falls into direct reclaim (Kernel::ReclaimMemory)
 // regardless, exactly like the kernel's direct-reclaim-vs-kswapd split. Wake() is cheap
 // and callable from any allocation context (an atomic flag plus a condvar notify).
@@ -15,6 +16,7 @@
 #define ODF_SRC_RECLAIM_KSWAPD_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <thread>
 
@@ -28,6 +30,8 @@ namespace reclaim {
 class Kswapd {
  public:
   struct Stats {
+    // Finished wake cycles: bumped once the daemon goes back to sleep, after the cycle's
+    // balance_rounds and pages_freed (vmstat kswapd_wake counts the wakes themselves).
     std::atomic<uint64_t> wakeups{0};
     std::atomic<uint64_t> balance_rounds{0};
     std::atomic<uint64_t> pages_freed{0};
@@ -50,8 +54,16 @@ class Kswapd {
   const Stats& stats() const { return stats_; }
 
  private:
+  // Linux naps HZ/10 before kswapd's full sleep.
+  static constexpr std::chrono::milliseconds kNap{100};
+
   void Loop();
-  void Balance();
+  // Runs balance rounds; returns true when free frames reached HIGH, false when there is
+  // no limit or nothing more could be reclaimed.
+  bool Balance();
+  // Naps for kNap (a Wake() or Stop() ends it early). Returns true when the nap ran out
+  // with free frames below HIGH, i.e. the daemon should balance again before sleeping.
+  bool NapEndsBelowHigh();
 
   ShrinkContext ctx_;
   std::thread thread_;

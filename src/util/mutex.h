@@ -16,6 +16,7 @@
 #ifndef ODF_SRC_UTIL_MUTEX_H_
 #define ODF_SRC_UTIL_MUTEX_H_
 
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <shared_mutex>
@@ -138,6 +139,12 @@ class CondVar {
   // Atomically releases `mu`, blocks until notified, and reacquires `mu`. Spurious
   // wakeups possible — always call in a predicate loop.
   void Wait(Mutex& mu) ODF_REQUIRES(mu) { cv_.wait(mu); }
+
+  // Like Wait, but also returns once `deadline` passes. Returns false on timeout.
+  bool WaitUntil(Mutex& mu, std::chrono::steady_clock::time_point deadline)
+      ODF_REQUIRES(mu) {
+    return cv_.wait_until(mu, deadline) == std::cv_status::no_timeout;
+  }
 
   void NotifyOne() { cv_.notify_one(); }
   void NotifyAll() { cv_.notify_all(); }

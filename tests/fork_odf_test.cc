@@ -4,7 +4,12 @@
 
 #include <algorithm>
 
+#include "src/debug/mutation.h"
+#include "src/debug/verify.h"
+#include "src/mf/memory_failure.h"
 #include "src/mm/range_ops.h"
+#include "src/pt/mm_locks.h"
+#include "src/reclaim/mm_gate.h"
 #include "src/trace/metrics.h"
 #include "src/trace/trace.h"
 #include "tests/test_util.h"
@@ -246,6 +251,114 @@ TEST_F(OdfForkTest, AccessedBitsAreDuplicatedOnTableCopy) {
       << "the copy must duplicate accessed-bit values, not invent them (§3.2)";
   EXPECT_TRUE(LoadEntry(&c_entries[3]).IsAccessed());
 }
+
+#if ODF_MEMORY_FAILURE_COMPILED
+// One shared PTE table that holds every kind of entry the table COW copies: the subpages of
+// a split huge mapping (the head and its tails, each holding a reference on the head), an
+// order-0 page, a swap entry, a hwpoison marker and empty slots. The child's first write
+// dedicates it, and the copy must take exactly one reference per entry.
+TEST_F(OdfForkTest, TableCowOfMixedTableTakesOneReferencePerEntry) {
+  FrameAllocator& allocator = kernel_.allocator();
+  SwapSpace& swap = kernel_.swap_space();
+  Vaddr base = parent_.Mmap(kHugePageSize, kProtRead | kProtWrite, /*huge=*/true);
+  FillPattern(parent_, base, kHugePageSize, /*seed=*/3);
+  auto slot_va = [base](uint64_t i) { return base + i * kPageSize; };
+  AddressSpace& pas = parent_.address_space();
+  Translation huge = pas.walker().Translate(pas.pgd(), base, AccessType::kRead);
+  ASSERT_EQ(huge.status, TranslateStatus::kOk);
+  ASSERT_TRUE(huge.huge);
+  const FrameId head = huge.frame;
+
+  // Hard offline of subpage 5 splits the mapping (SplitHugeMapping) and leaves a marker;
+  // soft offline moves subpages 7 and 8 to order-0 frames.
+  ASSERT_EQ(kernel_.MemoryFailure(head + 5), mf::MfResult::kRecovered);
+  ASSERT_EQ(kernel_.SoftOfflinePage(head + 7), mf::MfResult::kMigrated);
+  ASSERT_EQ(kernel_.SoftOfflinePage(head + 8), mf::MfResult::kMigrated);
+  // Empty slots 100-103. MADV_DONTNEED insists on 2 MiB granules in a huge VMA, so zap
+  // under the same locks it takes.
+  {
+    debug::MutationScope mutation;
+    MmLockTable::WriteScope ws(pas.locks());
+    reclaim::MmGate::SharedScope gate;
+    ZapRange(pas, slot_va(100), slot_va(104));
+  }
+  // Reclaim skips compound frames, so it swaps out subpage 7 or 8.
+  for (int pass = 0; pass < 8 && swap.Stats().slots_in_use == 0; ++pass) {
+    kernel_.ReclaimMemory(1);
+  }
+  ASSERT_EQ(swap.Stats().slots_in_use, 1u);
+
+  const FrameId table = PteTableOf(parent_, base);
+  ASSERT_NE(table, kInvalidFrame);
+  const uint64_t* entries = allocator.TableEntries(table);
+  uint64_t subpage_entries = 0;
+  uint64_t page_index = kEntriesPerTable;
+  uint64_t swap_index = kEntriesPerTable;
+  for (uint64_t i = 0; i < kEntriesPerTable; ++i) {
+    Pte entry = LoadEntry(&entries[i]);
+    if (entry.IsPresent() && allocator.GetMeta(entry.frame()).IsCompound()) {
+      ++subpage_entries;
+    } else if (entry.IsPresent()) {
+      page_index = i;
+    } else if (entry.IsSwap()) {
+      swap_index = i;
+    }
+  }
+  ASSERT_EQ(subpage_entries, kEntriesPerTable - 1 - 2 - 4);
+  ASSERT_EQ(page_index + swap_index, 7u + 8u) << "one of subpages 7/8 each way";
+  ASSERT_TRUE(LoadEntry(&entries[5]).IsHwPoison());
+
+  Process& child = kernel_.Fork(parent_, ForkMode::kOnDemand);
+  ASSERT_EQ(PteTableOf(child, base), table);
+  ASSERT_EQ(ShareCount(table), 2u);
+  const Pte page_entry = LoadEntry(&entries[page_index]);
+  const Pte swap_entry = LoadEntry(&entries[swap_index]);
+  const Pte marker = LoadEntry(&entries[5]);
+  const uint32_t head_refs = allocator.GetMeta(head).refcount.load();
+  const uint32_t page_refs = allocator.GetMeta(page_entry.frame()).refcount.load();
+  const uint32_t swap_refs = swap.RefCount(swap_entry.swap_slot());
+
+  // The child's first write lands in an empty slot: the fault dedicates the table, then
+  // demand-zeroes one page into the child's private copy. No page COW muddies the counts.
+  WriteByte(child, slot_va(100), std::byte{0x5a});
+  const FrameId copy = PteTableOf(child, base);
+  ASSERT_NE(copy, kInvalidFrame);
+  ASSERT_NE(copy, table);
+  EXPECT_EQ(ShareCount(table), 1u);
+  EXPECT_EQ(allocator.GetMeta(head).refcount.load(), head_refs + subpage_entries)
+      << "each subpage entry takes one reference, on the head";
+  EXPECT_EQ(allocator.GetMeta(head + 1).refcount.load(), 0u) << "tails hold none";
+  EXPECT_EQ(allocator.GetMeta(page_entry.frame()).refcount.load(), page_refs + 1);
+  EXPECT_EQ(swap.RefCount(swap_entry.swap_slot()), swap_refs + 1);
+  const uint64_t* copied = allocator.TableEntries(copy);
+  EXPECT_EQ(LoadEntry(&copied[5]).raw(), marker.raw()) << "the marker copies verbatim";
+  EXPECT_EQ(LoadEntry(&copied[swap_index]).raw(), swap_entry.raw());
+  EXPECT_TRUE(LoadEntry(&copied[100]).IsPresent());
+  EXPECT_TRUE(LoadEntry(&entries[100]).IsNone());
+  for (uint64_t i = 101; i < 104; ++i) {
+    EXPECT_TRUE(LoadEntry(&entries[i]).IsNone()) << "parent slot " << i;
+    EXPECT_TRUE(LoadEntry(&copied[i]).IsNone()) << "child slot " << i;
+  }
+  for (uint64_t i = 0; i < kEntriesPerTable; ++i) {
+    Pte entry = LoadEntry(&entries[i]);
+    if (entry.IsPresent()) {
+      EXPECT_FALSE(entry.IsWritable()) << "slot " << i << " must stay COW-protected";
+      EXPECT_EQ(LoadEntry(&copied[i]).frame(), entry.frame()) << "slot " << i;
+    }
+  }
+  EXPECT_EQ(ReadByte(child, slot_va(100)), std::byte{0x5a});
+  ExpectPattern(child, slot_va(page_index), kPageSize, /*seed=*/3);
+  ExpectPattern(child, slot_va(swap_index), kPageSize, /*seed=*/3);
+  EXPECT_TRUE(debug::VerifyKernel(kernel_).ok());
+
+  kernel_.Exit(child, 0);
+  kernel_.Wait(parent_);
+  kernel_.Exit(parent_, 0);
+  EXPECT_TRUE(allocator.AllFree());
+  EXPECT_EQ(swap.Stats().slots_in_use, 0u);
+  EXPECT_TRUE(debug::VerifyKernel(kernel_).ok());
+}
+#endif  // ODF_MEMORY_FAILURE_COMPILED
 
 TEST_F(OdfForkTest, NoLeaksAfterForkStorm) {
   Vaddr va = MapFilled(4 * kHugePageSize, /*seed=*/2);

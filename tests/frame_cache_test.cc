@@ -246,6 +246,34 @@ TEST(FrameCacheTest, IncAndDecRefBatchMatchScalarLoops) {
       << "zero-hitting frames of one batch must be freed via the batch path";
 }
 
+// The split-huge case: 512 PTEs name the head and its 511 tails, and every one of them
+// holds its reference on the head (SplitHugeMapping). DecRefBatch takes the frames as the
+// entries name them and resolves each tail to the head itself.
+TEST(FrameCacheTest, DecRefBatchResolvesCompoundTailsToTheirHead) {
+  FrameAllocator allocator;
+  constexpr FrameId kCompoundFrames = 1u << kHugePageOrder;
+  FrameId head = allocator.AllocateCompound(kPageFlagAnon);
+  allocator.AddRefs(head, kCompoundFrames - 1);  // One reference per subpage.
+  std::array<FrameId, kCompoundFrames> subpages;
+  for (FrameId i = 0; i < kCompoundFrames; ++i) {
+    subpages[i] = head + i;
+  }
+  ASSERT_TRUE(allocator.GetMeta(subpages[1]).IsCompoundTail());
+
+  // Every subpage but the last: the head keeps one reference and nothing is freed.
+  allocator.DecRefBatch(std::span<const FrameId>(subpages.data(), kCompoundFrames - 1));
+  EXPECT_EQ(allocator.GetMeta(head).refcount.load(std::memory_order_relaxed), 1u);
+  EXPECT_EQ(allocator.GetMeta(subpages.back()).refcount.load(std::memory_order_relaxed), 0u)
+      << "tails never carry references of their own";
+  EXPECT_EQ(allocator.Stats().allocated_frames, kCompoundFrames);
+
+  // The last tail drops the head's last reference: the compound is freed once, whole.
+  uint64_t batch_free_before = ReadVm(VmCounter::k_batch_free);
+  allocator.DecRefBatch(std::span<const FrameId>(&subpages.back(), 1));
+  EXPECT_TRUE(allocator.AllFree());
+  EXPECT_EQ(ReadVm(VmCounter::k_batch_free), batch_free_before + 1);
+}
+
 TEST(FrameCacheTest, FreeBatchReleasesSolelyOwnedFrames) {
   FrameAllocator allocator;
   std::array<FrameId, 64> frames;

@@ -1,5 +1,7 @@
 // Tests for PTE encoding, address geometry, the software walker, and TLB shootdowns.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <array>
 
@@ -98,6 +100,31 @@ TEST_F(WalkerTest, TranslateReadAndWriteSucceedOnMappedPage) {
   Translation write = walker_.Translate(pgd_, va, AccessType::kWrite);
   EXPECT_EQ(write.status, TranslateStatus::kOk);
   EXPECT_TRUE(LoadEntry(slot).IsDirty()) << "write translation must set the dirty bit";
+}
+
+TEST_F(WalkerTest, SecondWriteWalkLeavesTheDirtyEntryUnchanged) {
+  Vaddr va = 0x200000;
+  uint64_t* slot = walker_.EnsureEntry(pgd_, va, PtLevel::kPte);
+  FrameId frame = allocator_.Allocate(kPageFlagAnon);
+  StoreEntry(slot, Pte::Make(frame, kPtePresent | kPteWritable | kPteUser));
+  Translation first = walker_.Translate(pgd_, va, AccessType::kWrite);
+  ASSERT_EQ(first.status, TranslateStatus::kOk);
+  ASSERT_TRUE(LoadEntry(slot).IsDirty());
+  const uint64_t raw = LoadEntry(slot).raw();
+
+  // Every accessed bit and the leaf's dirty bit are set now, so the second write walk must
+  // not write the PTE table at all — not even a no-op locked fetch_or. Map the table's page
+  // read-only for the walk: any store or RMW into it faults.
+  if (sysconf(_SC_PAGESIZE) != static_cast<long>(kPageSize)) {
+    GTEST_SKIP() << "host page size differs from the frame size";
+  }
+  void* table_page = allocator_.TableEntries(first.pte_table);
+  ASSERT_EQ(mprotect(table_page, kPageSize, PROT_READ), 0);
+  Translation second = walker_.Translate(pgd_, va, AccessType::kWrite);
+  ASSERT_EQ(mprotect(table_page, kPageSize, PROT_READ | PROT_WRITE), 0);
+  EXPECT_EQ(second.status, TranslateStatus::kOk);
+  EXPECT_EQ(second.frame, frame);
+  EXPECT_EQ(LoadEntry(slot).raw(), raw);
 }
 
 TEST_F(WalkerTest, TranslateSetsAccessedBitsAtEveryLevel) {
