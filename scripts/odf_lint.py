@@ -52,9 +52,10 @@ offending line or the line above it — always with a reason):
       the drop. "Gen before free" is the one load-bearing invariant of the
       lock-free read protocol (src/pt/mm_locks.h): a reader that pinned the
       old frame must fail its generation recheck before the frame can be
-      freed and recycled. Paths exempt by construction (never-published
-      frames, exclusive-gate eviction with a deferred flush) carry an allow
-      with the argument.
+      freed and recycled. Paths exempt by construction (a caller that bumped
+      the generations before handing the frames over) carry an allow with the
+      argument. The exclusive MmGate is no such argument: read hits pin frames
+      without it.
 
   trace-outside-guard
       trace::Emit may only be called from the ODF_TRACE macro (src/trace). A
@@ -91,6 +92,15 @@ offending line or the line above it — always with a reason):
       alone. Anywhere else, setting the flag by hand skips the counter
       bookkeeping, the free-list diversion, and the allocated-vs-free
       quarantine timing the verifier's bijection checks depend on.
+
+  thread-fence
+      std::atomic_thread_fence is forbidden under src/. ThreadSanitizer does not
+      model fences (GCC warns "'atomic_thread_fence' is not supported with
+      '-fsanitize=thread'"), so an ordering a fence provides is invisible to the
+      tsan gate: a protocol that leans on one is never checked there, and a
+      missing order shows up as a false report or not at all. Order through the
+      atomic operations themselves (a seq_cst RMW and a seq_cst load, a
+      release store and an acquire load), which TSan does see.
 
 Output: one line per finding, `file:line:col: rule-id: message` (the format
 compilers and editors parse), or a JSON array with --json. Fixture files under
@@ -167,6 +177,9 @@ GEN_LOOKBACK = 60
 
 TRACE_CALL_RE = re.compile(r"\btrace::Emit\s*\(")
 
+# thread-fence: fences are invisible to TSan; src/ orders through its atomics instead.
+THREAD_FENCE_RE = re.compile(r"\batomic_thread_fence\s*\(")
+
 WRITEBACK_RE = re.compile(r"(?:\.|->)TryWriteOut\s*\(")
 
 # table-mutex: the process-table lock stays narrow; only kernel.cc may take it.
@@ -239,6 +252,7 @@ def lint_file(rel_path, findings):
     in_trace = rel_path.startswith("src/trace/")
     in_debug = rel_path.startswith("src/debug/")
     in_util = rel_path.startswith("src/util/")
+    in_src = rel_path.startswith("src/")
     is_fixture = FIXTURE_DIR_NAME in rel_path.split(os.sep) or (
         FIXTURE_DIR_NAME in rel_path.split("/")
     )
@@ -250,7 +264,7 @@ def lint_file(rel_path, findings):
 
     # Fixtures opt into every directory-scoped rule so one file can exercise each.
     if is_fixture:
-        in_lock_dir = in_gen_dir = True
+        in_lock_dir = in_gen_dir = in_src = True
         in_phys = in_mf = in_trace = in_debug = in_util = False
         writeback_ok = False
 
@@ -349,6 +363,15 @@ def lint_file(rel_path, findings):
                 "direct trace::Emit call outside src/trace — use the "
                 "ODF_TRACE macro (compile-guarded and Enabled()-gated)",
                 column_of(TRACE_CALL_RE, raw, code),
+            )
+
+        if in_src and THREAD_FENCE_RE.search(code):
+            report(
+                "thread-fence",
+                "std::atomic_thread_fence under src/ — ThreadSanitizer does not "
+                "model fences, so the tsan gate cannot check what it orders; use "
+                "seq_cst or release/acquire operations on the atomics themselves",
+                column_of(THREAD_FENCE_RE, raw, code),
             )
 
         if rel_path not in TABLE_MUTEX_ALLOWED and TABLE_MUTEX_RE.search(code):

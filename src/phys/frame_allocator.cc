@@ -87,26 +87,6 @@ FrameAllocator::~FrameAllocator() {
   }
 }
 
-PageMeta& FrameAllocator::MetaRef(FrameId frame) const {
-  size_t chunk = frame >> kChunkShift;
-  size_t index = frame & (kChunkSize - 1);
-  ODF_DCHECK(chunk < kMaxChunks) << "frame " << frame << " out of range";
-  // Acquire pairs with the release store in AddChunkLocked: a thread handed a frame id by
-  // another thread sees fully-constructed metadata even though chunk growth is concurrent.
-  PageMeta* base = chunk_table_[chunk].load(std::memory_order_acquire);
-  ODF_DCHECK(base != nullptr) << "frame " << frame << " in ungrown chunk";
-  return base[index];
-}
-
-PageMeta& FrameAllocator::GetMeta(FrameId frame) { return MetaRef(frame); }
-const PageMeta& FrameAllocator::GetMeta(FrameId frame) const { return MetaRef(frame); }
-
-std::byte* FrameAllocator::FrameBytes(FrameId frame) const {
-  // Acquire pairs with the release store in AddChunkLocked, as in MetaRef.
-  std::byte* base = chunk_data_[frame >> kChunkShift].load(std::memory_order_acquire);
-  return base + (static_cast<uint64_t>(frame & (kChunkSize - 1)) << kPageShift);
-}
-
 FrameId FrameAllocator::AddChunkLocked() {
   ODF_CHECK(chunk_count_ < kMaxChunks)
       << "simulated physical memory exhausted (" << kMaxChunks << " chunks)";
@@ -352,7 +332,9 @@ void FrameAllocator::InitAllocatedFrame(PerCpuCache& cache, FrameId frame, uint8
   meta.flags = static_cast<uint8_t>(flags | kPageFlagAllocated);
   meta.order = 0;
   meta.compound_head = frame;
-  meta.refcount.store(1, std::memory_order_relaxed);
+  // Release: a speculative TryGetRef that pins this frame id again synchronises with it,
+  // which orders the previous owner's unmap (and its generation bump) before that pin.
+  meta.refcount.store(1, std::memory_order_release);
   meta.pt_share_count.store((flags & kPageFlagPageTable) != 0 ? 1 : 0,
                             std::memory_order_relaxed);
   CountAllocated(cache, 1);
@@ -612,7 +594,7 @@ FrameId FrameAllocator::AllocateCompoundGranted(uint8_t flags) {
   head_meta.flags = static_cast<uint8_t>(flags | kPageFlagAllocated | kPageFlagCompoundHead);
   head_meta.order = static_cast<uint8_t>(kHugePageOrder);
   head_meta.compound_head = head;
-  head_meta.refcount.store(1, std::memory_order_relaxed);
+  head_meta.refcount.store(1, std::memory_order_release);  // As in InitAllocatedFrame.
   head_meta.pt_share_count.store(0, std::memory_order_relaxed);
   for (FrameId i = 1; i < kCompoundFrames; ++i) {
     PageMeta& tail = MetaRef(head + i);
@@ -640,26 +622,6 @@ void FrameAllocator::IncRef(FrameId frame) {
   ODF_VM_BUG_ON_PAGE(previous >= debug::kRefcountSaturated, meta, frame)
       << "refcount saturation";
   (void)previous;
-}
-
-bool FrameAllocator::TryGetRef(FrameId frame) {
-  PageMeta& meta = GetMeta(frame);
-  // No freed-frame/tail BUG_ONs here: this is called speculatively from the lock-free read
-  // path, where racing a free (and even pinning a reused frame id) is expected and handled
-  // by the caller's shard-generation recheck. A zero count — frame free, mid-free, or a
-  // compound tail — simply fails the pin.
-  uint32_t count = meta.refcount.load(std::memory_order_relaxed);
-  for (;;) {
-    if (count == 0) {
-      return false;
-    }
-    if (meta.refcount.compare_exchange_weak(count, count + 1, std::memory_order_seq_cst,
-                                            std::memory_order_relaxed)) {
-      // Order the pin before the caller's generation recheck (see mm_locks.h).
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      return true;
-    }
-  }
 }
 
 void FrameAllocator::AddRefs(FrameId frame, uint32_t count) {
@@ -716,19 +678,8 @@ void FrameAllocator::IncPtShareBatch(std::span<const FrameId> tables) {
   }
 }
 
-void FrameAllocator::DecRef(FrameId frame) {
-  PageMeta& meta = GetMeta(frame);
-  ODF_VM_BUG_ON_PAGE((meta.flags & kPageFlagAllocated) == 0, meta, frame)
-      << "DecRef on freed frame";
-  ODF_VM_BUG_ON_PAGE(meta.IsCompoundTail(), meta, frame) << "DecRef on compound tail";
-  ODF_DCHECK(!meta.IsCompoundTail()) << "DecRef on compound tail " << frame;
-  uint32_t previous = meta.refcount.fetch_sub(1, std::memory_order_acq_rel);
-  ODF_VM_BUG_ON_PAGE(previous == 0, meta, frame) << "refcount underflow";
-  ODF_DCHECK(previous != 0) << "refcount underflow on frame " << frame;
-  if (previous != 1) {
-    return;
-  }
-  // Last reference: the acq_rel RMW above ordered every other owner's accesses before this
+void FrameAllocator::FreeLastRef(FrameId frame, PageMeta& meta) {
+  // Last reference: DecRef's acq_rel RMW ordered every other owner's accesses before this
   // point, so the frame is exclusively ours to tear down — lock-free when cacheable.
   if (meta.lru_state.load(std::memory_order_relaxed) != 0) {
     DetachFromLru(std::span<const FrameId>(&frame, 1));
@@ -959,19 +910,6 @@ std::byte* FrameAllocator::MaterializeForOverwrite(FrameId frame) {
       << "materialising for overwrite a frame the caller does not own fresh";
   return PublishMaterialized(CacheForThread(this, id_), frame, meta,
                              meta.IsCompoundHead() ? kHugePageSize : kPageSize, /*zero=*/false);
-}
-
-std::byte* FrameAllocator::PeekData(FrameId frame) {
-  const PageMeta& meta = GetMeta(frame);
-  const PageMeta& owner = meta.IsCompoundTail() ? MetaRef(meta.compound_head) : meta;
-  if (owner.materialized.load(std::memory_order_acquire) == 0) {
-    return nullptr;
-  }
-  return FrameBytes(frame);
-}
-
-const std::byte* FrameAllocator::PeekData(FrameId frame) const {
-  return const_cast<FrameAllocator*>(this)->PeekData(frame);
 }
 
 uint64_t* FrameAllocator::TableEntries(FrameId frame) {

@@ -30,7 +30,9 @@
 #include <span>
 #include <vector>
 
+#include "src/debug/debug.h"
 #include "src/phys/page_meta.h"
+#include "src/util/log.h"
 #include "src/util/mutex.h"
 #include "src/util/thread_annotations.h"
 
@@ -90,7 +92,8 @@ class FrameAllocator {
 
   // Drops one reference; frees the frame when the count hits zero. For compound heads the
   // entire compound is freed. Must not be called on tails (callers resolve the head first).
-  // Order-0 frames freed while no limit is armed go to the calling thread's cache.
+  // Order-0 frames freed while no limit is armed go to the calling thread's cache. The drop
+  // is inline (it is the unpin of every simulated access); the free is not.
   void DecRef(FrameId frame);
 
   // Adds a reference. All refcount mutation goes through these entry points (enforced by
@@ -106,6 +109,12 @@ class FrameAllocator {
   // freed-and-reused frame id, which is harmless (the +1/-1 is net zero on whatever the
   // frame is now) exactly because the generation recheck rejects the stale translation.
   // Release via DecRef(frame) outside any PtEpoch read section.
+  //
+  // Ordering (no fence): the CAS is seq_cst, so it precedes the caller's seq_cst
+  // MmLockTable::ShardGen recheck in the single total order. A pin on a reused frame reads
+  // a count that descends from the new owner's release store in InitAllocatedFrame, which
+  // happens after the old owner's unmap bumped the generation (gen before free), so that
+  // recheck sees the bump and fails.
   [[nodiscard]] bool TryGetRef(FrameId frame);
 
   // Adds `count` references at once (huge-page split: the head absorbs one reference per
@@ -320,6 +329,8 @@ class FrameAllocator {
   PageMeta& MetaRef(FrameId frame) const;
   // The fixed address of `frame`'s bytes.
   std::byte* FrameBytes(FrameId frame) const;
+  // DecRef's slow half: `frame`'s last reference just dropped; free it.
+  void FreeLastRef(FrameId frame, PageMeta& meta);
 
   // Blocks (outside the lock) until `frames` more can be allocated under the limit; aborts
   // when reclaim cannot make room (the NOFAIL contract).
@@ -369,6 +380,73 @@ class FrameAllocator {
   std::vector<FrameId> quarantine_ ODF_GUARDED_BY(mutex_);
   AtomicStats stats_;
 };
+
+// --- Inline fast paths: the lookups, pin and unpin every simulated memory access makes ---
+
+inline PageMeta& FrameAllocator::MetaRef(FrameId frame) const {
+  size_t chunk = frame >> kChunkShift;
+  size_t index = frame & (kChunkSize - 1);
+  ODF_DCHECK(chunk < kMaxChunks) << "frame " << frame << " out of range";
+  // Acquire pairs with the release store in AddChunkLocked: a thread handed a frame id by
+  // another thread sees fully-constructed metadata even though chunk growth is concurrent.
+  PageMeta* base = chunk_table_[chunk].load(std::memory_order_acquire);
+  ODF_DCHECK(base != nullptr) << "frame " << frame << " in ungrown chunk";
+  return base[index];
+}
+
+inline PageMeta& FrameAllocator::GetMeta(FrameId frame) { return MetaRef(frame); }
+inline const PageMeta& FrameAllocator::GetMeta(FrameId frame) const { return MetaRef(frame); }
+
+inline std::byte* FrameAllocator::FrameBytes(FrameId frame) const {
+  // Acquire pairs with the release store in AddChunkLocked, as in MetaRef.
+  std::byte* base = chunk_data_[frame >> kChunkShift].load(std::memory_order_acquire);
+  return base + (static_cast<uint64_t>(frame & (kChunkSize - 1)) << kPageShift);
+}
+
+inline bool FrameAllocator::TryGetRef(FrameId frame) {
+  PageMeta& meta = MetaRef(frame);
+  // No freed-frame/tail BUG_ONs here: this is called speculatively from the lock-free read
+  // path, where racing a free (and even pinning a reused frame id) is expected and handled
+  // by the caller's shard-generation recheck. A zero count — frame free, mid-free, or a
+  // compound tail — simply fails the pin.
+  uint32_t count = meta.refcount.load(std::memory_order_relaxed);
+  for (;;) {
+    if (count == 0) {
+      return false;
+    }
+    if (meta.refcount.compare_exchange_weak(count, count + 1, std::memory_order_seq_cst,
+                                            std::memory_order_relaxed)) {
+      return true;
+    }
+  }
+}
+
+inline void FrameAllocator::DecRef(FrameId frame) {
+  PageMeta& meta = MetaRef(frame);
+  ODF_VM_BUG_ON_PAGE((meta.flags & kPageFlagAllocated) == 0, meta, frame)
+      << "DecRef on freed frame";
+  ODF_VM_BUG_ON_PAGE(meta.IsCompoundTail(), meta, frame) << "DecRef on compound tail";
+  ODF_DCHECK(!meta.IsCompoundTail()) << "DecRef on compound tail " << frame;
+  uint32_t previous = meta.refcount.fetch_sub(1, std::memory_order_acq_rel);
+  ODF_VM_BUG_ON_PAGE(previous == 0, meta, frame) << "refcount underflow";
+  ODF_DCHECK(previous != 0) << "refcount underflow on frame " << frame;
+  if (previous == 1) {
+    FreeLastRef(frame, meta);
+  }
+}
+
+inline std::byte* FrameAllocator::PeekData(FrameId frame) {
+  const PageMeta& meta = MetaRef(frame);
+  const PageMeta& owner = meta.IsCompoundTail() ? MetaRef(meta.compound_head) : meta;
+  if (owner.materialized.load(std::memory_order_acquire) == 0) {
+    return nullptr;
+  }
+  return FrameBytes(frame);
+}
+
+inline const std::byte* FrameAllocator::PeekData(FrameId frame) const {
+  return const_cast<FrameAllocator*>(this)->PeekData(frame);
+}
 
 }  // namespace odf
 

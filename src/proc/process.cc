@@ -37,9 +37,11 @@ bool Process::AccessMemory(Vaddr va, std::byte* buffer, uint64_t length, AccessT
     uint64_t chunk = std::min<uint64_t>(length - done, kPageSize - in_page);
     const uint64_t vpn = current >> kPageShift;
 
-    // Copies one page-chunk to/from `frame`. Always runs with the frame kept alive (a
-    // refcount pin on the fast paths, the shard+gate locks on the slow path) and the
-    // MmGate held shared (excludes the evictor mid-copy).
+    // Copies one page-chunk to/from `frame`. Always runs with the frame kept alive: a
+    // refcount pin on the L0/L1 hit paths, the shard+gate locks on the L2 path. A write
+    // also holds the MmGate shared (the evictor must not swap a page out mid-write); a
+    // read hit needs only its pin, since the bytes it copies stay intact until the frame
+    // is freed and the evictor frees nothing before its flush (mm_gate.h).
     auto copy_chunk = [&](FrameId frame) {
       if (want_write) {
         std::byte* dest = allocator.MaterializeData(frame) + in_page;
@@ -62,9 +64,9 @@ bool Process::AccessMemory(Vaddr va, std::byte* buffer, uint64_t length, AccessT
     // The injected machine check (fi site mf_ecc): the "hardware" reports an uncorrectable
     // ECC error on the very frame this access resolved to. Consulted exactly once per
     // resolved page on EVERY path (fast, lock-free, slow), so the recorded decision stream
-    // is identical no matter which path a replay happens to take. MemoryFailure upgrades
-    // any shared gate hold to exclusive for the containment work (mm_gate.h), and the
-    // access that consumed the poison is the one that fails — BUS_MCEERR_AR delivery.
+    // is identical no matter which path a replay happens to take. MemoryFailure takes the
+    // gate exclusive (upgrading any shared hold; mm_gate.h) for the containment work, and
+    // the access that consumed the poison is the one that fails — BUS_MCEERR_AR delivery.
     auto ecc_trips = [&](FrameId frame) {
       if (!fi::ShouldInject(FiSite::k_mf_ecc)) {
         return false;
@@ -77,43 +79,56 @@ bool Process::AccessMemory(Vaddr va, std::byte* buffer, uint64_t length, AccessT
     auto ecc_trips = [&](FrameId) { return false; };
 #endif
 
-    bool page_done = false;
+    // An L0/L1 hit: pin `pin`, recheck the covering shard generation against `gen`, copy,
+    // unpin. The pin is speculative (the frame may have been freed and reused since the
+    // translation was made); the recheck is what rejects that, because every mutator that
+    // unmaps a page bumps the shard before it drops the frame (gen before free). A failed
+    // pin or recheck falls through to the next tier (tlb_pin_retries).
+    enum class Hit { kMiss, kServed, kPoisoned };
+    auto serve_pinned = [&](FrameId frame, FrameId pin, uint64_t gen) {
+      if (!allocator.TryGetRef(pin)) {
+        CountVm(VmCounter::k_tlb_pin_retries);
+        return Hit::kMiss;
+      }
+      if (locks.ShardGen(current) != gen) {
+        allocator.DecRef(pin);
+        CountVm(VmCounter::k_tlb_pin_retries);
+        return Hit::kMiss;
+      }
+      CountVm(VmCounter::k_tlb_hits);
+      if (ecc_trips(frame)) {
+        allocator.DecRef(pin);
+        return Hit::kPoisoned;
+      }
+      copy_chunk(frame);
+      allocator.DecRef(pin);
+      return Hit::kServed;
+    };
 
-    // L0 — per-thread translation cache (mm_locks.h). Entirely lock-free: tag probe, pin
-    // the cached frame's refcount, recheck the covering shard generation. Writes hit only
-    // entries that a WRITE inserted (dirty bit already set at insert time).
+    // L0 — per-thread translation cache (mm_locks.h): tag probe, then a pinned hit. Writes
+    // hit only entries that a WRITE inserted (dirty bit already set at insert time).
     TransCacheEntry& cached = TranslationCache::SlotFor(as_id, vpn);
     if (cached.as_id == as_id && cached.vpn == vpn && (!want_write || cached.write_ok) &&
         cached.gen == locks.ShardGen(current)) {
-      reclaim::MmGate::SharedScope gate;
-      if (allocator.TryGetRef(cached.pin)) {
-        // Pin-then-recheck: the pin is speculative (the frame may have been freed and
-        // reused since the probe), and the generation recheck is what rejects that — any
-        // mutator that unmapped this page bumped the shard BEFORE dropping the frame.
-        if (cached.gen == locks.ShardGen(current)) {
-          FrameId frame = cached.frame;
-          FrameId pin = cached.pin;
-          CountVm(VmCounter::k_tlb_hits);
-          if (ecc_trips(frame)) {
-            allocator.DecRef(pin);
-            return false;
-          }
-          copy_chunk(frame);
-          allocator.DecRef(pin);
-          page_done = true;
-        } else {
-          allocator.DecRef(cached.pin);
-        }
+      Hit hit;
+      if (want_write) {
+        reclaim::MmGate::SharedScope gate;
+        hit = serve_pinned(cached.frame, cached.pin, cached.gen);
+      } else {
+        hit = serve_pinned(cached.frame, cached.pin, cached.gen);
       }
-    }
-    if (page_done) {
-      done += chunk;
-      continue;
+      if (hit == Hit::kPoisoned) {
+        return false;
+      }
+      if (hit == Hit::kServed) {
+        done += chunk;
+        continue;
+      }
     }
 
     // L1 — lock-free read-side walk (reads only; writes need A/D maintenance and COW
     // checks). Generation first, then the walk under a PtEpoch guard (retired tables on
-    // the path are still backed memory), then pin + generation recheck outside the guard.
+    // the path are still backed memory), then a pinned hit outside the guard.
     if (!want_write) {
       uint64_t g0 = locks.ShardGen(current);
       Translation t;
@@ -134,27 +149,17 @@ bool Process::AccessMemory(Vaddr va, std::byte* buffer, uint64_t length, AccessT
             t.huge ? t.frame - static_cast<FrameId>((current >> kPageShift) &
                                                     ((1ULL << kHugePageOrder) - 1))
                    : t.frame;
-        reclaim::MmGate::SharedScope gate;
-        if (allocator.TryGetRef(pin)) {
-          if (locks.ShardGen(current) == g0) {
-            CountVm(VmCounter::k_tlb_hits);
-            if (ecc_trips(t.frame)) {
-              allocator.DecRef(pin);
-              return false;
-            }
-            copy_chunk(t.frame);
-            allocator.DecRef(pin);
-            cached = TransCacheEntry{as_id, vpn, g0, t.frame, pin, /*write_ok=*/false};
-            page_done = true;
-          } else {
-            allocator.DecRef(pin);
-          }
+        Hit hit = serve_pinned(t.frame, pin, g0);
+        if (hit == Hit::kPoisoned) {
+          return false;
+        }
+        if (hit == Hit::kServed) {
+          CountVm(VmCounter::k_tlb_l1_hits);
+          cached = TransCacheEntry{as_id, vpn, g0, t.frame, pin, /*write_ok=*/false};
+          done += chunk;
+          continue;
         }
       }
-    }
-    if (page_done) {
-      done += chunk;
-      continue;
     }
 
     // L2 — locked slow path: AS gate shared (excludes layout mutators and fork), exactly

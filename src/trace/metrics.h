@@ -89,7 +89,9 @@ namespace odf {
   X(mf_huge_splits)              \
   X(lock_contended)              \
   X(tlb_hits)                    \
-  X(tlb_misses)
+  X(tlb_misses)                  \
+  X(tlb_l1_hits)                 \
+  X(tlb_pin_retries)
 
 enum class VmCounter : uint32_t {
 #define ODF_VM_ENUM_MEMBER(name) k_##name,

@@ -65,4 +65,8 @@ void HwPoison(Allocator& allocator) {
   allocator.MarkHwPoison(frame);  // odf-lint: allow(hwpoison-flag)
 }
 
+void ThreadFence() {
+  std::atomic_thread_fence(std::memory_order_seq_cst);  // odf-lint: allow(thread-fence)
+}
+
 }  // namespace odf_fixture

@@ -46,4 +46,8 @@ void HwPoison(Allocator& allocator) {
   allocator.MarkHwPoison(frame);  // hwpoison-flag
 }
 
+void ThreadFence() {
+  std::atomic_thread_fence(std::memory_order_seq_cst);  // thread-fence
+}
+
 }  // namespace odf_fixture

@@ -120,6 +120,27 @@ TEST_F(ProcTest, TlbAcceleratesRepeatedAccess) {
   EXPECT_GE(reads.Of(VmCounter::k_tlb_hits), 99u) << "hot-page reads must be TLB hits";
 }
 
+TEST_F(ProcTest, ReadHitsCountTheirTier) {
+  Process& p = kernel_.CreateProcess();
+  Vaddr va = p.Mmap(kPageSize, kProtRead | kProtWrite);
+  WriteByte(p, va, std::byte{1});
+  kernel_.Fork(p, ForkMode::kOnDemand);  // Flushes p's translations; the page stays mapped.
+  {
+    VmDeltas cold;
+    EXPECT_EQ(ReadByte(p, va), std::byte{1});
+    EXPECT_EQ(cold.Of(VmCounter::k_tlb_l1_hits), 1u)
+        << "a resident page missing from the cache is an L1 hit";
+    EXPECT_EQ(cold.Of(VmCounter::k_tlb_hits), 1u);
+    EXPECT_EQ(cold.Of(VmCounter::k_tlb_misses), 0u);
+  }
+  VmDeltas hot;
+  EXPECT_EQ(ReadByte(p, va), std::byte{1});
+  EXPECT_EQ(hot.Of(VmCounter::k_tlb_hits), 1u);
+  EXPECT_EQ(hot.Of(VmCounter::k_tlb_l1_hits), 0u) << "a re-read page is an L0 hit";
+  EXPECT_EQ(hot.Of(VmCounter::k_tlb_misses), 0u);
+  EXPECT_EQ(hot.Of(VmCounter::k_tlb_pin_retries), 0u);
+}
+
 TEST_F(ProcTest, TlbFlushedOnFork) {
   Process& p = kernel_.CreateProcess();
   Vaddr va = p.Mmap(kPageSize, kProtRead | kProtWrite);
