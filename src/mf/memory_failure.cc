@@ -168,6 +168,40 @@ size_t CountFileCacheRefs(MfContext& ctx, FrameId frame) {
   return refs;
 }
 
+// Pins the frame that holds `frame`'s references (its compound head, or the frame itself)
+// with TryGetRef, the way the LRU isolates a frame. Read hits take no gate, so a read
+// hit's unpin can drop a frame's last reference while we hold the exclusive gate; only a
+// pinned frame's flags, stamp and mappings hold still, and TryGetRef never revives a count
+// that already reached zero. Returns kInvalidFrame when the count is zero.
+FrameId PinHolder(FrameAllocator& allocator, FrameId frame) {
+  const PageMeta& meta = allocator.GetMeta(frame);
+  FrameId holder = meta.IsCompoundTail() ? meta.compound_head : frame;
+  return allocator.TryGetRef(holder) ? holder : kInvalidFrame;
+}
+
+// The verdict on a frame PinHolder could not pin. A free frame is retired before anyone
+// can allocate it (the take_page_off_buddy path). One still flagged allocated is being
+// freed right now by its last unpin: busy, like a page in transit between owners.
+MfResult OfflineUnpinned(FrameAllocator& allocator, FrameId frame, bool soft) {
+  const PageMeta& meta = allocator.GetMeta(frame);
+  if (meta.IsHwPoisoned()) {
+    return MfResult::kAlreadyPoisoned;
+  }
+  if ((meta.flags & kPageFlagAllocated) != 0) {
+    CountVm(VmCounter::k_mf_offline_failed);
+    return MfResult::kFailedBusy;
+  }
+  allocator.MarkHwPoison(frame);
+  if (soft) {
+    CountVm(VmCounter::k_mf_soft_offline);
+    ODF_TRACE(mf_soft_offline, 0, frame, 0);
+  } else {
+    CountVm(VmCounter::k_mf_hard_offline);
+    ODF_TRACE(mf_hard_offline, 0, frame, 0);
+  }
+  return MfResult::kDelayed;
+}
+
 }  // namespace
 
 MfResult HardOffline(MfContext& ctx, FrameId frame) {
@@ -178,28 +212,28 @@ MfResult HardOffline(MfContext& ctx, FrameId frame) {
     CountVm(VmCounter::k_mf_offline_failed);
     return MfResult::kFailedBusy;  // No such frame (the -ENXIO analog).
   }
+  // Pin first: the pin keeps the per-location DecRefs below from freeing the frame
+  // mid-operation, and keeps a read hit's unpin from freeing it under us. Refs on a
+  // compound subpage live on the head; the marker and quarantine target the subpage.
+  FrameId holder = PinHolder(allocator, frame);
+  if (holder == kInvalidFrame) {
+    return OfflineUnpinned(allocator, frame, /*soft=*/false);
+  }
   PageMeta& meta = allocator.GetMeta(frame);
   if (meta.IsHwPoisoned()) {
+    allocator.DecRef(holder);
     return MfResult::kAlreadyPoisoned;
   }
   if (meta.IsPageTable()) {
     // A dead page-table frame takes all translations below it with it; page-granularity
     // offline cannot contain that (the kernel panics on Reserved/slab pages for the same
     // reason). Refuse and leave containment to the operator.
+    allocator.DecRef(holder);
     CountVm(VmCounter::k_mf_offline_failed);
     return MfResult::kFailedKernelPage;
   }
-  if ((meta.flags & kPageFlagAllocated) == 0) {
-    // Free frame: retire it before anyone can allocate it (the take_page_off_buddy path).
-    allocator.MarkHwPoison(frame);
-    CountVm(VmCounter::k_mf_hard_offline);
-    ODF_TRACE(mf_hard_offline, 0, frame, 0);
-    return MfResult::kDelayed;
-  }
-  // Refs on a compound subpage live on the head; the marker and quarantine target the
-  // subpage itself.
-  FrameId holder = meta.compound_head;
   if (meta.IsCompound() && !SplitAllHugeMappings(ctx, holder)) {
+    allocator.DecRef(holder);
     CountVm(VmCounter::k_mf_offline_failed);
     return MfResult::kFailedBusy;
   }
@@ -213,13 +247,12 @@ MfResult HardOffline(MfContext& ctx, FrameId frame) {
   if (is_file) {
     replacement = allocator.TryAllocate(kPageFlagFile | kPageFlagZeroFill);
     if (replacement == kInvalidFrame) {
+      allocator.DecRef(holder);
       CountVm(VmCounter::k_mf_offline_failed);
       return MfResult::kFailedBusy;
     }
   }
-  // Pin the holder so the per-location DecRefs below can never free it mid-operation, then
-  // set the sticky poison flag — from here on the allocator will quarantine, not recycle.
-  allocator.IncRef(holder);
+  // The sticky poison flag: from here on the allocator will quarantine, not recycle.
   allocator.MarkHwPoison(frame);
   size_t relocated = 0;
   if (is_file) {
@@ -274,22 +307,23 @@ MfResult SoftOffline(MfContext& ctx, FrameId frame) {
     CountVm(VmCounter::k_mf_offline_failed);
     return MfResult::kFailedBusy;
   }
+  // Pinned across the per-location DecRefs, and against a read hit's unpin (HardOffline).
+  FrameId holder = PinHolder(allocator, frame);
+  if (holder == kInvalidFrame) {
+    return OfflineUnpinned(allocator, frame, /*soft=*/true);
+  }
   PageMeta& meta = allocator.GetMeta(frame);
   if (meta.IsHwPoisoned()) {
+    allocator.DecRef(holder);
     return MfResult::kAlreadyPoisoned;
   }
   if (meta.IsPageTable()) {
+    allocator.DecRef(holder);
     CountVm(VmCounter::k_mf_offline_failed);
     return MfResult::kFailedKernelPage;
   }
-  if ((meta.flags & kPageFlagAllocated) == 0) {
-    allocator.MarkHwPoison(frame);
-    CountVm(VmCounter::k_mf_soft_offline);
-    ODF_TRACE(mf_soft_offline, 0, frame, 0);
-    return MfResult::kDelayed;
-  }
-  FrameId holder = meta.compound_head;
   if (meta.IsCompound() && !SplitAllHugeMappings(ctx, holder)) {
+    allocator.DecRef(holder);
     CountVm(VmCounter::k_mf_offline_failed);
     return MfResult::kFailedBusy;
   }
@@ -299,17 +333,20 @@ MfResult SoftOffline(MfContext& ctx, FrameId frame) {
   if (locations.empty() && cache_refs == 0) {
     // Nothing maps or caches it; whoever holds it frees it into quarantine eventually.
     allocator.MarkHwPoison(frame);
+    allocator.DecRef(holder);
     CountVm(VmCounter::k_mf_soft_offline);
     ODF_TRACE(mf_soft_offline, 0, frame, 0);
     return MfResult::kDelayed;
   }
-  // Migration eligibility: every reference must be a mapping or cache slot we are about to
-  // repoint — extra references mean someone (a mid-rollback fork, a pinning test) holds
-  // the frame and migration would yank it out from under them. A split-huge tail's
-  // references aggregate on the compound head where per-subpage attribution is impossible;
-  // the head pin below keeps those safe instead.
+  // Migration eligibility: every reference but our pin must be a mapping or cache slot we
+  // are about to repoint — extra references mean someone (a read hit in flight, a
+  // mid-rollback fork, a pinning test) holds the frame and migration would yank it out
+  // from under them; the caller may retry. A split-huge tail's references aggregate on the
+  // compound head where per-subpage attribution is impossible; the head pin keeps those
+  // safe instead.
   if (holder == frame &&
-      meta.refcount.load(std::memory_order_relaxed) != locations.size() + cache_refs) {
+      meta.refcount.load(std::memory_order_relaxed) != locations.size() + cache_refs + 1) {
+    allocator.DecRef(holder);
     CountVm(VmCounter::k_mf_offline_failed);
     return MfResult::kFailedBusy;
   }
@@ -320,10 +357,10 @@ MfResult SoftOffline(MfContext& ctx, FrameId frame) {
                                       (kPageFlagAnon | kPageFlagFile | kPageFlagZeroFill));
   FrameId replacement = allocator.TryAllocate(kind);
   if (replacement == kInvalidFrame) {
+    allocator.DecRef(holder);
     CountVm(VmCounter::k_mf_offline_failed);
     return MfResult::kFailedBusy;
   }
-  allocator.IncRef(holder);  // Pin across the per-location DecRefs.
   const std::byte* src = allocator.PeekData(frame);
   if (src != nullptr) {
     std::memcpy(allocator.MaterializeForOverwrite(replacement), src, kPageSize);

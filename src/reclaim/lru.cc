@@ -222,6 +222,11 @@ size_t PageLru::TakeLocked(List& list, size_t max, std::vector<FrameId>* out) {
   while (taken < max && list.tail != kInvalidFrame) {
     FrameId frame = list.tail;
     UnlinkLocked(frame, list);
+    if (!allocator_->TryGetRef(frame)) {
+      // The last reference is dropping right now (a read hit's unpin, which takes no
+      // gate); the free's Release, blocked on our lock, finds the frame already unlinked.
+      continue;
+    }
     SetState(Meta(frame), LruState::kIsolated);
     out->push_back(frame);
     ++taken;

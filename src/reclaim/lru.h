@@ -51,7 +51,7 @@ enum class LruState : uint8_t {
   kBatchedActive,  // In an add batch, bound for the active list (workingset refault).
   kInactive,
   kActive,
-  kIsolated,       // Taken off a list by the shrinker; PutBack or Release ends it.
+  kIsolated,       // Taken (and pinned) by the shrinker; PutBack or Release ends it.
 };
 
 namespace lru_internal {
@@ -83,14 +83,19 @@ class PageLru {
   // batches. No-op when already tracked.
   void Insert(FrameId frame, bool active);
 
-  // Pops up to `max` frames off the inactive tail (coldest first) into `out`.
-  // The frames are isolated; callers re-insert survivors with PutBack.
+  // Pops up to `max` frames off the inactive tail (coldest first) into `out`. Each frame
+  // is isolated AND pinned with one reference (the isolate_lru_page analog): read hits
+  // take no gate, so without the pin a read hit's unpin could free a frame the caller is
+  // examining, even under the exclusive MmGate. A frame whose count already reached zero
+  // is mid-free; it leaves the list but is not returned. Callers re-insert survivors with
+  // PutBack (or Erase them) and then drop the pin with DecRef.
   size_t TakeInactive(size_t max, std::vector<FrameId>* out);
 
-  // Pops up to `max` frames off the active tail (aging scan).
+  // Pops up to `max` frames off the active tail (aging scan), isolated and pinned likewise.
   size_t TakeActive(size_t max, std::vector<FrameId>* out);
 
-  // Re-inserts an isolated frame at the head of the chosen list.
+  // Re-inserts an isolated frame at the head of the chosen list. The caller still holds
+  // the isolation pin, so the frame cannot have been freed meanwhile.
   void PutBack(FrameId frame, bool active);
 
   // List sizes; frames still waiting in add batches count toward the list they are bound
