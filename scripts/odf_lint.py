@@ -71,11 +71,12 @@ offending line or the line above it — always with a reason):
       warning, not a silent leak.
 
   direct-writeback
-      SwapSpace::TryWriteOut may only be called from src/reclaim/ and
+      SwapSpace::TryReserveWriteOut may only be called from src/reclaim/ and
       src/mm/swap.cc. Everywhere else, pushing a page to swap must go through
-      the reclaim shrinker: a direct write-out bypasses the rmap broadcast
-      (other mappings keep referencing the freed frame), the LRU bookkeeping,
-      and the workingset shadow recording (docs/reclaim.md).
+      the reclaim shrinker: a direct reservation bypasses the rmap broadcast
+      (other mappings keep referencing the frame), the pageout that commits
+      the write-out and frees the frame only after the TLB flush, the LRU
+      bookkeeping, and the workingset shadow recording (docs/reclaim.md).
 
   table-mutex
       Kernel::table_mutex_ may only be named inside src/proc/kernel.cc (and its
@@ -180,7 +181,7 @@ TRACE_CALL_RE = re.compile(r"\btrace::Emit\s*\(")
 # thread-fence: fences are invisible to TSan; src/ orders through its atomics instead.
 THREAD_FENCE_RE = re.compile(r"\batomic_thread_fence\s*\(")
 
-WRITEBACK_RE = re.compile(r"(?:\.|->)TryWriteOut\s*\(")
+WRITEBACK_RE = re.compile(r"(?:\.|->)TryReserveWriteOut\s*\(")
 
 # table-mutex: the process-table lock stays narrow; only kernel.cc may take it.
 TABLE_MUTEX_RE = re.compile(r"\btable_mutex_\b")
@@ -386,7 +387,7 @@ def lint_file(rel_path, findings):
         if not writeback_ok and WRITEBACK_RE.search(code):
             report(
                 "direct-writeback",
-                "direct SwapSpace::TryWriteOut call outside src/reclaim/ — evict "
+                "direct SwapSpace::TryReserveWriteOut call outside src/reclaim/ — evict "
                 "through the shrinker so rmap, LRU, and workingset state stay "
                 "consistent",
                 column_of(WRITEBACK_RE, raw, code),

@@ -286,8 +286,11 @@ std::string VerifyResult::Describe() const {
 VerifyResult VerifyKernel(Kernel& kernel) {
   // Freeze the VM: the walk reads paging structures non-atomically and the rmap
   // comparison needs slots that are not being rewritten. The exclusive gate holds off
-  // every mutator AND the shrinker (reentrant if this thread already holds it).
+  // every mutator AND the shrinker (reentrant if this thread already holds it); the
+  // pageout wait lets an evictor that released the gate finish, so no evicted frame still
+  // owes its write-out or holds references no mapping accounts for.
   reclaim::MmGate::ExclusiveScope gate;
+  reclaim::MmGate::WaitForPageouts();
   AuditResult audit = AuditKernel(kernel);
   VerifyResult result;
   result.violations = audit.violations;

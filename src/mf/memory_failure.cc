@@ -179,6 +179,15 @@ FrameId PinHolder(FrameAllocator& allocator, FrameId frame) {
   return allocator.TryGetRef(holder) ? holder : kInvalidFrame;
 }
 
+// A frame whose evictor unmapped it but has not yet committed its write-out: the swap slot
+// still serves the frame's bytes and the commit copies them after the evictor released the
+// gate. Retiring the frame now could put dead bytes into the slot with no one told, so the
+// offline reports busy (nothing mutated) and the caller retries once the pageout is done —
+// by then the frame is an unmapped one on its way to the free list.
+bool WriteOutPending(const MfContext& ctx, FrameId frame) {
+  return ctx.swap != nullptr && ctx.swap->WriteOutPending(frame);
+}
+
 // The verdict on a frame PinHolder could not pin. A free frame is retired before anyone
 // can allocate it (the take_page_off_buddy path). One still flagged allocated is being
 // freed right now by its last unpin: busy, like a page in transit between owners.
@@ -223,6 +232,11 @@ MfResult HardOffline(MfContext& ctx, FrameId frame) {
   if (meta.IsHwPoisoned()) {
     allocator.DecRef(holder);
     return MfResult::kAlreadyPoisoned;
+  }
+  if (WriteOutPending(ctx, frame)) {
+    allocator.DecRef(holder);
+    CountVm(VmCounter::k_mf_offline_failed);
+    return MfResult::kFailedBusy;
   }
   if (meta.IsPageTable()) {
     // A dead page-table frame takes all translations below it with it; page-granularity
@@ -316,6 +330,11 @@ MfResult SoftOffline(MfContext& ctx, FrameId frame) {
   if (meta.IsHwPoisoned()) {
     allocator.DecRef(holder);
     return MfResult::kAlreadyPoisoned;
+  }
+  if (WriteOutPending(ctx, frame)) {
+    allocator.DecRef(holder);
+    CountVm(VmCounter::k_mf_offline_failed);
+    return MfResult::kFailedBusy;
   }
   if (meta.IsPageTable()) {
     allocator.DecRef(holder);

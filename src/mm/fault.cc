@@ -387,7 +387,10 @@ FaultResult HandleFault(AddressSpace& as, Vaddr va, AccessType access, FrameId* 
       return FaultResult::kHwPoison;
     }
     if (entry.IsSwap()) {
-      // Swap-in: bring the page back from the swap device into a fresh private frame.
+      // Swap-in: bring the page back from the swap device into a fresh private frame. A
+      // slot whose write-out the evictor has not committed yet serves the evicted frame's
+      // bytes instead (SwapSpace::ReadIn); the slot reference dropped below may be its
+      // last, and the commit then recycles the slot.
       SwapSpace* swap = as.swap_space();
       ODF_CHECK(swap != nullptr);
       FrameId frame = as.allocator().TryAllocate(kPageFlagAnon);

@@ -13,13 +13,13 @@ namespace odf {
 namespace {
 
 // Swap-device lock class. Taken from the reclaimer and the swap-in fault path; never held
-// while acquiring another mm lock (all callers copy in/out under it and return).
+// while acquiring another mm lock (callers copy in/out under it and return; the commit of
+// a reservation copies without it).
 debug::LockClass g_swap_lock_class("SwapSpace::mutex_");
 
 }  // namespace
 
-SwapSlot SwapSpace::WriteOut(const std::byte* src) {
-  debug::MutexGuard guard(mutex_, g_swap_lock_class);
+SwapSlot SwapSpace::AllocSlotLocked() {
   SwapSlot slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -29,8 +29,23 @@ SwapSlot SwapSpace::WriteOut(const std::byte* src) {
     slots_.emplace_back();
     ++stats_.total_slots;
   }
+  ODF_DCHECK(slots_[slot].refs == 0 && slots_[slot].pending == nullptr);
+  ++stats_.slots_in_use;
+  ++stats_.writes;
+  CountVm(VmCounter::k_swap_writes);
+  return slot;
+}
+
+void SwapSpace::ReleaseSlotLocked(SwapSlot slot) {
+  free_slots_.push_back(slot);
+  --stats_.slots_in_use;
+  // Keep the buffer for recycling; a zeroing WriteOut replaces content anyway.
+}
+
+SwapSlot SwapSpace::WriteOut(const std::byte* src) {
+  debug::MutexGuard guard(mutex_, g_swap_lock_class);
+  SwapSlot slot = AllocSlotLocked();
   Slot& entry = slots_[slot];
-  ODF_DCHECK(entry.refs == 0);
   if (src != nullptr) {
     if (entry.data == nullptr) {
       entry.data = std::make_unique<std::byte[]>(kPageSize);
@@ -40,13 +55,11 @@ SwapSlot SwapSpace::WriteOut(const std::byte* src) {
     entry.data.reset();  // Logical zero; no device storage needed.
   }
   entry.refs = 1;
-  ++stats_.slots_in_use;
-  ++stats_.writes;
-  CountVm(VmCounter::k_swap_writes);
   return slot;
 }
 
-SwapSlot SwapSpace::TryWriteOut(const std::byte* src) {
+SwapSlot SwapSpace::TryReserveWriteOut(FrameId frame, const std::byte* src, uint32_t refs) {
+  ODF_DCHECK(src != nullptr && refs > 0);
   if (fi::ShouldInject(FiSite::k_swap_out)) {
     ODF_TRACE(swap_io_error, 0, /*is_write=*/1);
     CountVm(VmCounter::k_swap_io_errors);
@@ -54,14 +67,84 @@ SwapSlot SwapSpace::TryWriteOut(const std::byte* src) {
     ++stats_.io_errors;
     return kInvalidSwapSlot;
   }
-  return WriteOut(src);
+  debug::MutexGuard guard(mutex_, g_swap_lock_class);
+  SwapSlot slot = AllocSlotLocked();
+  Slot& entry = slots_[slot];
+  if (entry.data == nullptr) {
+    // The commit copies into this buffer without the mutex; it stays put until then.
+    entry.data = std::make_unique<std::byte[]>(kPageSize);
+  }
+  entry.pending = src;
+  entry.pending_frame = frame;
+  entry.refs = refs;
+  pending_.push_back(slot);
+  return slot;
+}
+
+void SwapSpace::CommitWriteOuts(std::span<const SwapSlot> slots) {
+  if (slots.empty()) {
+    return;
+  }
+  struct Copy {
+    std::byte* dst;
+    const std::byte* src;
+  };
+  std::vector<Copy> copies;
+  copies.reserve(slots.size());
+  {
+    debug::MutexGuard guard(mutex_, g_swap_lock_class);
+    for (SwapSlot slot : slots) {
+      const Slot& entry = slots_[slot];
+      ODF_DCHECK(entry.pending != nullptr) << "commit of unreserved slot " << slot;
+      if (entry.refs > 0) {
+        copies.push_back(Copy{entry.data.get(), entry.pending});
+      }
+    }
+  }
+  // Without the mutex: until the reservation ends below, no one else touches the buffer
+  // (ReadIn and PeekSlot serve the frame, and the slot cannot be recycled), and the frame
+  // is pinned and unmapped, so its bytes hold still.
+  for (const Copy& copy : copies) {
+    std::memcpy(copy.dst, copy.src, kPageSize);
+  }
+  debug::MutexGuard guard(mutex_, g_swap_lock_class);
+  for (SwapSlot slot : slots) {
+    Slot& entry = slots_[slot];
+    entry.pending = nullptr;
+    entry.pending_frame = kInvalidFrame;
+    if (entry.refs == 0) {
+      ReleaseSlotLocked(slot);  // Its last reference dropped while the write-out was pending.
+    }
+  }
+  size_t kept = 0;
+  for (SwapSlot slot : pending_) {
+    if (slots_[slot].pending != nullptr) {
+      pending_[kept++] = slot;  // Another evictor's reservation.
+    }
+  }
+  pending_.resize(kept);
+}
+
+bool SwapSpace::WriteOutPending(FrameId frame) const {
+  debug::MutexGuard guard(mutex_, g_swap_lock_class);
+  for (SwapSlot slot : pending_) {
+    if (slots_[slot].pending_frame == frame) {
+      return true;
+    }
+  }
+  return false;
 }
 
 void SwapSpace::ReadIn(SwapSlot slot, std::byte* dst) {
   debug::MutexGuard guard(mutex_, g_swap_lock_class);
   ODF_CHECK(slot < slots_.size() && slots_[slot].refs > 0) << "read of free swap slot " << slot;
   const Slot& entry = slots_[slot];
-  if (entry.data == nullptr) {
+  if (entry.pending != nullptr) {
+    // Reserved: the frame still holds the content, and the commit, which must take the
+    // mutex before the frame can be freed, has not ended the reservation.
+    std::memcpy(dst, entry.pending, kPageSize);
+    CountVm(VmCounter::k_pgswapin_pending);
+  } else if (entry.data == nullptr) {
     std::memset(dst, 0, kPageSize);
   } else {
     std::memcpy(dst, entry.data.get(), kPageSize);
@@ -91,10 +174,8 @@ void SwapSpace::IncRef(SwapSlot slot) {
 void SwapSpace::DecRef(SwapSlot slot) {
   debug::MutexGuard guard(mutex_, g_swap_lock_class);
   ODF_CHECK(slot < slots_.size() && slots_[slot].refs > 0) << "decref of free slot " << slot;
-  if (--slots_[slot].refs == 0) {
-    free_slots_.push_back(slot);
-    --stats_.slots_in_use;
-    // Keep the buffer for recycling; a zeroing WriteOut replaces content anyway.
+  if (--slots_[slot].refs == 0 && slots_[slot].pending == nullptr) {
+    ReleaseSlotLocked(slot);  // A reserved slot is recycled by its commit instead.
   }
 }
 
@@ -110,7 +191,11 @@ SwapStats SwapSpace::Stats() const {
 
 const std::byte* SwapSpace::PeekSlot(SwapSlot slot) const {
   debug::MutexGuard guard(mutex_, g_swap_lock_class);
-  return slot < slots_.size() ? slots_[slot].data.get() : nullptr;
+  if (slot >= slots_.size()) {
+    return nullptr;
+  }
+  const Slot& entry = slots_[slot];
+  return entry.pending != nullptr ? entry.pending : entry.data.get();
 }
 
 bool SwapSpace::AllFree() const {

@@ -51,8 +51,8 @@ reclaim::ShrinkContext Kernel::MakeShrinkContext() {
   ctx.rmap = &rmap_;
   ctx.lru = &lru_;
   // Coarse shootdown: the shrinker rewrote leaf entries (possibly in tables shared across
-  // processes), so every TLB is stale. Runs while the caller still holds the MmGate
-  // exclusively, before any mutator resumes.
+  // processes), so every TLB is stale. Runs while the evictor still holds the MmGate
+  // exclusively, before any mutator resumes and before any evicted frame is freed.
   ctx.flush_tlbs = [this] {
     debug::MutexGuard guard(table_mutex_, g_table_lock_class);
     for (auto& [pid, process] : processes_) {
@@ -163,14 +163,11 @@ uint64_t Kernel::ReclaimMemory(uint64_t want) {
   debug::MutationScope mutation;
   CountVm(VmCounter::k_direct_reclaim);
   ODF_TRACE(reclaim_begin, /*pid=*/0, want);
-  uint64_t freed = 0;
-  {
-    // Upgrade to the exclusive gate: this thread is typically a mutator mid-operation
-    // (its shared hold is released for the duration and restored on exit; see mm_gate.h).
-    reclaim::MmGate::ExclusiveScope gate;
-    reclaim::ShrinkContext ctx = MakeShrinkContext();
-    freed = reclaim::ReclaimPages(ctx, want);
-  }
+  // ReclaimPages upgrades to the exclusive gate for its unmap phase: this thread is
+  // typically a mutator mid-operation, whose shared hold is released for the whole round,
+  // pageout included, and restored on return (mm_gate.h).
+  reclaim::ShrinkContext ctx = MakeShrinkContext();
+  uint64_t freed = reclaim::ReclaimPages(ctx, want);
   if (freed > 0) {
     ODF_TRACE(reclaim_end, /*pid=*/0, want, freed);
     op.Result(freed);

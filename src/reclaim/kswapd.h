@@ -2,7 +2,8 @@
 //
 // The FrameAllocator's pressure callback (SetPressureCallback) calls Wake() whenever an
 // allocation finds free frames below the LOW watermark; the daemon then runs balance
-// rounds — each one taking the MmGate exclusively and calling ReclaimPages — until free
+// rounds — each one a ReclaimPages call, which holds the MmGate exclusively for its unmap
+// phase and writes the evicted pages to swap after releasing it — until free
 // frames recover to the HIGH watermark, naps for kNap, balances again if free frames sank
 // below HIGH during the nap, and goes back to sleep. Mutators never wait for
 // kswapd: a quota-blocked allocation falls into direct reclaim (Kernel::ReclaimMemory)

@@ -244,11 +244,16 @@ size_t PageLru::TakeActive(size_t max, std::vector<FrameId>* out) {
   return TakeLocked(active_, max, out);
 }
 
-void PageLru::PutBack(FrameId frame, bool active) {
+void PageLru::PutBack(std::span<const FrameId> frames, bool active) {
+  if (frames.empty()) {
+    return;
+  }
   debug::MutexGuard guard(mu_, g_lru_lock_class);
-  ODF_DCHECK(StateOf(Meta(frame)) == LruState::kIsolated)
-      << "PutBack of frame " << frame << " that was not isolated";
-  LinkLocked(frame, active);
+  for (FrameId frame : frames) {
+    ODF_DCHECK(StateOf(Meta(frame)) == LruState::kIsolated)
+        << "PutBack of frame " << frame << " that was not isolated";
+    LinkLocked(frame, active);
+  }
 }
 
 size_t PageLru::ActiveSize() const {
@@ -307,12 +312,17 @@ std::string PageLru::ForEachTracked(
   return "";
 }
 
-void PageLru::RecordEviction(uint64_t slot) {
-  debug::MutexGuard guard(mu_, g_lru_lock_class);
-  if (shadows_.size() >= kMaxShadows) {
-    shadows_.clear();
+void PageLru::RecordEvictions(std::span<const uint64_t> slots) {
+  if (slots.empty()) {
+    return;
   }
-  shadows_[slot] = ++eviction_epoch_;
+  debug::MutexGuard guard(mu_, g_lru_lock_class);
+  for (uint64_t slot : slots) {
+    if (shadows_.size() >= kMaxShadows) {
+      shadows_.clear();
+    }
+    shadows_[slot] = ++eviction_epoch_;
+  }
 }
 
 bool PageLru::NoteRefault(uint64_t slot) {

@@ -94,9 +94,12 @@ class PageLru {
   // Pops up to `max` frames off the active tail (aging scan), isolated and pinned likewise.
   size_t TakeActive(size_t max, std::vector<FrameId>* out);
 
-  // Re-inserts an isolated frame at the head of the chosen list. The caller still holds
-  // the isolation pin, so the frame cannot have been freed meanwhile.
-  void PutBack(FrameId frame, bool active);
+  // Re-inserts isolated frames at the head of the chosen list, in order, under one lock
+  // hold. The caller still holds their isolation pins, so none can have been freed meanwhile.
+  void PutBack(std::span<const FrameId> frames, bool active);
+  void PutBack(FrameId frame, bool active) {
+    PutBack(std::span<const FrameId>(&frame, 1), active);
+  }
 
   // List sizes; frames still waiting in add batches count toward the list they are bound
   // for, so the totals mean "frames admitted" at any moment.
@@ -115,8 +118,10 @@ class PageLru {
 
   // --- Workingset shadows ---
 
-  // Stamps `slot` with the current eviction epoch (called once per evicted page).
-  void RecordEviction(uint64_t slot);
+  // Stamps each slot with the next eviction epoch, in order, under one lock hold (called
+  // once per evicted page, by the pageout).
+  void RecordEvictions(std::span<const uint64_t> slots);
+  void RecordEviction(uint64_t slot) { RecordEvictions(std::span<const uint64_t>(&slot, 1)); }
 
   // Consumes the shadow for `slot` on swap-in. Returns true when the refault distance is
   // within the current LRU size — the page was evicted out of its workingset and should

@@ -1,14 +1,40 @@
 #include "src/reclaim/mm_gate.h"
 
+#include <chrono>
+
 #include "src/debug/debug.h"
 #include "src/pt/mm_locks.h"
+#include "src/trace/metrics.h"
 
 namespace odf {
 namespace reclaim {
 
+namespace {
+
+LatencyHistogram& MmGateHoldHistogram() {
+  static LatencyHistogram& histogram =
+      MetricsRegistry::Global().RegisterHistogram("mm_gate_hold");
+  return histogram;
+}
+
+uint64_t NowNs() {
+  return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                                   std::chrono::steady_clock::now().time_since_epoch())
+                                   .count());
+}
+
+}  // namespace
+
+thread_local int MmGate::tls_pageouts_ = 0;
 thread_local int MmGate::tls_shared_depth_ = 0;
 thread_local int MmGate::tls_exclusive_depth_ = 0;
 thread_local util::BravoGate::ReadToken MmGate::tls_token_;
+
+MmGate::MmGate() {
+  // Eager registration: the histogram shows in FormatVmstat and the sidecars even when
+  // nothing ever holds the gate exclusively (count 0 is the data point).
+  MmGateHoldHistogram();
+}
 
 MmGate& MmGate::Global() {
   static MmGate gate;
@@ -46,6 +72,7 @@ MmGate::ExclusiveScope::ExclusiveScope() {
   if (tls_exclusive_depth_++ > 0) {
     return;  // Reentrant: already exclusive.
   }
+  outermost_ = true;
   // Upgrade: drop this thread's shared holds so the exclusive acquisition cannot deadlock
   // against itself. Other threads' shared holds still gate us, which is the point.
   restored_shared_ = tls_shared_depth_;
@@ -57,18 +84,68 @@ MmGate::ExclusiveScope::ExclusiveScope() {
   if (wait_ns > 1000) {
     NoteMmLockWait(/*kind=*/1, wait_ns);
   }
+  acquired_ns_ = NowNs();
+}
+
+void MmGate::ExclusiveScope::Release() {
+  ODF_DCHECK(tls_exclusive_depth_ > 0) << "unbalanced MmGate::ExclusiveScope";
+  --tls_exclusive_depth_;
+  if (!outermost_) {
+    return;
+  }
+  uint64_t held_ns = NowNs() - acquired_ns_;
+  CountVm(VmCounter::k_mm_gate_hold_ns, held_ns);
+  MmGateHoldHistogram().RecordNanos(held_ns);
+  Global().gate_.UnlockExclusive();
+}
+
+void MmGate::ExclusiveScope::Unlock() {
+  ODF_DCHECK(held_) << "MmGate::ExclusiveScope unlocked twice";
+  ODF_DCHECK(!outermost_ || tls_exclusive_depth_ == 1)
+      << "early unlock of an exclusive scope with nested scopes open";
+  held_ = false;
+  Release();
 }
 
 MmGate::ExclusiveScope::~ExclusiveScope() {
-  ODF_DCHECK(tls_exclusive_depth_ > 0) << "unbalanced MmGate::ExclusiveScope";
-  if (--tls_exclusive_depth_ > 0) {
-    return;
+  if (held_) {
+    Release();
   }
-  Global().gate_.UnlockExclusive();
   if (restored_shared_ > 0) {
     // Restore the caller's shared holds after the upgrade.
     tls_token_ = Global().gate_.LockShared();
     tls_shared_depth_ = restored_shared_;
+  }
+}
+
+void MmGate::BeginPageout() {
+  ODF_DCHECK(ThreadHoldsExclusive()) << "pageout opened without the MmGate held exclusive";
+  MmGate& gate = Global();
+  util::MutexLock lock(gate.pageout_mu_);
+  ++gate.pageouts_;
+  ++tls_pageouts_;
+}
+
+void MmGate::EndPageout() {
+  MmGate& gate = Global();
+  {
+    util::MutexLock lock(gate.pageout_mu_);
+    ODF_DCHECK(gate.pageouts_ > 0 && tls_pageouts_ > 0) << "unbalanced MmGate::EndPageout";
+    --tls_pageouts_;
+    if (--gate.pageouts_ > 0) {
+      return;
+    }
+  }
+  gate.pageout_cv_.NotifyAll();
+}
+
+void MmGate::WaitForPageouts() {
+  ODF_DCHECK(ThreadHoldsExclusive()) << "pageout wait without the MmGate held exclusive";
+  ODF_CHECK(tls_pageouts_ == 0) << "waiting for this thread's own pageout would never end";
+  MmGate& gate = Global();
+  util::MutexLock lock(gate.pageout_mu_);
+  while (gate.pageouts_ > 0) {
+    gate.pageout_cv_.Wait(gate.pageout_mu_);
   }
 }
 

@@ -28,23 +28,34 @@
 //     (PageLru::Take*, which pins with TryGetRef and skips a frame whose count already
 //     reached zero), mf offline with TryGetRef on the holder. Never IncRef a frame found
 //     by lookup rather than held: it would revive a count that reached zero.
-//   - Eviction (kswapd balance rounds, direct reclaim, mf offline) takes ExclusiveScope.
-//     ExclusiveScope UPGRADES: it releases the calling thread's shared holds first and
-//     restores them afterwards, so a mutator blocked at the allocation quota can run
-//     direct reclaim without deadlocking against its own shared hold.
+//   - Eviction (kswapd balance rounds and direct reclaim through ReclaimPages, mf offline)
+//     takes ExclusiveScope. ExclusiveScope UPGRADES: it releases the calling thread's
+//     shared holds first and restores them afterwards, so a mutator blocked at the
+//     allocation quota can run direct reclaim without deadlocking against its own shared
+//     hold.
+//   - The evictor's exclusive hold covers isolate -> unmap -> flush only: it isolates and
+//     pins frames, walks their rmap, checks evictability and second chance, reserves swap
+//     slots, writes the swap entries and flushes the TLBs (reclaim::UnmapPages). Copying
+//     the frames into their slots and dropping the frames' references (the pageout,
+//     reclaim::FinishPageout) come after ExclusiveScope::Unlock, alongside the mutators;
+//     the caller's shared holds come back only after that, at scope exit.
 //   - The evictor drops the frame references of the mappings it cleared, and its isolation
-//     pin, only AFTER its TLB flush (ReclaimPages; mf offline holds its pin across its
-//     drops and the flush the same way):
-//     gen before free holds for it as for every other mutator. The exclusive hold is no
-//     substitute: a read hit's late unpin could free the frame before the flush, and an
-//     allocator that runs without the gate (fork's child PGD, MemFile::GetPage) could
-//     reuse it under a stale translation whose generation was not yet bumped.
+//     pin, only AFTER its TLB flush and the commit of the frame's write-out (the pageout;
+//     mf offline holds its pin across its drops and the flush the same way): gen before
+//     free holds for it as for every other mutator. The exclusive hold is no substitute:
+//     a read hit's late unpin could free the frame before the flush, and an allocator that
+//     runs without the gate (fork's child PGD, MemFile::GetPage) could reuse it under a
+//     stale translation whose generation was not yet bumped.
+//   - A pageout in flight leaves frames unmapped but still allocated, and swap slots whose
+//     content is still in those frames. Whoever needs neither holds the gate exclusively
+//     and calls WaitForPageouts: VerifyKernel and the rmap queries (Rmap::TotalLocations
+//     etc.), and an eviction round that found nothing to evict. A pageout takes no gate,
+//     so that wait always ends.
 //   - VerifyKernel takes ExclusiveScope to stop table rewrites, but read pins still come
 //     and go, so its refcount == mappings checks are exact only at a quiescent point (no
 //     thread mid-access). Every caller runs there: tests and odf-replay after joining
 //     their threads, and AutoVerifyKernel only when no MutationScope is open (AccessMemory
-//     opens one). The rmap queries (Rmap::TotalLocations etc.) count entries, which reads
-//     never rewrite.
+//     opens one, and kswapd keeps one open across its pageout).
 //   - No other lock may be held at a quota-wait allocation point (TryWaitForQuota): a
 //     mutator blocked there has dropped the gate, and any lock it still held could be
 //     needed by the eviction that must run to unblock it. DedicatePteTable /
@@ -53,7 +64,10 @@
 #ifndef ODF_SRC_RECLAIM_MM_GATE_H_
 #define ODF_SRC_RECLAIM_MM_GATE_H_
 
+#include <cstdint>
+
 #include "src/util/bravo_gate.h"
+#include "src/util/mutex.h"
 #include "src/util/thread_annotations.h"
 
 namespace odf {
@@ -92,6 +106,8 @@ class ODF_CAPABILITY("mm_gate") MmGate {
   // shared (a mutator entering direct reclaim from the allocation quota wait), the shared
   // holds are released before blocking for exclusive and re-taken on scope exit — the
   // caller must re-validate any state derived under the dropped shared hold. Reentrant.
+  // Every outermost hold adds its length to vmstat mm_gate_hold_ns and the mm_gate_hold
+  // histogram.
   class ODF_SCOPED_CAPABILITY ExclusiveScope {
    public:
     ExclusiveScope() ODF_ACQUIRE(Global());
@@ -99,18 +115,42 @@ class ODF_CAPABILITY("mm_gate") MmGate {
     ExclusiveScope(const ExclusiveScope&) = delete;
     ExclusiveScope& operator=(const ExclusiveScope&) = delete;
 
+    // Ends the exclusive hold before the scope ends. Shared holds released on entry come
+    // back only at scope exit, so the code in between runs with no gate at all (the
+    // evictor's pageout, which a verifier holding the gate may be waiting for).
+    void Unlock() ODF_RELEASE();
+
    private:
+    void Release();
+
     int restored_shared_ = 0;
+    bool outermost_ = false;
+    bool held_ = true;
+    uint64_t acquired_ns_ = 0;
   };
 
+  // Pageout in flight: an evictor that unmapped frames under its exclusive hold writes them
+  // to swap and drops their references after releasing it (reclaim::ReclaimPages). It
+  // opens the pageout while still holding the gate and ends it when the last reference is
+  // dropped; WaitForPageouts, called with the gate held exclusively, returns once none is
+  // in flight, so no frame is left owing its write-out or its references (VerifyKernel,
+  // the rmap queries). Never wait while this thread's own pageout is open.
+  static void BeginPageout() ODF_REQUIRES(Global());
+  static void EndPageout();
+  static void WaitForPageouts() ODF_REQUIRES(Global());
+
  private:
-  MmGate() = default;
+  MmGate();
 
   // BRAVO distributed reader/writer gate (util/bravo_gate.h): the shared side is taken on
   // every write access and every fault by every thread, so the reader fast path must not
   // bounce a shared cache line — a plain shared_mutex reader count caps multi-thread fault
   // scaling long before the shard locks do.
   util::BravoGate gate_;
+  util::Mutex pageout_mu_;
+  util::CondVar pageout_cv_;
+  int pageouts_ ODF_GUARDED_BY(pageout_mu_) = 0;
+  static thread_local int tls_pageouts_;
   static thread_local int tls_shared_depth_;
   static thread_local int tls_exclusive_depth_;
   static thread_local util::BravoGate::ReadToken tls_token_;

@@ -195,6 +195,7 @@ void Rmap::ForEachDistinctLeaf(Fn&& fn) const {
 
 uint64_t Rmap::TotalLocations() {
   MmGate::ExclusiveScope gate;
+  MmGate::WaitForPageouts();
   uint64_t total = 0;
   ForEachDistinctLeaf([&](const uint64_t*, Pte) { ++total; });
   return total;
@@ -202,6 +203,7 @@ uint64_t Rmap::TotalLocations() {
 
 uint64_t Rmap::MappedFrames() {
   MmGate::ExclusiveScope gate;
+  MmGate::WaitForPageouts();
   std::vector<FrameId> frames;
   ForEachDistinctLeaf([&](const uint64_t*, Pte entry) { frames.push_back(entry.frame()); });
   std::sort(frames.begin(), frames.end());
@@ -210,6 +212,7 @@ uint64_t Rmap::MappedFrames() {
 
 size_t Rmap::LocationCount(FrameId frame) {
   MmGate::ExclusiveScope gate;
+  MmGate::WaitForPageouts();
   std::vector<RmapLocation> locations;
   Walk(frame, &locations);
   return locations.size();

@@ -113,7 +113,8 @@ class Rmap {
     }
   }
 
-  // --- Gauges (each takes the MmGate exclusively itself) ---
+  // --- Gauges (each takes the MmGate exclusively itself and waits for pageouts in flight,
+  // so no count lands mid-eviction) ---
 
   // Distinct present leaf slots across every family member: a shared table's slot counts
   // once, a huge PMD leaf counts once.

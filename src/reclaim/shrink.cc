@@ -1,6 +1,7 @@
 #include "src/reclaim/shrink.h"
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "src/debug/debug.h"
@@ -17,18 +18,13 @@ namespace {
 
 constexpr size_t kScanBatch = 64;
 
-// Ends an isolation: back onto the chosen list, then the isolation pin (PageLru::Take*)
-// drops. The drop frees the frame only when nothing maps it any more (a read hit's pin,
-// released meanwhile, was its last other reference), so no flush is owed first.
-void PutBack(ShrinkContext& ctx, FrameId frame, bool active) {
-  ctx.lru->PutBack(frame, active);
-  ctx.allocator->DecRef(frame);
+// Ends a batch of isolations: back onto the chosen list, then the isolation pins
+// (PageLru::Take*) drop. A drop frees a frame only when nothing maps it any more (a read
+// hit's pin, released meanwhile, was its last other reference), so no flush is owed first.
+void PutBack(ShrinkContext& ctx, std::span<const FrameId> frames, bool active) {
+  ctx.lru->PutBack(frames, active);
+  ctx.allocator->DecRefBatch(frames);
 }
-
-// An inactive-tail candidate the shrinker cannot or should not evict right now goes back
-// to the ACTIVE head: putting it back inactive would make the very next TakeInactive spin
-// on it, and a frame that dodged eviction has earned another aging round anyway.
-void Rotate(ShrinkContext& ctx, FrameId frame) { PutBack(ctx, frame, /*active=*/true); }
 
 // Drops an isolated frame that is mapped nowhere from the LRU for good. Only pins keep it
 // allocated, and nothing can map it again; whichever pin drops last frees it.
@@ -47,7 +43,8 @@ uint64_t AgeActiveList(ShrinkContext& ctx, uint64_t scan, bool* tlb_dirty,
   if (scanned_out != nullptr) {
     *scanned_out = batch.size();
   }
-  uint64_t demoted = 0;
+  std::vector<FrameId> rotated;
+  std::vector<FrameId> demoted;
   for (FrameId frame : batch) {
     locations.clear();
     ctx.rmap->Walk(frame, &locations);
@@ -58,28 +55,29 @@ uint64_t AgeActiveList(ShrinkContext& ctx, uint64_t scan, bool* tlb_dirty,
         *tlb_dirty = true;
       }
     }
-    if (referenced) {
-      PutBack(ctx, frame, /*active=*/true);
-    } else {
-      PutBack(ctx, frame, /*active=*/false);
-      ++demoted;
-      CountVm(VmCounter::k_pgdeactivate);
-    }
+    (referenced ? rotated : demoted).push_back(frame);
   }
-  return demoted;
+  PutBack(ctx, rotated, /*active=*/true);
+  PutBack(ctx, demoted, /*active=*/false);
+  CountVm(VmCounter::k_pgdeactivate, demoted.size());
+  return demoted.size();
 }
 
 uint64_t ShrinkInactiveList(ShrinkContext& ctx, uint64_t want, uint64_t scan,
-                            bool* tlb_dirty, std::vector<FrameId>* drops,
-                            uint64_t* scanned_out) {
+                            bool* tlb_dirty, Pageout* pageout, uint64_t* scanned_out) {
   ODF_DCHECK(MmGate::ThreadHoldsExclusive()) << "shrink without the MmGate held exclusive";
   FrameAllocator& allocator = *ctx.allocator;
   std::vector<FrameId> batch;
+  // Candidates the shrinker cannot or should not evict right now go back to the ACTIVE
+  // head: putting them back inactive would make the very next TakeInactive spin on them,
+  // and a frame that dodged eviction has earned another aging round anyway.
+  std::vector<FrameId> rotated;
   std::vector<RmapLocation> locations;
   uint64_t freed = 0;
   uint64_t scanned = 0;
   while (freed < want && scanned < scan) {
     batch.clear();
+    rotated.clear();
     size_t take = static_cast<size_t>(std::min<uint64_t>(scan - scanned, kScanBatch));
     if (ctx.lru->TakeInactive(take, &batch) == 0) {
       break;
@@ -99,7 +97,7 @@ uint64_t ShrinkInactiveList(ShrinkContext& ctx, uint64_t want, uint64_t scan,
       // defensively, since eviction of anything else would corrupt accounting.
       if (meta.IsCompound() || meta.IsPageTable() || (meta.flags & kPageFlagAnon) == 0) {
         ODF_DCHECK(false) << "non-anon frame " << frame << " on the LRU";
-        Rotate(ctx, frame);
+        rotated.push_back(frame);
         continue;
       }
       locations.clear();
@@ -124,7 +122,7 @@ uint64_t ShrinkInactiveList(ShrinkContext& ctx, uint64_t want, uint64_t scan,
       // shared tables too. Extra references mean someone else (a read hit in flight, a
       // mid-rollback fork, a test) pins the frame — not ours to take.
       if (meta.refcount.load(std::memory_order_relaxed) != locations.size() + 1) {
-        Rotate(ctx, frame);
+        rotated.push_back(frame);
         continue;
       }
       // Second chance: referenced since it was deactivated.
@@ -136,33 +134,32 @@ uint64_t ShrinkInactiveList(ShrinkContext& ctx, uint64_t want, uint64_t scan,
         }
       }
       if (referenced) {
-        Rotate(ctx, frame);
+        rotated.push_back(frame);
         CountVm(VmCounter::k_pgactivate);
         continue;
       }
       // Writeback failure injection (reclaim_writeback): the page stays resident.
       if (fi::ShouldInject(FiSite::k_reclaim_writeback)) {
-        Rotate(ctx, frame);
+        rotated.push_back(frame);
         continue;
       }
-      std::byte* data = allocator.PeekData(frame);
+      const std::byte* data = allocator.PeekData(frame);
       if (data != nullptr) {
-        SwapSlot slot = ctx.swap->TryWriteOut(data);
+        // The slot carries one reference per mapping, exactly mirroring the frame
+        // references handed to the pageout below — sharers that later diverge
+        // (DedicatePteTable) IncRef the slot per copied swap PTE, and each swap-in fault
+        // DecRefs it. Until FinishPageout commits it, the slot serves this frame's bytes.
+        SwapSlot slot = ctx.swap->TryReserveWriteOut(
+            frame, data, static_cast<uint32_t>(locations.size()));
         if (slot == kInvalidSwapSlot) {
-          Rotate(ctx, frame);  // Swap full or IO error: keep the page resident.
+          rotated.push_back(frame);  // Swap full or IO error: keep the page resident.
           continue;
         }
-        // Broadcast the swap entry into every mapping. The slot carries one reference per
-        // mapping (TryWriteOut returned it with one), exactly mirroring the frame
-        // references being dropped below — sharers that later diverge (DedicatePteTable)
-        // IncRef the slot per copied swap PTE, and each swap-in fault DecRefs it.
-        for (size_t i = 1; i < locations.size(); ++i) {
-          ctx.swap->IncRef(slot);
-        }
+        // Broadcast the swap entry into every mapping.
         for (const RmapLocation& location : locations) {
           StoreEntry(location.slot, Pte::MakeSwap(slot));
         }
-        ctx.lru->RecordEviction(slot);
+        pageout->slots.push_back(slot);
         CountVm(VmCounter::k_pgswapout);
         ODF_TRACE(page_swap_out, 0, frame);
       } else {
@@ -173,20 +170,19 @@ uint64_t ShrinkInactiveList(ShrinkContext& ctx, uint64_t want, uint64_t scan,
         }
       }
       ODF_TRACE(rmap_unmap, 0, frame, locations.size());
-      // One reference per cleared mapping plus the isolation pin, dropped by ReclaimPages
-      // after its flush (gen before free): read hits pin frames without the gate, so a
-      // frame freed here could be reused before the flush and read through a stale
-      // translation. The frame stays isolated until its last reference drops.
-      drops->insert(drops->end(), locations.size() + 1, frame);
+      // One reference per cleared mapping plus the isolation pin, dropped by FinishPageout
+      // after the flush (gen before free) and the write-out: read hits pin frames without
+      // the gate, so a frame freed here could be reused before the flush and read through
+      // a stale translation. The frame stays isolated until its last reference drops.
+      pageout->drops.insert(pageout->drops.end(), locations.size() + 1, frame);
       ++freed;
       *tlb_dirty = true;
       CountVm(VmCounter::k_pgsteal);
     }
+    PutBack(ctx, rotated, /*active=*/true);
     // An early stop (want satisfied) leaves the batch tail detached from the LRU; those
     // frames were never looked at, so they go back where they came from.
-    for (size_t i = processed; i < batch.size(); ++i) {
-      PutBack(ctx, batch[i], /*active=*/false);
-    }
+    PutBack(ctx, std::span<const FrameId>(batch).subspan(processed), /*active=*/false);
   }
   if (scanned_out != nullptr) {
     *scanned_out = scanned;
@@ -194,16 +190,14 @@ uint64_t ShrinkInactiveList(ShrinkContext& ctx, uint64_t want, uint64_t scan,
   return freed;
 }
 
-uint64_t ReclaimPages(ShrinkContext& ctx, uint64_t want) {
+uint64_t UnmapPages(ShrinkContext& ctx, uint64_t want, Pageout* pageout) {
   ODF_DCHECK(MmGate::ThreadHoldsExclusive()) << "reclaim without the MmGate held exclusive";
+  ODF_DCHECK(pageout->slots.empty() && pageout->drops.empty()) << "pageout not finished";
   // Pages faulted since the last round still sit in per-thread add batches; the exclusive
   // gate guarantees no thread is appending, so every batch can be emptied onto the lists.
   ctx.lru->DrainAddBatches();
   bool tlb_dirty = false;
   uint64_t freed = 0;
-  // One entry per reference an evicted frame still holds: each cleared mapping's, and the
-  // isolation pin.
-  std::vector<FrameId> drops;
   // Alternate aging and shrinking. The first passes over freshly-faulted pages mostly
   // harvest accessed bits (everything looks referenced and gets its second chance); the
   // demotions those passes produce are what the later passes evict. Scan pressure
@@ -219,7 +213,7 @@ uint64_t ReclaimPages(ShrinkContext& ctx, uint64_t want) {
       demoted = AgeActiveList(ctx, scan, &tlb_dirty, &aged);
     }
     uint64_t scanned = 0;
-    uint64_t got = ShrinkInactiveList(ctx, need, scan, &tlb_dirty, &drops, &scanned);
+    uint64_t got = ShrinkInactiveList(ctx, need, scan, &tlb_dirty, pageout, &scanned);
     freed += got;
     if (got == 0 && demoted == 0 && scanned == 0 && aged == 0) {
       break;  // Total stall: both lists are empty or drained. Caller falls back (OOM).
@@ -231,11 +225,40 @@ uint64_t ReclaimPages(ShrinkContext& ctx, uint64_t want) {
     // must not survive into the next memory operation.
     ctx.flush_tlbs();
   }
-  // Only now drop the cleared mappings' references and the isolation pins. The last drop
-  // frees the frame (the shrinker's refcount == mappings + 1 test guarantees it unless a
-  // read hit pinned the frame since, in which case its unpin frees it), which also ends
-  // its isolation on the LRU.
-  ctx.allocator->DecRefBatch(drops);
+  if (freed == 0) {
+    // Another evictor's frames may be on their way out (isolated, so this round could not
+    // take them): wait for them rather than let the caller see them as lost memory.
+    MmGate::WaitForPageouts();
+  } else {
+    MmGate::BeginPageout();
+  }
+  return freed;
+}
+
+void FinishPageout(ShrinkContext& ctx, Pageout* pageout) {
+  if (pageout->drops.empty()) {
+    return;
+  }
+  // The workingset shadows, like Linux's, are left when the page leaves the swap cache: a
+  // swap-in that finds its write-out still pending is not a refault.
+  ctx.lru->RecordEvictions(pageout->slots);
+  // Commit before any drop: until its commit a slot serves its frame's bytes, so the frame
+  // must stay allocated. The last drop frees the frame (the shrinker's refcount ==
+  // mappings + 1 test guarantees it unless a read hit pinned the frame since, in which
+  // case its unpin frees it), which also ends its isolation on the LRU.
+  ctx.swap->CommitWriteOuts(pageout->slots);
+  ctx.allocator->DecRefBatch(pageout->drops);
+  pageout->slots.clear();
+  pageout->drops.clear();
+  MmGate::EndPageout();
+}
+
+uint64_t ReclaimPages(ShrinkContext& ctx, uint64_t want) {
+  Pageout pageout;
+  MmGate::ExclusiveScope gate;
+  uint64_t freed = UnmapPages(ctx, want, &pageout);
+  gate.Unlock();
+  FinishPageout(ctx, &pageout);
   return freed;
 }
 

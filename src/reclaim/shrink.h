@@ -2,12 +2,14 @@
 // active-list aging scan that feeds it. This is the policy core shared by kswapd and
 // direct reclaim (Kernel::ReclaimMemory).
 //
-// CALLERS MUST HOLD THE MmGate EXCLUSIVELY (mm_gate.h): the shrinker rewrites leaf
-// entries in tables shared across address spaces and frees the frames they referenced;
-// the gate guarantees no mutator is mid-operation and that TLBs are flushed before any
-// mutator resumes. Read hits take no gate, so their unpins still run: every frame the
-// shrinker examines is pinned by its isolation (PageLru::Take*), and an evicted frame's
-// references are dropped only after the flush (gen before free).
+// Eviction runs in two phases (docs/reclaim.md "Pageout"). UnmapPages and the scans under
+// it need the MmGate EXCLUSIVELY (mm_gate.h): they rewrite leaf entries in tables shared
+// across address spaces, and the gate guarantees no mutator is mid-operation and that
+// TLBs are flushed before any mutator resumes. Read hits take no gate, so their unpins
+// still run: every frame the shrinker examines is pinned by its isolation
+// (PageLru::Take*). FinishPageout then runs without the gate: it copies the evicted frames
+// into their reserved swap slots and only then drops their references (gen before free:
+// the flush came first). ReclaimPages does both.
 #ifndef ODF_SRC_RECLAIM_SHRINK_H_
 #define ODF_SRC_RECLAIM_SHRINK_H_
 
@@ -18,6 +20,7 @@
 #include "src/mm/swap.h"
 #include "src/phys/frame_allocator.h"
 #include "src/reclaim/lru.h"
+#include "src/reclaim/mm_gate.h"
 #include "src/reclaim/rmap.h"
 
 namespace odf {
@@ -43,25 +46,51 @@ struct ShrinkContext {
 uint64_t AgeActiveList(ShrinkContext& ctx, uint64_t scan, bool* tlb_dirty,
                        uint64_t* scanned_out = nullptr);
 
+// What the unmap phase leaves for the pageout: the write-outs to commit and the frame
+// references to drop after them.
+struct Pageout {
+  // Swap slots reserved for evicted frames (SwapSpace::TryReserveWriteOut), one per
+  // evicted materialised frame.
+  std::vector<SwapSlot> slots;
+  // One entry per reference an evicted frame still holds: each cleared mapping's, and the
+  // isolation pin.
+  std::vector<FrameId> drops;
+};
+
 // Scans up to `scan` frames off the inactive tail and evicts up to `want` of them:
 // referenced frames get their second chance (re-activated, pgactivate), evictable frames
 // have every location found by the family walk (Rmap::Walk) rewritten to a swap entry (or
-// cleared, for never-materialised zero pages) and their swap slot referenced once per
-// mapping (pgsteal). The frame references those mappings held are NOT dropped here: each
-// evicted frame is appended to *drops once per cleared mapping and once for its isolation
-// pin (PageLru::TakeInactive), for the caller to drop after its TLB flush (gen before
-// free). Frames not evicted are put back and unpinned here. Returns frames evicted;
+// cleared, for never-materialised zero pages), with a swap slot reserved holding one
+// reference per mapping (pgsteal). Neither the write-out nor the frame references those
+// mappings held are finished here: the slot goes to pageout->slots, and the frame to
+// pageout->drops once per cleared mapping and once for its isolation pin
+// (PageLru::TakeInactive), for FinishPageout after the TLB flush (gen before free).
+// Frames not evicted are put back and unpinned here. Returns frames evicted;
 // *scanned_out (optional) reports how many frames were looked at, so callers can tell a
 // stalled list from a referenced one.
 uint64_t ShrinkInactiveList(ShrinkContext& ctx, uint64_t want, uint64_t scan,
-                            bool* tlb_dirty, std::vector<FrameId>* drops,
+                            bool* tlb_dirty, Pageout* pageout,
                             uint64_t* scanned_out = nullptr);
 
-// The full reclaim round used by kswapd and direct reclaim: drains every thread's LRU add
-// batch, alternates aging and shrinking until `want` frames are evicted or no progress is
-// possible, flushes TLBs once if anything changed, and only then drops the evicted frames'
-// references (mappings and isolation pins). Returns frames evicted (each one is free on return unless a concurrent read
-// hit still pins it; that hit's unpin frees it).
+// The unmap phase of a reclaim round, under the exclusive gate: drains every thread's LRU
+// add batch, alternates aging and shrinking until `want` frames are evicted or no progress
+// is possible, and flushes TLBs once if anything changed. A round that evicted something
+// opens a pageout (MmGate::BeginPageout) that FinishPageout ends; one that evicted nothing
+// first waits for other evictors' pageouts, so that its caller sees the frames they are
+// about to free before judging memory exhausted. Returns frames evicted.
+uint64_t UnmapPages(ShrinkContext& ctx, uint64_t want, Pageout* pageout)
+    ODF_REQUIRES(MmGate::Global());
+
+// The pageout phase, with or without the gate: commits every reserved write-out, then
+// drops the evicted frames' references (mappings and isolation pins), and ends the
+// pageout. Each frame is free on return unless a concurrent read hit still pins it; that
+// hit's unpin frees it.
+void FinishPageout(ShrinkContext& ctx, Pageout* pageout);
+
+// The full reclaim round used by kswapd and direct reclaim: takes the MmGate exclusively
+// for UnmapPages only and runs FinishPageout after releasing it. A calling mutator's
+// shared holds (the upgrade, mm_gate.h) come back after the pageout. Returns frames
+// evicted.
 uint64_t ReclaimPages(ShrinkContext& ctx, uint64_t want);
 
 }  // namespace reclaim

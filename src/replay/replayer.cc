@@ -165,6 +165,10 @@ bool CounterReplayComparable(uint32_t counter) {
     // A pin or recheck fails when a concurrent mutator raced the hit, and on every L1 walk
     // that reaches a split-compound tail, which the thread's cache state decides.
     case VmCounter::k_tlb_pin_retries:
+    // Whether a swap-in finds its slot's write-out still pending depends on when the
+    // evictor commits, which runs without the gate; how long it held the gate is timing.
+    case VmCounter::k_pgswapin_pending:
+    case VmCounter::k_mm_gate_hold_ns:
     // The recorder's own accounting: bumped while recording, quiet while replaying.
     case VmCounter::k_trace_ring_overwrite:
     case VmCounter::k_replay_ops_recorded:

@@ -91,7 +91,9 @@ namespace odf {
   X(tlb_hits)                    \
   X(tlb_misses)                  \
   X(tlb_l1_hits)                 \
-  X(tlb_pin_retries)
+  X(tlb_pin_retries)             \
+  X(pgswapin_pending)            \
+  X(mm_gate_hold_ns)
 
 enum class VmCounter : uint32_t {
 #define ODF_VM_ENUM_MEMBER(name) k_##name,

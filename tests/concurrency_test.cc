@@ -4,7 +4,9 @@
 // split locks and atomic share counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -436,6 +438,139 @@ TEST(ConcurrencyTest, ReadUnpinsThatFreeFramesDoNotRaceTheEvictor) {
   }
   kernel.Exit(a, 0);
   kernel.Exit(b, 0);
+  EXPECT_TRUE(kernel.allocator().AllFree());
+}
+
+// Writers and swap-in faults race kswapd's two-phase eviction. Each thread owns a stripe
+// of one process's pages and keeps a shadow of what it last wrote to each; the pages
+// outnumber the pool, so kswapd keeps unmapping them and committing their write-outs after
+// it releases the MmGate, while the owners rewrite pages and fault evicted ones back in —
+// some of them before the write-out is committed (pgswapin_pending). Every read must match
+// its shadow. Under TSan this also checks that the commit's copy, which runs with neither
+// the gate nor the swap mutex, races neither a swap-in nor a frame's next owner.
+TEST(ConcurrencyTest, WritersAndSwapInsRaceTheTwoPhasePageout) {
+  constexpr int kThreads = 3;
+  constexpr uint64_t kPagesPerThread = 56;
+  constexpr uint64_t kPages = kThreads * kPagesPerThread;
+  constexpr int kOps = 3000;
+  Kernel kernel;
+  kernel.SetMemoryLimitFrames(128);  // The data pages alone need 168 frames.
+  kernel.StartKswapd();
+  Process& p = kernel.CreateProcess();
+  Vaddr va = p.Mmap(kPages * kPageSize, kProtRead | kProtWrite);
+  uint64_t stolen_before = ReadVm(VmCounter::k_pgsteal);
+  uint64_t pending_before = ReadVm(VmCounter::k_pgswapin_pending);
+  std::vector<std::vector<std::byte>> shadows(kThreads,
+                                              std::vector<std::byte>(kPagesPerThread));
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<std::byte>& shadow = shadows[static_cast<size_t>(t)];
+      Vaddr stripe = va + static_cast<uint64_t>(t) * kPagesPerThread * kPageSize;
+      uint64_t rng = static_cast<uint64_t>(t + 1) * uint64_t{0x9e3779b97f4a7c15};
+      std::vector<std::byte> page(kPageSize);
+      for (int op = 0; op < kOps; ++op) {
+        rng = rng * uint64_t{6364136223846793005} + uint64_t{1442695040888963407};
+        uint64_t index = (rng >> 33) % kPagesPerThread;
+        Vaddr at = stripe + index * kPageSize;
+        if ((rng >> 20) % 10 < 4) {
+          std::byte value{static_cast<uint8_t>(op % 255 + 1)};
+          if (!p.MemsetMemory(at, value, kPageSize)) {
+            ++failures;
+            continue;
+          }
+          shadow[index] = value;
+        } else {
+          if (!p.ReadMemory(at, page)) {
+            ++failures;
+            continue;
+          }
+          for (std::byte value : page) {
+            if (value != shadow[index]) {
+              ++failures;
+              break;
+            }
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  kernel.StopKswapd();
+  EXPECT_EQ(failures.load(), 0) << "a read disagreed with its shadow (or an access failed)";
+  EXPECT_GT(ReadVm(VmCounter::k_pgsteal), stolen_before) << "nothing was evicted";
+  EXPECT_EQ(kernel.oom_kills(), 0u);
+  // Timing decides how many swap-ins hit a pending write-out; zero is legal, just weaker.
+  std::printf("[          ] swap-ins served from a pending write-out: %llu\n",
+              static_cast<unsigned long long>(ReadVm(VmCounter::k_pgswapin_pending) -
+                                              pending_before));
+  debug::VerifyResult verify = debug::VerifyKernel(kernel);
+  EXPECT_TRUE(verify.ok()) << verify.Describe();
+  std::vector<std::byte> page(kPageSize);
+  for (uint64_t i = 0; i < kPages; ++i) {
+    ASSERT_TRUE(p.ReadMemory(va + i * kPageSize, page));
+    std::byte want = shadows[i / kPagesPerThread][i % kPagesPerThread];
+    ASSERT_EQ(std::count(page.begin(), page.end(), want), static_cast<long>(kPageSize))
+        << "page " << i;
+  }
+  kernel.Exit(p, 0);
+  EXPECT_TRUE(kernel.allocator().AllFree());
+  EXPECT_TRUE(kernel.swap_space().AllFree());
+}
+
+// VerifyKernel is exact while kswapd evicts: its exclusive hold stops the writer, and it
+// waits for any pageout in flight, whose frames are unmapped yet still allocated (they
+// would read as leaked) until their write-outs commit and their references drop. Under
+// debug-vm the auto-verifier runs too, between the writer's operations.
+TEST(ConcurrencyTest, VerifierLoopIsExactWhileKswapdEvicts) {
+  constexpr uint64_t kPages = 192;
+  constexpr int kRounds = 48;
+  Kernel kernel;
+  kernel.SetMemoryLimitFrames(128);
+  kernel.StartKswapd();
+  Process& p = kernel.CreateProcess();
+  Vaddr va = p.Mmap(kPages * kPageSize, kProtRead | kProtWrite);
+  uint64_t stolen_before = ReadVm(VmCounter::k_pgsteal);
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  std::thread writer([&] {
+    for (int round = 0; round < kRounds; ++round) {
+      if (!p.MemsetMemory(va, std::byte{static_cast<uint8_t>(round + 1)},
+                          kPages * kPageSize)) {
+        ++failures;
+      }
+    }
+    done.store(true);
+  });
+  int runs = 0;
+  std::string first_violation;
+  while (!done.load()) {
+    auto start = std::chrono::steady_clock::now();
+    debug::VerifyResult result = debug::VerifyKernel(kernel);
+    ++runs;
+    if (!result.ok() && first_violation.empty()) {
+      first_violation = result.Describe();
+    }
+    // Back-to-back exclusive holds would starve the writer (the gate favours the evictor
+    // side): leave it a quarter of the time the verification took, whatever the build.
+    std::this_thread::sleep_for(std::max<std::chrono::steady_clock::duration>(
+        (std::chrono::steady_clock::now() - start) / 4, std::chrono::microseconds(100)));
+  }
+  writer.join();
+  kernel.StopKswapd();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_TRUE(first_violation.empty()) << first_violation;
+  EXPECT_GT(runs, 0);
+  EXPECT_GT(ReadVm(VmCounter::k_pgsteal), stolen_before) << "nothing was evicted";
+  std::vector<std::byte> page(kPageSize);
+  for (uint64_t i = 0; i < kPages; ++i) {
+    ASSERT_TRUE(p.ReadMemory(va + i * kPageSize, page));
+    ASSERT_EQ(page[kPageSize - 1], static_cast<std::byte>(kRounds)) << "page " << i;
+  }
+  kernel.Exit(p, 0);
   EXPECT_TRUE(kernel.allocator().AllFree());
 }
 

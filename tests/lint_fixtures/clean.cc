@@ -51,9 +51,9 @@ void TraceOutsideGuard() {
   trace::Emit(TraceEventId::k_fault, 0, 0);  // odf-lint: allow(trace-outside-guard)
 }
 
-void DirectWriteback(SwapSpace& swap, const std::byte* data) {
+void DirectWriteback(SwapSpace& swap, FrameId frame, const std::byte* data) {
   // odf-lint: allow(direct-writeback)
-  swap.TryWriteOut(data);
+  swap.TryReserveWriteOut(frame, data, 1);
 }
 
 void TableMutex(Kernel& kernel) {

@@ -34,8 +34,8 @@ void TraceOutsideGuard() {
   trace::Emit(TraceEventId::k_fault, 0, 0);  // trace-outside-guard
 }
 
-void DirectWriteback(SwapSpace& swap, const std::byte* data) {
-  swap.TryWriteOut(data);  // direct-writeback
+void DirectWriteback(SwapSpace& swap, FrameId frame, const std::byte* data) {
+  swap.TryReserveWriteOut(frame, data, 1);  // direct-writeback
 }
 
 void TableMutex(Kernel& kernel) {

@@ -9,11 +9,14 @@
 #include <cstring>
 #include <vector>
 
+#include "src/debug/mutation.h"
 #include "src/debug/verify.h"
 #include "src/fi/fault_inject.h"
 #include "src/mm/fault.h"
 #include "src/proc/kernel.h"
 #include "src/proc/procfs.h"
+#include "src/reclaim/mm_gate.h"
+#include "src/reclaim/shrink.h"
 #include "src/replay/recorder.h"
 #include "src/replay/replayer.h"
 #include "tests/test_util.h"
@@ -434,6 +437,46 @@ TEST_F(MemoryFailureTest, SecondReportIsAlreadyPoisoned) {
   EXPECT_EQ(kernel.MemoryFailure(frame), MfResult::kAlreadyPoisoned);
   EXPECT_EQ(kernel.SoftOfflinePage(frame), MfResult::kAlreadyPoisoned);
   EXPECT_EQ(kernel.allocator().Stats().hwpoisoned_frames, 1u);
+}
+
+// An offline that lands between the two phases of an eviction: the frame is unmapped, its
+// swap slot serves the frame's bytes, and the commit that copies them runs after the
+// evictor released the gate. Neither offline may retire the frame then (a hard offline's
+// dead bytes would reach the slot with no one told): both report busy and mutate nothing.
+// Once the pageout is done the frame is free, the offline retires it, and the page swaps
+// back in with its pre-eviction bytes.
+TEST_F(MemoryFailureTest, OfflineOfAFrameWithAPendingWriteOutIsBusyUntilCommit) {
+  Kernel kernel;
+  Process& p = kernel.CreateProcess();
+  Vaddr va = p.Mmap(kPageSize, kProtRead | kProtWrite);
+  FillPattern(p, va, kPageSize, 21);
+  FrameId frame = FrameAt(p, va);
+  reclaim::ShrinkContext ctx;
+  ctx.allocator = &kernel.allocator();
+  ctx.swap = &kernel.swap_space();
+  ctx.rmap = &kernel.rmap();
+  ctx.lru = &kernel.lru();
+  ctx.flush_tlbs = [&p] { p.address_space().locks().FlushAll(); };
+  {
+    debug::MutationScope mid_pageout;  // Keeps the debug-vm auto-verifier off meanwhile.
+    reclaim::Pageout pageout;
+    {
+      reclaim::MmGate::ExclusiveScope gate;
+      ASSERT_EQ(reclaim::UnmapPages(ctx, 1, &pageout), 1u);
+    }
+    ASSERT_TRUE(kernel.swap_space().WriteOutPending(frame));
+    EXPECT_EQ(kernel.MemoryFailure(frame), MfResult::kFailedBusy);
+    EXPECT_EQ(kernel.SoftOfflinePage(frame), MfResult::kFailedBusy);
+    EXPECT_FALSE(kernel.allocator().IsHwPoisoned(frame));
+    reclaim::FinishPageout(ctx, &pageout);
+  }
+  EXPECT_FALSE(kernel.swap_space().WriteOutPending(frame));
+  EXPECT_EQ(kernel.MemoryFailure(frame), MfResult::kDelayed) << "the frame is free now";
+  EXPECT_TRUE(kernel.allocator().IsHwPoisoned(frame));
+  ExpectPattern(p, va, kPageSize, 21);
+  EXPECT_TRUE(debug::VerifyKernel(kernel).ok());
+  kernel.Exit(p, 0);
+  EXPECT_TRUE(kernel.swap_space().AllFree());
 }
 
 TEST_F(MemoryFailureTest, PageTableFramesAreRefused) {

@@ -5,6 +5,7 @@
 // that completes through reclaim alone, byte-checked, with zero OOM kills.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <sstream>
 #include <string>
@@ -247,8 +248,9 @@ TEST(ReclaimTest, DirectReclaimEvictsColdPagesAndFaultsBackByteIdentical) {
 
 // Gen before free holds for the evictor without its exclusive MmGate hold: read hits pin
 // frames without the gate, so a frame freed before the TLB flush could be reused under a
-// translation whose generation is not bumped yet. At the flush every evicted frame still
-// holds its mapping's reference; once ReclaimPages returns, the evicted frames are free.
+// translation whose generation is not bumped yet. At the flush, and after the unmap phase
+// ends, every evicted frame still holds its mapping's reference (its write-out is not
+// committed yet); once the pageout finishes, the evicted frames are free.
 TEST(ReclaimTest, EvictedFramesAreFreedOnlyAfterTheFlush) {
   constexpr uint64_t kPages = 16;
   Kernel kernel;
@@ -283,13 +285,16 @@ TEST(ReclaimTest, EvictedFramesAreFreedOnlyAfterTheFlush) {
     referenced_at_flush = referenced();
     p.address_space().locks().FlushAll();
   };
+  reclaim::Pageout pageout;
   uint64_t freed = 0;
   {
     reclaim::MmGate::ExclusiveScope gate;
-    freed = reclaim::ReclaimPages(ctx, kPages / 2);
+    freed = reclaim::UnmapPages(ctx, kPages / 2, &pageout);
   }
   ASSERT_GT(freed, 0u);
   EXPECT_EQ(referenced_at_flush, kPages) << "an evicted frame was freed before the flush";
+  EXPECT_EQ(referenced(), kPages) << "an evicted frame was freed before its write-out";
+  reclaim::FinishPageout(ctx, &pageout);
   EXPECT_EQ(referenced(), kPages - freed);
   ExpectPattern(p, va, kPages * kPageSize, 9);
   ExpectVerifies(kernel);
@@ -298,8 +303,9 @@ TEST(ReclaimTest, EvictedFramesAreFreedOnlyAfterTheFlush) {
 // Read pins that outlive the references around them, both ways round. A pin that a
 // munmap left as a frame's only reference is dropped inside the evictor's flush, with the
 // exclusive gate held as kswapd holds it; a pin that a stale translation takes on an
-// evicted, still-isolated frame outlives the evictor's own drops. Each frame is freed
-// once, by its last drop, and the LRU and the reverse map stay consistent.
+// evicted, still-isolated frame outlives the evictor's own drops, which come after the
+// write-out commits. Each frame is freed once, by its last drop, and the LRU and the
+// reverse map stay consistent.
 TEST(ReclaimTest, ReadPinsThatOutliveTheirMappingsFreeTheFrameOnce) {
   constexpr uint64_t kPages = 16;
   Kernel kernel;
@@ -351,12 +357,18 @@ TEST(ReclaimTest, ReadPinsThatOutliveTheirMappingsFreeTheFrameOnce) {
       }
       as.locks().FlushAll();
     };
+    reclaim::Pageout pageout;
     uint64_t freed = 0;
     {
       reclaim::MmGate::ExclusiveScope gate;
-      freed = reclaim::ReclaimPages(ctx, kPages / 2);
+      freed = reclaim::UnmapPages(ctx, kPages / 2, &pageout);
     }
     ASSERT_GT(freed, 0u);
+    if (late != kInvalidFrame) {
+      EXPECT_GT(allocator.GetMeta(late).refcount.load(), 1u)
+          << "the pageout dropped its references before committing the write-out";
+    }
+    reclaim::FinishPageout(ctx, &pageout);
     EXPECT_TRUE(orphan_freed_in_flush);
     EXPECT_FALSE(kernel.lru().Contains(orphan));
     ASSERT_NE(late, kInvalidFrame) << "no evicted frame was isolated at the flush";
@@ -373,6 +385,112 @@ TEST(ReclaimTest, ReadPinsThatOutliveTheirMappingsFreeTheFrameOnce) {
   ExpectVerifies(kernel);
   kernel.Exit(p, 0);
   EXPECT_TRUE(allocator.AllFree());
+}
+
+reclaim::ShrinkContext TestShrinkContext(Kernel& kernel, Process& p) {
+  reclaim::ShrinkContext ctx;
+  ctx.allocator = &kernel.allocator();
+  ctx.swap = &kernel.swap_space();
+  ctx.rmap = &kernel.rmap();
+  ctx.lru = &kernel.lru();
+  AddressSpace* as = &p.address_space();
+  ctx.flush_tlbs = [as] { as->locks().FlushAll(); };
+  return ctx;
+}
+
+// A swap-in that lands between the two phases of an eviction: the page tables already hold
+// swap entries, but no byte has reached the device yet. The fault reads the pre-eviction
+// bytes from the still-pinned frame; the swap-in drops each slot's last reference, so the
+// commit recycles every slot without copying, and nothing leaks either way.
+TEST(ReclaimTest, SwapInDuringPendingWriteOutReadsTheFrame) {
+  constexpr uint64_t kPages = 8;
+  Kernel kernel;
+  Process& p = kernel.CreateProcess();
+  Vaddr va = p.Mmap(kPages * kPageSize, kProtRead | kProtWrite);
+  FillPattern(p, va, kPages * kPageSize, 11);
+  reclaim::ShrinkContext ctx = TestShrinkContext(kernel, p);
+  SwapSpace& swap = kernel.swap_space();
+  {
+    // The debug-vm auto-verifier must not run while the pageout is open (kswapd keeps its
+    // MutationScope across the pageout for the same reason).
+    debug::MutationScope mid_pageout;
+    reclaim::Pageout pageout;
+    uint64_t evicted = 0;
+    {
+      reclaim::MmGate::ExclusiveScope gate;
+      evicted = reclaim::UnmapPages(ctx, kPages, &pageout);
+    }
+    ASSERT_EQ(evicted, kPages);
+    ASSERT_EQ(pageout.slots.size(), kPages);
+    CounterDelta swapins(VmCounter::k_pgfault_swap_in);
+    CounterDelta pending(VmCounter::k_pgswapin_pending);
+    ExpectPattern(p, va, kPages * kPageSize, 11);
+    EXPECT_EQ(swapins.Get(), kPages);
+    EXPECT_EQ(pending.Get(), kPages) << "a swap-in read an uncommitted slot's buffer";
+    EXPECT_EQ(swap.Stats().slots_in_use, kPages) << "a pending slot was recycled early";
+    reclaim::FinishPageout(ctx, &pageout);
+    EXPECT_TRUE(swap.AllFree()) << "the commit did not recycle the dropped slots";
+  }
+  ExpectPattern(p, va, kPages * kPageSize, 11);
+  ExpectVerifies(kernel);
+  kernel.Exit(p, 0);
+  EXPECT_TRUE(kernel.allocator().AllFree());
+  EXPECT_TRUE(swap.AllFree());
+}
+
+// A slot whose last reference drops while its write-out is pending (here: a munmap of the
+// evicted pages) stays out of the free list until the commit. Reusing it earlier would let
+// the commit's copy land in another page's slot.
+TEST(ReclaimTest, SlotDroppedWhileWriteOutPendingIsReusedOnlyAfterCommit) {
+  constexpr uint64_t kPages = 4;
+  Kernel kernel;
+  Process& p = kernel.CreateProcess();
+  Vaddr va = p.Mmap(kPages * kPageSize, kProtRead | kProtWrite);
+  FillPattern(p, va, kPages * kPageSize, 12);
+  reclaim::ShrinkContext ctx = TestShrinkContext(kernel, p);
+  SwapSpace& swap = kernel.swap_space();
+  std::vector<std::byte> other_page(kPageSize, std::byte{0x77});
+  std::vector<SwapSlot> reserved;
+  {
+    debug::MutationScope mid_pageout;
+    reclaim::Pageout pageout;
+    {
+      reclaim::MmGate::ExclusiveScope gate;
+      ASSERT_EQ(reclaim::UnmapPages(ctx, kPages, &pageout), kPages);
+    }
+    reserved = pageout.slots;
+    ASSERT_EQ(reserved.size(), kPages);
+    p.Munmap(va, kPages * kPageSize);
+    for (SwapSlot slot : reserved) {
+      EXPECT_EQ(swap.RefCount(slot), 0u);
+    }
+    EXPECT_EQ(swap.Stats().slots_in_use, kPages) << "a pending slot was recycled early";
+    SwapSlot other = swap.WriteOut(other_page.data());
+    EXPECT_EQ(std::count(reserved.begin(), reserved.end(), other), 0)
+        << "slot " << other << " was reused before its write-out committed";
+    swap.DecRef(other);
+    reclaim::FinishPageout(ctx, &pageout);
+  }
+  EXPECT_TRUE(swap.AllFree());
+  // Now the slots are free, and the next write-outs may take them; what they read back is
+  // their own content.
+  std::vector<SwapSlot> taken;
+  bool reused = false;
+  for (uint64_t i = 0; i <= kPages; ++i) {
+    taken.push_back(swap.WriteOut(other_page.data()));
+    reused |= std::count(reserved.begin(), reserved.end(), taken.back()) != 0;
+  }
+  EXPECT_TRUE(reused) << "a committed, unreferenced slot was never recycled";
+  std::vector<std::byte> back(kPageSize);
+  for (SwapSlot slot : taken) {
+    swap.ReadIn(slot, back.data());
+    EXPECT_EQ(back, other_page);
+    swap.DecRef(slot);
+  }
+  ExpectVerifies(kernel);
+  kernel.Exit(p, 0);
+  EXPECT_TRUE(kernel.allocator().AllFree());
+  EXPECT_TRUE(swap.AllFree());
 }
 
 // The headline satellite: evict a frame that is mapped through an on-demand-SHARED PTE
@@ -726,6 +844,23 @@ TEST(ReclaimProcfsTest, MeminfoReportsPoolLruAndWatermarks) {
   EXPECT_EQ(VmstatValue(vmstat, "nr_inactive_anon") + VmstatValue(vmstat, "nr_active_anon"),
             16u);
   EXPECT_EQ(VmstatValue(vmstat, "kswapd_running"), 0u);
+}
+
+// The evictor's gate hold is always on the record: every exclusive hold adds to vmstat
+// mm_gate_hold_ns and the mm_gate_hold histogram, whatever the trace setting, and swap-ins
+// served from a pending write-out have their own counter; all three show in vmstat.
+TEST(ReclaimProcfsTest, VmstatReportsGateHoldsAndPendingSwapIns) {
+  Kernel kernel;
+  Process& p = kernel.CreateProcess();
+  Vaddr va = p.Mmap(16 * kPageSize, kProtRead | kProtWrite);
+  FillPattern(p, va, 16 * kPageSize, 13);
+  std::string before = FormatVmstat(kernel);
+  ASSERT_GT(kernel.ReclaimMemory(16), 0u);
+  std::string after = FormatVmstat(kernel);
+  EXPECT_GT(VmstatValue(after, "mm_gate_hold_ns"), VmstatValue(before, "mm_gate_hold_ns"));
+  EXPECT_GT(VmstatValue(after, "mm_gate_hold_count"), VmstatValue(before, "mm_gate_hold_count"));
+  EXPECT_EQ(VmstatValue(after, "pgswapin_pending"), VmstatValue(before, "pgswapin_pending"))
+      << "direct reclaim finishes its pageout before it returns";
 }
 
 }  // namespace
