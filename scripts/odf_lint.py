@@ -36,11 +36,15 @@ offending line or the line above it — always with a reason):
       bottom out on the std primitives.
 
   lockfree-walk-guard
-      A call to Walker::TranslateLockFree must sit inside a PtEpoch::ReadGuard
-      scope (the guard must appear within the preceding lines of the call).
-      The lock-free walk dereferences page-table frames that a concurrent
-      unmap may retire; only the epoch guard keeps retired tables backed until
-      the walk is out (src/pt/mm_locks.h). The compiler enforces this too
+      A call to Walker::TranslateLockFree or to Rmap::Walk (an rmap object's
+      Walk) must sit inside a PtEpoch::ReadGuard scope (the guard must appear
+      within the preceding lines of the call). Both walks dereference
+      page-table frames that a concurrent unmap may retire — the reverse-map
+      walk because aging runs it beside the mutators — and only the epoch
+      guard keeps retired tables backed until the walk is out
+      (src/pt/mm_locks.h, src/reclaim/rmap.h). Every Rmap::Walk takes the
+      guard, also under the exclusive MmGate, so there is one walk protocol.
+      For TranslateLockFree the compiler enforces this too
       (ODF_REQUIRES_SHARED(PtEpoch::Global())) when building with Clang; this
       rule keeps the contract checked under GCC-only containers.
 
@@ -163,8 +167,11 @@ RAW_STD_MUTEX_RE = re.compile(
 )
 
 # lockfree-walk-guard: a call site (never the qualified definition, which has no
-# object expression). The guard must appear within this many preceding lines.
-LOCKFREE_CALL_RE = re.compile(r"(?:\.|->)\s*TranslateLockFree\s*\(")
+# object expression) of the lock-free translation or of a reverse-map walk. The guard must
+# appear within this many preceding lines.
+LOCKFREE_CALL_RE = re.compile(
+    r"(?:\.|->)\s*TranslateLockFree\s*\(|\brmap_?\s*(?:\.|->)\s*Walk\s*\("
+)
 LOCKFREE_GUARD_RE = re.compile(r"\bPtEpoch::ReadGuard\b")
 LOCKFREE_LOOKBACK = 30
 
@@ -329,9 +336,9 @@ def lint_file(rel_path, findings):
             if not guarded:
                 report(
                     "lockfree-walk-guard",
-                    "TranslateLockFree call without a PtEpoch::ReadGuard in the "
-                    "preceding lines — the lock-free walk may dereference retired "
-                    "page-table frames (src/pt/mm_locks.h)",
+                    "lock-free translation or reverse-map walk without a "
+                    "PtEpoch::ReadGuard in the preceding lines — the walk may "
+                    "dereference retired page-table frames (src/pt/mm_locks.h)",
                     column_of(LOCKFREE_CALL_RE, raw, code),
                 )
 

@@ -51,7 +51,8 @@ bool CopyAddressSpace(AddressSpace& parent, AddressSpace& child, ForkMode mode,
   // The anon_vma_fork analog: the child joins the parent's anon family before any entry is
   // copied — O(1), and the only reverse-map work a fork does. Every frame the copy shares
   // stays findable through the family walk without touching it. A failed link (fi site
-  // rmap_alloc) fails the fork before anything was shared.
+  // rmap_alloc) fails the fork before anything was shared. The link is the fork's one
+  // walk-lock hold: the VMA copy above needs none, since no walk reaches the child before.
   bool ok = child.rmap() == nullptr || child.rmap()->LinkChild(parent, child);
   if (!ok) {
     ODF_TRACE(fork_end, parent.owner_pid(), static_cast<uint64_t>(mode), total.ElapsedNanos());

@@ -7,6 +7,7 @@
 
 #include "src/proc/auditor.h"
 #include "src/proc/kernel.h"
+#include "src/pt/mm_locks.h"
 #include "src/reclaim/mm_gate.h"
 #include "src/reclaim/lru.h"
 #include "src/reclaim/rmap.h"
@@ -251,7 +252,10 @@ void CheckRmap(Kernel& kernel, const AuditResult& audit, VerifyResult& result) {
       violation(where + " is listed but its state says it is not");
     }
     locations.clear();
-    rmap.Walk(frame, &locations);
+    {
+      PtEpoch::ReadGuard epoch;
+      rmap.Walk(frame, &locations);
+    }
     if (locations.empty()) {
       violation(where + " is not found by its family walk");
     }

@@ -5,6 +5,7 @@
 #include "src/debug/debug.h"
 #include "src/mm/fault.h"
 #include "src/mm/range_ops.h"
+#include "src/pt/mm_locks.h"
 #include "src/reclaim/mm_gate.h"
 #include "src/trace/metrics.h"
 #include "src/trace/trace.h"
@@ -150,6 +151,7 @@ void FindMappings(MfContext& ctx, FrameId frame, std::vector<reclaim::RmapLocati
   if ((ctx.allocator->GetMeta(frame).flags & kPageFlagFile) != 0) {
     WalkFileMappings(ctx, frame, out);
   } else if (ctx.rmap != nullptr) {
+    PtEpoch::ReadGuard epoch;
     ctx.rmap->Walk(frame, out);
   }
 }

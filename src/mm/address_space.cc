@@ -101,14 +101,19 @@ void AddressSpace::TearDown() {
   for (const auto& [start, vma] : vmas_) {
     ranges.emplace_back(vma.start, vma.end);
   }
-  vmas_.clear();  // Cleared first so ZapRange's live-VMA checks see a dying space.
+  {
+    // One walk-lock hold per exit. Cleared first so ZapRange's live-VMA checks see a dying
+    // space; unlinked with it, since with no VMA left no walk can use this member anyway.
+    reclaim::Rmap::LayoutScope layout(FamilyRmap());
+    vmas_.clear();
+    if (rmap_ != nullptr) {
+      rmap_->Unlink(*this);
+    }
+  }
   for (const auto& [start, end] : ranges) {
     ZapRange(*this, start, end);
   }
   FreePageTables(*this);
-  if (rmap_ != nullptr) {
-    rmap_->Unlink(*this);  // After the zap: no frame still needs this space's walk.
-  }
   torn_down_ = true;
 }
 
@@ -158,6 +163,10 @@ Vaddr AddressSpace::AllocateRange(uint64_t length, uint64_t alignment, Vaddr hin
   return candidate;
 }
 
+reclaim::Rmap* AddressSpace::FamilyRmap() const {
+  return anon_family_ != nullptr ? rmap_ : nullptr;
+}
+
 void AddressSpace::InsertVma(VmArea vma) {
   ODF_DCHECK(vma.start < vma.end);
   vmas_.emplace(vma.start, std::move(vma));
@@ -177,6 +186,7 @@ Vaddr AddressSpace::MapAnonymous(uint64_t length, uint32_t prot, bool huge, Vadd
   vma.kind = VmaKind::kAnonPrivate;
   vma.huge = huge;
   vma.anon_pgoff = start >> kPageShift;
+  reclaim::Rmap::LayoutScope layout(FamilyRmap());
   InsertVma(std::move(vma));
   return start;
 }
@@ -198,6 +208,7 @@ Vaddr AddressSpace::MapFile(std::shared_ptr<MemFile> file, uint64_t file_offset,
   vma.file = std::move(file);
   vma.file_offset = file_offset;
   vma.anon_pgoff = start >> kPageShift;  // Private COW copies are anonymous pages.
+  reclaim::Rmap::LayoutScope layout(FamilyRmap());
   InsertVma(std::move(vma));
   return start;
 }
@@ -236,13 +247,16 @@ void AddressSpace::Unmap(Vaddr start, uint64_t length) {
   ODF_CHECK(IsPageAligned(start));
   length = PageAlignUp(length);
   Vaddr end = start + length;
-  SplitVmaAt(start);
-  SplitVmaAt(end);
-  // Remove every VMA inside [start, end) before zapping so the §3.3 live-VMA checks reflect
-  // the post-unmap world.
-  for (auto it = vmas_.lower_bound(start); it != vmas_.end() && it->second.start < end;) {
-    ODF_CHECK(it->second.end <= end) << "VMA split failed to produce aligned pieces";
-    it = vmas_.erase(it);
+  {
+    reclaim::Rmap::LayoutScope layout(FamilyRmap());
+    SplitVmaAt(start);
+    SplitVmaAt(end);
+    // Remove every VMA inside [start, end) before zapping so the §3.3 live-VMA checks
+    // reflect the post-unmap world.
+    for (auto it = vmas_.lower_bound(start); it != vmas_.end() && it->second.start < end;) {
+      ODF_CHECK(it->second.end <= end) << "VMA split failed to produce aligned pieces";
+      it = vmas_.erase(it);
+    }
   }
   ZapRange(*this, start, end);
 }
@@ -255,8 +269,11 @@ Vaddr AddressSpace::Remap(Vaddr old_start, uint64_t old_length, uint64_t new_len
   new_length = PageAlignUp(new_length);
   ODF_CHECK(new_length > 0);
 
-  SplitVmaAt(old_start);
-  SplitVmaAt(old_start + old_length);
+  {
+    reclaim::Rmap::LayoutScope layout(FamilyRmap());
+    SplitVmaAt(old_start);
+    SplitVmaAt(old_start + old_length);
+  }
   VmArea* vma = FindVma(old_start);
   ODF_CHECK(vma != nullptr && vma->start == old_start && vma->end == old_start + old_length)
       << "mremap range must cover exactly one mapping";
@@ -276,19 +293,26 @@ Vaddr AddressSpace::Remap(Vaddr old_start, uint64_t old_length, uint64_t new_len
   bool room = (next == vmas_.end() || next->second.start >= wanted_end + kGuardGap) &&
               wanted_end <= kUserAddressSpaceEnd;
   if (room) {
+    reclaim::Rmap::LayoutScope layout(FamilyRmap());
     vma->end = wanted_end;
     return old_start;
   }
 
   // Move the mapping: relocate page-table entries, never data pages. The moved VMA keeps
   // its anon_pgoff, so the frames it carries stay findable by their stamped anon index.
+  // In between, no VMA covers the pages: an aging walk finds no mapping of them and
+  // reads them as unreferenced, which costs at most one early demotion.
   VmArea moved = *vma;
-  vmas_.erase(old_start);
+  {
+    reclaim::Rmap::LayoutScope layout(FamilyRmap());
+    vmas_.erase(old_start);
+  }
   Vaddr new_start = AllocateRange(new_length, kPageSize, 0);
   MovePageRange(*this, old_start, new_start, old_length);
   ZapRange(*this, old_start, old_start + old_length);  // Frees now-empty tables.
   moved.start = new_start;
   moved.end = new_start + new_length;
+  reclaim::Rmap::LayoutScope layout(FamilyRmap());
   InsertVma(std::move(moved));
   return new_start;
 }
@@ -299,8 +323,12 @@ void AddressSpace::Protect(Vaddr start, uint64_t length, uint32_t prot) {
   ODF_CHECK(IsPageAligned(start));
   length = PageAlignUp(length);
   Vaddr end = start + length;
-  SplitVmaAt(start);
-  SplitVmaAt(end);
+  {
+    reclaim::Rmap::LayoutScope layout(FamilyRmap());
+    SplitVmaAt(start);
+    SplitVmaAt(end);
+  }
+  // Walks read no VMA's protection: no walk-lock hold needed to change it.
   for (auto it = vmas_.lower_bound(start); it != vmas_.end() && it->second.start < end; ++it) {
     it->second.prot = prot;
   }
@@ -460,6 +488,7 @@ void AddressSpace::PopulateRange(Vaddr start, uint64_t length) {
 }
 
 void AddressSpace::AdoptVmaForFork(const VmArea& vma) {
+  ODF_DCHECK(anon_family_ == nullptr) << "fork copies VMAs before linking the child";
   ODF_DCHECK(FindVma(vma.start) == nullptr && FindVma(vma.end - 1) == nullptr);
   InsertVma(vma);
   mmap_cursor_ = std::max(mmap_cursor_, vma.end + kGuardGap);

@@ -125,17 +125,21 @@ class AddressSpace {
   // Counts present entries the slow way (testing aid).
   uint64_t CountPresentPtes();
 
-  // Splits the VMA containing `va` so that `va` becomes a VMA boundary. No-op when already
-  // a boundary. Exposed for range operations.
-  void SplitVmaAt(Vaddr va);
-
   // Inserts a verbatim copy of `vma` at the same address range (fork support; the child must
-  // mirror the parent's layout exactly). The range must be free in this address space.
+  // mirror the parent's layout exactly). The range must be free in this address space, and
+  // the space not yet linked into a family (Rmap::LinkChild comes after the copy).
   void AdoptVmaForFork(const VmArea& vma);
 
  private:
   Vaddr AllocateRange(uint64_t length, uint64_t alignment, Vaddr hint);
+  // The VMA map changes below are seen by reverse-map walks beside the mutators: callers
+  // hold a reclaim::Rmap::LayoutScope on FamilyRmap() (the walk lock; null outside a
+  // family, where no walk reaches).
+  reclaim::Rmap* FamilyRmap() const;
   void InsertVma(VmArea vma);
+  // Splits the VMA containing `va` so that `va` becomes a VMA boundary. No-op when already
+  // a boundary.
+  void SplitVmaAt(Vaddr va);
 
   // Family membership is maintained by reclaim::Rmap (CreateFamily / LinkChild / Unlink).
   friend class reclaim::Rmap;

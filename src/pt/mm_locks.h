@@ -208,6 +208,10 @@ class ODF_CAPABILITY("epoch") PtEpoch {
     std::atomic<uint64_t>* slot_;
   };
 
+  // True when the calling thread's ReadGuards are ok(): it holds a reader slot or can
+  // claim one.
+  bool ThreadCanRead() { return ClaimThreadSlot() != nullptr; }
+
   // Defers `allocator->DecRef(table)` until every reader that might have entered before
   // now has exited. Only for tables that were PUBLISHED (linked into a live tree).
   void Retire(FrameAllocator* allocator, FrameId table);

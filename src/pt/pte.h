@@ -124,13 +124,25 @@ inline Pte SetEntryFlags(uint64_t* slot, uint64_t flags) {
 }
 
 // Accessed-bit harvest for page aging (the test-and-clear of PTE.A that second-chance /
-// LRU scanning is built on). Atomic against the walker re-setting the bit concurrently;
-// returns true when the bit was set. Clearing A on a present entry is NOT a structural
-// mutation — sharers at worst take a spurious TLB-miss re-walk.
-inline bool TestAndClearAccessed(uint64_t* slot) {
-  uint64_t previous = std::atomic_ref<uint64_t>(*slot).fetch_and(
-      ~static_cast<uint64_t>(kPteAccessed), std::memory_order_relaxed);
-  return (previous & kPteAccessed) != 0;
+// LRU scanning is built on). Clears the bit only while the slot still holds a present
+// entry mapping `frame`, in one CAS: aging walks beside the mutators, so the slot it found
+// may since have been zapped, turned into a swap entry or reused for another frame, and
+// none of those may lose a bit. Atomic against the walker re-setting the bit concurrently;
+// returns true when the bit was set and cleared. Clearing A on a present entry is NOT a
+// structural mutation — sharers at worst take a spurious TLB-miss re-walk.
+inline bool TestAndClearAccessed(uint64_t* slot, FrameId frame) {
+  std::atomic_ref<uint64_t> word(*slot);
+  uint64_t current = word.load(std::memory_order_relaxed);
+  for (;;) {
+    Pte entry(current);
+    if (!entry.IsPresent() || entry.frame() != frame || (current & kPteAccessed) == 0) {
+      return false;
+    }
+    if (word.compare_exchange_weak(current, current & ~static_cast<uint64_t>(kPteAccessed),
+                                   std::memory_order_relaxed)) {
+      return true;
+    }
+  }
 }
 
 }  // namespace odf

@@ -39,6 +39,7 @@ using lru_internal::AddBatch;
 constexpr size_t kMaxShadows = 1u << 18;
 
 debug::LockClass g_lru_lock_class("PageLru::mu_");
+debug::LockClass g_shadow_lock_class("PageLru::shadow_mu_");
 
 std::atomic<uint64_t> g_next_lru_id{1};
 
@@ -105,8 +106,9 @@ void PageLru::Add(FrameId frame, bool active) {
   }
 }
 
-void PageLru::DrainLocked(AddBatch& batch) {
+size_t PageLru::DrainLocked(AddBatch& batch) {
   uint32_t n = batch.count.load(std::memory_order_acquire);
+  size_t linked = 0;
   for (uint32_t i = 0; i < n; ++i) {
     FrameId frame = batch.frames[i].load(std::memory_order_relaxed);
     if (frame == kInvalidFrame) {
@@ -116,15 +118,19 @@ void PageLru::DrainLocked(AddBatch& batch) {
     ODF_DCHECK(IsBatched(state)) << "add batch holds frame " << frame << " in state "
                                  << static_cast<int>(state);
     LinkLocked(frame, state == LruState::kBatchedActive);
+    ++linked;
   }
   batch.count.store(0, std::memory_order_release);
+  return linked;
 }
 
-void PageLru::DrainAddBatches() {
+size_t PageLru::DrainAddBatches() {
   debug::MutexGuard guard(mu_, g_lru_lock_class);
+  size_t linked = 0;
   for (const std::unique_ptr<AddBatch>& batch : batches_) {
-    DrainLocked(*batch);
+    linked += DrainLocked(*batch);
   }
+  return linked;
 }
 
 void PageLru::PurgeFromBatchesLocked(FrameId frame) {
@@ -166,6 +172,7 @@ void PageLru::LinkLocked(FrameId frame, bool active) {
   }
   list.head = frame;
   ++list.size;
+  listed_.store(listed_.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
   SetState(meta, active ? LruState::kActive : LruState::kInactive);
 }
 
@@ -184,6 +191,7 @@ void PageLru::UnlinkLocked(FrameId frame, List& list) {
   meta.lru_prev = kInvalidFrame;
   meta.lru_next = kInvalidFrame;
   --list.size;
+  listed_.store(listed_.load(std::memory_order_relaxed) - 1, std::memory_order_relaxed);
   SetState(meta, LruState::kNone);
 }
 
@@ -221,10 +229,16 @@ size_t PageLru::TakeLocked(List& list, size_t max, std::vector<FrameId>* out) {
   size_t taken = 0;
   while (taken < max && list.tail != kInvalidFrame) {
     FrameId frame = list.tail;
+    // Pin first, unlink second: while the frame is listed, a last DecRef's free sees its
+    // LRU state and detaches it through Release, which waits for our lock. Unlinking
+    // first would let that free skip the release hook, and the frame be reallocated
+    // before our pin — which would then take a stranger's frame.
+    const bool pinned = allocator_->TryGetRef(frame);
     UnlinkLocked(frame, list);
-    if (!allocator_->TryGetRef(frame)) {
-      // The last reference is dropping right now (a read hit's unpin, which takes no
-      // gate); the free's Release, blocked on our lock, finds the frame already unlinked.
+    if (!pinned) {
+      // The last reference is dropping right now (a read hit's unpin, or a mutator's zap
+      // or COW beside aging); the free's Release, blocked on our lock, finds the frame
+      // already unlinked.
       continue;
     }
     SetState(Meta(frame), LruState::kIsolated);
@@ -282,11 +296,12 @@ std::string PageLru::ForEachTracked(
     const std::function<void(FrameId, LruState)>& fn) const {
   debug::MutexGuard guard(mu_, g_lru_lock_class);
   for (const List* list : {&active_, &inactive_}) {
+    const size_t size = list->size;
     size_t walked = 0;
     FrameId previous = kInvalidFrame;
     for (FrameId frame = list->head; frame != kInvalidFrame; frame = Meta(frame).lru_next) {
-      if (++walked > list->size) {
-        return "LRU list is longer than its size " + std::to_string(list->size) +
+      if (++walked > size) {
+        return "LRU list is longer than its size " + std::to_string(size) +
                " (cycle or stray link at frame " + std::to_string(frame) + ")";
       }
       if (Meta(frame).lru_prev != previous) {
@@ -295,8 +310,8 @@ std::string PageLru::ForEachTracked(
       fn(frame, StateOf(Meta(frame)));
       previous = frame;
     }
-    if (walked != list->size || list->tail != previous) {
-      return "LRU list size " + std::to_string(list->size) + " or tail disagrees with its " +
+    if (walked != size || list->tail != previous) {
+      return "LRU list size " + std::to_string(size) + " or tail disagrees with its " +
              std::to_string(walked) + " linked frames";
     }
   }
@@ -316,7 +331,7 @@ void PageLru::RecordEvictions(std::span<const uint64_t> slots) {
   if (slots.empty()) {
     return;
   }
-  debug::MutexGuard guard(mu_, g_lru_lock_class);
+  debug::MutexGuard guard(shadow_mu_, g_shadow_lock_class);
   for (uint64_t slot : slots) {
     if (shadows_.size() >= kMaxShadows) {
       shadows_.clear();
@@ -326,7 +341,7 @@ void PageLru::RecordEvictions(std::span<const uint64_t> slots) {
 }
 
 bool PageLru::NoteRefault(uint64_t slot) {
-  debug::MutexGuard guard(mu_, g_lru_lock_class);
+  debug::MutexGuard guard(shadow_mu_, g_shadow_lock_class);
   auto it = shadows_.find(slot);
   if (it == shadows_.end()) {
     return false;
@@ -336,7 +351,7 @@ bool PageLru::NoteRefault(uint64_t slot) {
   // The workingset test: fewer evictions since this page left than the LRU can hold means
   // the page would still have been resident with a perfect-LRU — it was evicted out of its
   // workingset. The floor keeps detection alive when the lists are nearly empty.
-  uint64_t horizon = std::max<uint64_t>(active_.size + inactive_.size, 64);
+  uint64_t horizon = std::max<uint64_t>(listed_.load(std::memory_order_relaxed), 64);
   if (distance > horizon) {
     return false;
   }
@@ -346,7 +361,7 @@ bool PageLru::NoteRefault(uint64_t slot) {
 }
 
 uint64_t PageLru::ShadowCount() const {
-  debug::MutexGuard guard(mu_, g_lru_lock_class);
+  debug::MutexGuard guard(shadow_mu_, g_shadow_lock_class);
   return shadows_.size();
 }
 

@@ -5,7 +5,7 @@
 // admitted when it is first installed (demand zero, populate, COW copy, swap-in, soft-offline
 // migration) through the installing thread's ADD BATCH — the folio_batch / lru_add analog:
 // the fault path touches only its own batch and takes the LRU lock once per batch, not once
-// per page. Reclaim drains every batch before it scans (DrainAddBatches). A frame leaves the
+// per page. Reclaim drains every batch before it shrinks (DrainAddBatches). A frame leaves the
 // LRU when the allocator frees it (FrameAllocator::SetLruReleaseHook -> Release), so
 // membership does not depend on mappings coming and going.
 //
@@ -20,15 +20,18 @@
 // since) is compared to the LRU size; a "recent" refault means the page was evicted while
 // still in its workingset, so it re-enters the ACTIVE list and pgrefault is counted.
 //
-// Thread-safety: the internal mutex is a leaf lock (lock order: AnonFamily::mu_ -> PageLru
-// lock, docs/reclaim.md "Locking"). An add batch is appended to only by its owning thread,
-// without the lock; everything else that touches a batch — its own drain when full,
-// Release purging a freed frame, DrainAddBatches — holds the lock. DrainAddBatches empties
-// OTHER threads' batches, which is sound only while they cannot be appending: its caller
-// holds the MmGate exclusively, and Add runs inside memory operations (gate shared).
+// Thread-safety: the list mutex is a leaf lock (lock order: Rmap walk lock -> PageLru
+// lock, docs/reclaim.md "Locking"); the shadows have a leaf lock of their own, so a
+// swap-in never waits behind an aging batch's isolation. An add batch is appended to only
+// by its owning thread, without the lock; everything else that touches a batch — its own
+// drain when full, Release purging a freed frame, DrainAddBatches — holds the lock.
+// DrainAddBatches empties OTHER threads' batches, which is sound only while they cannot be
+// appending: its caller holds the MmGate exclusively, and Add runs inside memory
+// operations (gate shared).
 #ifndef ODF_SRC_RECLAIM_LRU_H_
 #define ODF_SRC_RECLAIM_LRU_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -71,8 +74,9 @@ class PageLru {
   // to the caller and untracked; the caller runs inside a memory operation (MmGate held).
   void Add(FrameId frame, bool active = false);
 
-  // Moves every thread's add batch onto the lists. Caller holds the MmGate exclusively.
-  void DrainAddBatches();
+  // Moves every thread's add batch onto the lists; returns the frames moved. Caller holds
+  // the MmGate exclusively.
+  size_t DrainAddBatches();
 
   // Detaches each frame from whichever list or add batch holds it (no-op when untracked).
   // The allocator's release hook: a freed frame leaves the LRU.
@@ -85,10 +89,14 @@ class PageLru {
 
   // Pops up to `max` frames off the inactive tail (coldest first) into `out`. Each frame
   // is isolated AND pinned with one reference (the isolate_lru_page analog): read hits
-  // take no gate, so without the pin a read hit's unpin could free a frame the caller is
-  // examining, even under the exclusive MmGate. A frame whose count already reached zero
-  // is mid-free; it leaves the list but is not returned. Callers re-insert survivors with
-  // PutBack (or Erase them) and then drop the pin with DecRef.
+  // take no gate, and aging runs beside the mutators, so without the pin a last unpin
+  // could free a frame the caller is examining. The pin is taken while the frame is still
+  // listed, so a concurrent last DecRef either loses to it or finds the frame listed and
+  // detaches it through the release hook (which waits for this lock). A frame whose count
+  // already reached zero is mid-free; it leaves the list but is not returned. Callers
+  // re-insert survivors with PutBack (or Erase them) and then drop the pin with DecRef.
+  // The caller bounds `max` (the shrinker and aging take kScanBatch at a time): the lock
+  // is held across the whole take.
   size_t TakeInactive(size_t max, std::vector<FrameId>* out);
 
   // Pops up to `max` frames off the active tail (aging scan), isolated and pinned likewise.
@@ -139,7 +147,8 @@ class PageLru {
 
   PageMeta& Meta(FrameId frame) const { return allocator_->GetMeta(frame); }
   lru_internal::AddBatch& BatchForThread();
-  void DrainLocked(lru_internal::AddBatch& batch) ODF_REQUIRES(mu_);
+  // Returns the frames linked.
+  size_t DrainLocked(lru_internal::AddBatch& batch) ODF_REQUIRES(mu_);
   void PurgeFromBatchesLocked(FrameId frame) ODF_REQUIRES(mu_);
   size_t BatchedLocked(LruState state) const ODF_REQUIRES(mu_);
   void LinkLocked(FrameId frame, bool active) ODF_REQUIRES(mu_);
@@ -156,9 +165,13 @@ class PageLru {
   // Every add batch ever handed to a thread; owned here, reused by a later thread with the
   // same id once the first one exits.
   std::vector<std::unique_ptr<lru_internal::AddBatch>> batches_ ODF_GUARDED_BY(mu_);
+  // Frames on either list: written under mu_ with the sizes, read by NoteRefault without
+  // it (a size hint for the refault horizon).
+  std::atomic<size_t> listed_{0};
+  mutable util::Mutex shadow_mu_;
   // swap slot -> eviction epoch
-  std::unordered_map<uint64_t, uint64_t> shadows_ ODF_GUARDED_BY(mu_);
-  uint64_t eviction_epoch_ ODF_GUARDED_BY(mu_) = 0;
+  std::unordered_map<uint64_t, uint64_t> shadows_ ODF_GUARDED_BY(shadow_mu_);
+  uint64_t eviction_epoch_ ODF_GUARDED_BY(shadow_mu_) = 0;
 };
 
 }  // namespace reclaim

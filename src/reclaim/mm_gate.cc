@@ -26,6 +26,8 @@ uint64_t NowNs() {
 }  // namespace
 
 thread_local int MmGate::tls_pageouts_ = 0;
+thread_local int MmGate::tls_agings_ = 0;
+thread_local uint64_t MmGate::tls_passes_ = 0;
 thread_local int MmGate::tls_shared_depth_ = 0;
 thread_local int MmGate::tls_exclusive_depth_ = 0;
 thread_local util::BravoGate::ReadToken MmGate::tls_token_;
@@ -121,7 +123,7 @@ MmGate::ExclusiveScope::~ExclusiveScope() {
 void MmGate::BeginPageout() {
   ODF_DCHECK(ThreadHoldsExclusive()) << "pageout opened without the MmGate held exclusive";
   MmGate& gate = Global();
-  util::MutexLock lock(gate.pageout_mu_);
+  util::MutexLock lock(gate.mu_);
   ++gate.pageouts_;
   ++tls_pageouts_;
 }
@@ -129,24 +131,70 @@ void MmGate::BeginPageout() {
 void MmGate::EndPageout() {
   MmGate& gate = Global();
   {
-    util::MutexLock lock(gate.pageout_mu_);
+    util::MutexLock lock(gate.mu_);
     ODF_DCHECK(gate.pageouts_ > 0 && tls_pageouts_ > 0) << "unbalanced MmGate::EndPageout";
     --tls_pageouts_;
     if (--gate.pageouts_ > 0) {
       return;
     }
   }
-  gate.pageout_cv_.NotifyAll();
+  gate.cv_.NotifyAll();
 }
 
 void MmGate::WaitForPageouts() {
   ODF_DCHECK(ThreadHoldsExclusive()) << "pageout wait without the MmGate held exclusive";
   ODF_CHECK(tls_pageouts_ == 0) << "waiting for this thread's own pageout would never end";
   MmGate& gate = Global();
-  util::MutexLock lock(gate.pageout_mu_);
+  util::MutexLock lock(gate.mu_);
   while (gate.pageouts_ > 0) {
-    gate.pageout_cv_.Wait(gate.pageout_mu_);
+    gate.cv_.Wait(gate.mu_);
   }
+}
+
+MmGate::ReclaimMark MmGate::MarkReclaim() {
+  MmGate& gate = Global();
+  util::MutexLock lock(gate.mu_);
+  return ReclaimMark{gate.passes_, tls_passes_};
+}
+
+void MmGate::BeginAging() {
+  MmGate& gate = Global();
+  util::MutexLock lock(gate.mu_);
+  ++gate.agings_;
+  ++tls_agings_;
+}
+
+void MmGate::EndAging(bool isolated) {
+  MmGate& gate = Global();
+  {
+    util::MutexLock lock(gate.mu_);
+    ODF_DCHECK(gate.agings_ > 0 && tls_agings_ > 0) << "unbalanced MmGate::EndAging";
+    --gate.agings_;
+    --tls_agings_;
+    if (isolated) {
+      ++gate.passes_;
+      ++tls_passes_;
+    }
+  }
+  gate.cv_.NotifyAll();
+}
+
+void MmGate::NoteUnmap() {
+  MmGate& gate = Global();
+  util::MutexLock lock(gate.mu_);
+  ++gate.passes_;
+  ++tls_passes_;
+}
+
+bool MmGate::WaitForReclaimPasses(const ReclaimMark& mark) {
+  ODF_CHECK(tls_agings_ == 0) << "waiting for this thread's own aging pass would never end";
+  MmGate& gate = Global();
+  util::MutexLock lock(gate.mu_);
+  const uint64_t seen = gate.passes_;
+  while (gate.agings_ > 0 && gate.passes_ == seen) {
+    gate.cv_.Wait(gate.mu_);
+  }
+  return gate.passes_ - mark.passes > tls_passes_ - mark.passes_here;
 }
 
 }  // namespace reclaim

@@ -11,7 +11,8 @@
 // flush TLBs before any mutator runs again.
 //
 // Rules (lock order: debug::MutationScope -> per-AS gate -> shard mutex -> MmGate ->
-// Kernel::table_mutex_ -> the rest; see the table in docs/debugging.md):
+// Kernel::table_mutex_ -> Rmap walk lock -> PageLru lock -> the rest; see the table in
+// docs/debugging.md):
 //   - Mutator paths (AccessMemory's write hits and L2 path, the mmap family, fork, exit)
 //     take SharedScope — INSIDE any per-AS gate or shard lock they hold, never outside.
 //     Shared holds are reentrant per thread and no-ops while the thread holds the gate
@@ -28,15 +29,25 @@
 //     (PageLru::Take*, which pins with TryGetRef and skips a frame whose count already
 //     reached zero), mf offline with TryGetRef on the holder. Never IncRef a frame found
 //     by lookup rather than held: it would revive a count that reached zero.
+//   - Aging (reclaim::AgeActiveList) is a SHARED holder: it only harvests accessed bits,
+//     beside the mutators, and the shared hold keeps it out of every exclusive holder's
+//     way (the shrinker, VerifyKernel, mf offline). It pins what it examines through its
+//     isolation like the shrinker, walks each frame's mappings under the Rmap walk lock
+//     (held shared per batch; every change to a family or a member's VMA map holds it
+//     exclusively) and a PtEpoch::ReadGuard (a mutator may retire a table on the walked
+//     path), and clears each accessed bit with a CAS that re-checks the entry still maps
+//     the frame. A thread with no epoch reader slot ages under its exclusive hold instead.
 //   - Eviction (kswapd balance rounds and direct reclaim through ReclaimPages, mf offline)
 //     takes ExclusiveScope. ExclusiveScope UPGRADES: it releases the calling thread's
 //     shared holds first and restores them afterwards, so a mutator blocked at the
 //     allocation quota can run direct reclaim without deadlocking against its own shared
 //     hold.
-//   - The evictor's exclusive hold covers isolate -> unmap -> flush only: it isolates and
-//     pins frames, walks their rmap, checks evictability and second chance, reserves swap
-//     slots, writes the swap entries and flushes the TLBs (reclaim::UnmapPages). Copying
-//     the frames into their slots and dropping the frames' references (the pageout,
+//   - The evictor's exclusive hold covers drain -> shrink -> unmap -> flush only: it
+//     drains the LRU add batches, isolates and pins inactive frames, walks their rmap,
+//     checks evictability and second chance, reserves swap slots, writes the swap entries
+//     and flushes the TLBs — including for the accessed bits the round's aging cleared
+//     (reclaim::UnmapPages). Aging comes before it, under the shared hold. Copying the
+//     frames into their slots and dropping the frames' references (the pageout,
 //     reclaim::FinishPageout) come after ExclusiveScope::Unlock, alongside the mutators;
 //     the caller's shared holds come back only after that, at scope exit.
 //   - The evictor drops the frame references of the mappings it cleared, and its isolation
@@ -50,7 +61,9 @@
 //     content is still in those frames. Whoever needs neither holds the gate exclusively
 //     and calls WaitForPageouts: VerifyKernel and the rmap queries (Rmap::TotalLocations
 //     etc.), and an eviction round that found nothing to evict. A pageout takes no gate,
-//     so that wait always ends.
+//     so that wait always ends. The same way, a round that found nothing at all to age or
+//     shrink calls WaitForReclaimPasses, outside its exclusive hold, before it reports a
+//     stall: another reclaimer's aging pass may have held the frames isolated.
 //   - VerifyKernel takes ExclusiveScope to stop table rewrites, but read pins still come
 //     and go, so its refcount == mappings checks are exact only at a quiescent point (no
 //     thread mid-access). Every caller runs there: tests and odf-replay after joining
@@ -60,7 +73,8 @@
 //     mutator blocked there has dropped the gate, and any lock it still held could be
 //     needed by the eviction that must run to unblock it. DedicatePteTable /
 //     DedicatePmdTable (range_ops.cc) and MemFile::GetPage (mem_fs.cc) pre-allocate
-//     outside their locks for exactly this reason.
+//     outside their locks for exactly this reason; the walk lock's exclusive holds cover
+//     only the VMA-map or family change itself.
 #ifndef ODF_SRC_RECLAIM_MM_GATE_H_
 #define ODF_SRC_RECLAIM_MM_GATE_H_
 
@@ -139,6 +153,29 @@ class ODF_CAPABILITY("mm_gate") MmGate {
   static void EndPageout();
   static void WaitForPageouts() ODF_REQUIRES(Global());
 
+  // Reclaim passes beside a round: a reclaim round ages under the shared gate and unmaps
+  // under the exclusive one, so other reclaimers' passes interleave with its phases. An
+  // aging pass (reclaim::AgeActiveList) keeps its current batch isolated off the active
+  // list while it walks it, and another round's unmap phase may move every frame between
+  // the lists between this round's aging and its unmap. A round that finds nothing at all
+  // to age or shrink may be seeing only that: before it gives up it calls
+  // WaitForReclaimPasses, which waits for one aging pass in flight to end and returns true
+  // when another thread's pass took frames off the lists since `mark` (the round then
+  // retries). The aging analog of WaitForPageouts. An aging pass in flight holds the gate shared and
+  // never waits for it, so the wait always ends (and under an exclusive hold none is in
+  // flight).
+  struct ReclaimMark {
+    uint64_t passes = 0;       // Passes ended that took frames off the lists, all threads.
+    uint64_t passes_here = 0;  // The same, this thread's own.
+  };
+  static ReclaimMark MarkReclaim();
+  static void BeginAging();
+  // `isolated`: the pass isolated at least one frame.
+  static void EndAging(bool isolated);
+  // An unmap phase (reclaim::UnmapPages) that drained or scanned frames.
+  static void NoteUnmap();
+  [[nodiscard]] static bool WaitForReclaimPasses(const ReclaimMark& mark);
+
  private:
   MmGate();
 
@@ -147,10 +184,15 @@ class ODF_CAPABILITY("mm_gate") MmGate {
   // bounce a shared cache line — a plain shared_mutex reader count caps multi-thread fault
   // scaling long before the shard locks do.
   util::BravoGate gate_;
-  util::Mutex pageout_mu_;
-  util::CondVar pageout_cv_;
-  int pageouts_ ODF_GUARDED_BY(pageout_mu_) = 0;
+  // Guards the pageout and aging counts; cv_ signals both ending.
+  util::Mutex mu_;
+  util::CondVar cv_;
+  int pageouts_ ODF_GUARDED_BY(mu_) = 0;
+  int agings_ ODF_GUARDED_BY(mu_) = 0;
+  uint64_t passes_ ODF_GUARDED_BY(mu_) = 0;
   static thread_local int tls_pageouts_;
+  static thread_local int tls_agings_;
+  static thread_local uint64_t tls_passes_;
   static thread_local int tls_shared_depth_;
   static thread_local int tls_exclusive_depth_;
   static thread_local util::BravoGate::ReadToken tls_token_;

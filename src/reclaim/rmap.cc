@@ -13,14 +13,46 @@ namespace reclaim {
 
 namespace {
 
-// Family mutexes are one class; they are taken before the LRU lock, never after (and no
-// path nests two of them).
-debug::LockClass g_family_lock_class("AnonFamily::mu_");
-debug::LockClass g_family_table_lock_class("Rmap::table_mu_");
+// The walk lock: taken after the MmGate, before the LRU lock (docs/debugging.md).
+debug::LockClass g_walk_lock_class("Rmap::walk_mu_");
+
+// This thread's walk-lock holds, for the protocol checks in Walk and Unlink.
+thread_local int tls_walk_shared = 0;
+thread_local int tls_walk_exclusive = 0;
 
 constexpr size_t kMaxFamilies = 1u << 16;
 
 }  // namespace
+
+Rmap::WalkScope::WalkScope(Rmap& rmap, const std::source_location& loc) : rmap_(rmap) {
+  debug::LockAcquired(g_walk_lock_class, loc.file_name(), loc.line());
+  rmap_.walk_mu_.lock_shared();
+  ++tls_walk_shared;
+}
+
+Rmap::WalkScope::~WalkScope() {
+  --tls_walk_shared;
+  rmap_.walk_mu_.unlock_shared();
+  debug::LockReleased(g_walk_lock_class);
+}
+
+Rmap::LayoutScope::LayoutScope(Rmap* rmap, const std::source_location& loc) : rmap_(rmap) {
+  if (rmap_ == nullptr) {
+    return;
+  }
+  debug::LockAcquired(g_walk_lock_class, loc.file_name(), loc.line());
+  rmap_->walk_mu_.lock();  // odf-lint: allow(naked-lock) — this IS the scoped guard.
+  ++tls_walk_exclusive;
+}
+
+Rmap::LayoutScope::~LayoutScope() {
+  if (rmap_ == nullptr) {
+    return;
+  }
+  --tls_walk_exclusive;
+  rmap_->walk_mu_.unlock();  // odf-lint: allow(naked-lock) — this IS the scoped guard.
+  debug::LockReleased(g_walk_lock_class);
+}
 
 Rmap::Rmap(FrameAllocator* allocator, PageLru* lru)
     : allocator_(allocator), lru_(lru), families_(1) {}
@@ -29,7 +61,7 @@ Rmap::~Rmap() = default;
 
 void Rmap::CreateFamily(AddressSpace& as) {
   ODF_DCHECK(as.anon_family_ == nullptr) << "address space already has a family";
-  debug::MutexGuard guard(table_mu_, g_family_table_lock_class);
+  LayoutScope layout(this);
   uint16_t id;
   if (!free_ids_.empty()) {
     id = free_ids_.back();
@@ -51,11 +83,11 @@ bool Rmap::LinkChild(AddressSpace& parent, AddressSpace& child) {
     return true;
   }
   // The reverse map's one allocation per fork (anon_vma_fork). Consulted outside the
-  // family mutex: the injector takes its own lock.
+  // walk lock: the injector takes its own lock.
   if (fi::ShouldInject(FiSite::k_rmap_alloc)) {
     return false;
   }
-  debug::MutexGuard guard(family->mu_, g_family_lock_class);
+  LayoutScope layout(this);
   child.anon_family_ = family;
   child.family_slot_ = family->members_.size();
   family->members_.push_back(&child);
@@ -67,21 +99,17 @@ void Rmap::Unlink(AddressSpace& as) {
   if (family == nullptr) {
     return;
   }
-  bool last;
-  {
-    debug::MutexGuard guard(family->mu_, g_family_lock_class);
-    std::vector<AddressSpace*>& members = family->members_;
-    ODF_DCHECK(as.family_slot_ < members.size() && members[as.family_slot_] == &as);
-    members[as.family_slot_] = members.back();
-    members[as.family_slot_]->family_slot_ = as.family_slot_;
-    members.pop_back();
-    last = members.empty();
-  }
+  ODF_DCHECK(tls_walk_exclusive > 0) << "family unlink without the walk lock";
+  std::vector<AddressSpace*>& members = family->members_;
+  ODF_DCHECK(as.family_slot_ < members.size() && members[as.family_slot_] == &as);
+  members[as.family_slot_] = members.back();
+  members[as.family_slot_]->family_slot_ = as.family_slot_;
+  members.pop_back();
   as.anon_family_ = nullptr;
-  if (last) {
+  if (members.empty()) {
     // No member is left to fork from, so nothing can link in concurrently. Frames still
-    // stamped with this id are unmapped; a later family reusing it finds none of them.
-    debug::MutexGuard guard(table_mu_, g_family_table_lock_class);
+    // stamped with this id may still be mapped by the dying space's tables until its zap;
+    // a walk under a later family reusing the id rejects them by the entry's frame check.
     uint16_t id = family->id();
     families_[id].reset();
     free_ids_.push_back(id);
@@ -93,7 +121,8 @@ const AnonFamily* Rmap::FindFamily(uint16_t id) const {
 }
 
 void Rmap::Walk(FrameId frame, std::vector<RmapLocation>* out) const {
-  ODF_DCHECK(MmGate::ThreadHoldsExclusive()) << "rmap walk without the MmGate held exclusive";
+  ODF_DCHECK(MmGate::ThreadHoldsExclusive() || tls_walk_shared > 0)
+      << "rmap walk without the walk lock or the exclusive MmGate";
   const PageMeta& meta = allocator_->GetMeta(frame);
   FrameId head = ResolveCompoundHead(meta, frame);
   const PageMeta& head_meta = allocator_->GetMeta(head);
@@ -214,6 +243,7 @@ size_t Rmap::LocationCount(FrameId frame) {
   MmGate::ExclusiveScope gate;
   MmGate::WaitForPageouts();
   std::vector<RmapLocation> locations;
+  PtEpoch::ReadGuard epoch;
   Walk(frame, &locations);
   return locations.size();
 }

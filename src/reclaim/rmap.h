@@ -17,14 +17,21 @@
 // refcount == locations exactly when every reference is a mapping — the evictability test
 // needs no process walk beyond the family's.
 //
-// Family lists change with the MmGate held shared, under the family's own mutex; walks hold
-// the gate exclusively and read the lists without a lock. File frames are not stamped: the
+// Locking (docs/reclaim.md "Locking"): one reader/writer WALK LOCK per Rmap, the
+// anon_vma rwsem analog. Walkers — aging, which runs beside the mutators under the MmGate
+// held shared — hold it shared (WalkScope); every change a walk could observe holds it
+// exclusively (LayoutScope): a family's creation, a member's link and unlink, and every
+// change to a member's VMA map. Under the exclusive MmGate no mutator holds it, so the
+// shrinker, mf offline and the verifier walk without it. Every walk also runs inside a
+// PtEpoch::ReadGuard: a mutator may retire a table on the walked path meanwhile, and only
+// the epoch keeps it backed until the walk is out. File frames are not stamped: the
 // memory-failure path finds them through the VMAs that map the file (src/mf).
 #ifndef ODF_SRC_RECLAIM_RMAP_H_
 #define ODF_SRC_RECLAIM_RMAP_H_
 
 #include <cstdint>
 #include <memory>
+#include <source_location>
 #include <vector>
 
 #include "src/mm/address_space.h"
@@ -54,17 +61,15 @@ class AnonFamily {
 
   uint16_t id() const { return id_; }
 
-  // Live members. Stable only while the caller holds the MmGate exclusively.
+  // Live members. Stable while the caller holds the walk lock or the MmGate exclusively.
   const std::vector<AddressSpace*>& members() const { return members_; }
 
  private:
   friend class Rmap;
 
   const uint16_t id_;
-  // Serialises membership changes among mutators (who hold the MmGate shared). Walks hold
-  // the gate exclusively, which excludes every writer, and read members_ unlocked.
-  util::Mutex mu_;
-  // Each member's index here is AddressSpace::family_slot_, so Unlink is O(1) too.
+  // Changed under the walk lock held exclusively. Each member's index here is
+  // AddressSpace::family_slot_, so Unlink is O(1) too.
   std::vector<AddressSpace*> members_;
 };
 
@@ -78,32 +83,70 @@ class Rmap {
 
   PageLru* lru() const { return lru_; }
 
+  // Shared hold of the walk lock, for walkers beside the mutators (aging). Held around a
+  // few walks at a time, never across a blocking call or an allocation.
+  class ODF_SCOPED_CAPABILITY WalkScope {
+   public:
+    explicit WalkScope(Rmap& rmap,
+                       const std::source_location& loc = std::source_location::current())
+        ODF_ACQUIRE_SHARED(rmap.walk_mu_);
+    ~WalkScope() ODF_RELEASE_GENERIC();
+    WalkScope(const WalkScope&) = delete;
+    WalkScope& operator=(const WalkScope&) = delete;
+
+   private:
+    Rmap& rmap_;
+  };
+
+  // Exclusive hold of the walk lock around a change a walk could observe: a member's VMA
+  // map (AddressSpace) or a family's membership. A no-op for a null rmap, which a caller
+  // passes for an address space outside every family (no walk reaches it). Taken inside
+  // the MmGate's shared hold, held only around the change itself: never at a quota-wait
+  // allocation point, never across a zap, a table free or an epoch drain.
+  class LayoutScope {
+   public:
+    explicit LayoutScope(Rmap* rmap,
+                         const std::source_location& loc = std::source_location::current());
+    ~LayoutScope();
+    LayoutScope(const LayoutScope&) = delete;
+    LayoutScope& operator=(const LayoutScope&) = delete;
+
+   private:
+    Rmap* rmap_;
+  };
+
   // --- Family membership (callers hold the MmGate shared) ---
 
-  // Starts a new family with `as` as its only member (CreateProcess).
+  // Starts a new family with `as` as its only member (CreateProcess). Takes the walk lock.
   void CreateFamily(AddressSpace& as);
 
-  // Links `child` into `parent`'s family (fork). Consults fault-injection site rmap_alloc:
-  // an injected failure links nothing and returns false — the anon_vma_fork -ENOMEM analog,
-  // which the fork engines report as a failed copy. A parent outside any family (standalone
-  // mm use) leaves the child outside too.
+  // Links `child` into `parent`'s family (fork), under one walk-lock hold. Consults
+  // fault-injection site rmap_alloc first: an injected failure links nothing and returns
+  // false — the anon_vma_fork -ENOMEM analog, which the fork engines report as a failed
+  // copy. A parent outside any family (standalone mm use) leaves the child outside too.
+  // The child's VMA map is copied before this call, unlocked: no walk reaches the child
+  // until it is linked.
   [[nodiscard]] bool LinkChild(AddressSpace& parent, AddressSpace& child);
 
-  // Removes `as` from its family (exit teardown). The last member's exit retires the
-  // family and recycles its id.
+  // Removes `as` from its family (exit teardown); the caller holds a LayoutScope, the one
+  // that also covers clearing the VMA map. The last member's exit retires the family and
+  // recycles its id.
   void Unlink(AddressSpace& as);
 
-  // --- Reverse lookup (callers hold the MmGate exclusively) ---
+  // --- Reverse lookup ---
 
   // Appends every distinct present leaf slot that maps anonymous `frame` (the id exactly as
   // stored in the entry; a split-huge tail resolves through its head's stamp). Appends
-  // nothing for frames without a family stamp.
+  // nothing for frames without a family stamp. The caller holds a PtEpoch::ReadGuard and
+  // either a WalkScope or the MmGate exclusively, and pins `frame` (its stamp must hold
+  // still). Beside the mutators a slot found here may change or empty right after: the
+  // caller re-checks the entry in any update it makes (TestAndClearAccessed).
   void Walk(FrameId frame, std::vector<RmapLocation>* out) const;
 
-  // The family with `id`, or nullptr when it has died.
+  // The family with `id`, or nullptr when it has died. Walk-lock rules as for Walk.
   const AnonFamily* FindFamily(uint16_t id) const;
 
-  // Calls fn(family) for every live family.
+  // Calls fn(family) for every live family. Walk-lock rules as for Walk.
   template <typename Fn>
   void ForEachFamily(Fn&& fn) const {
     for (const std::unique_ptr<AnonFamily>& family : families_) {
@@ -131,9 +174,9 @@ class Rmap {
 
   FrameAllocator* allocator_;
   PageLru* lru_;
-  // Guards the id table against concurrent CreateFamily / Unlink (mutators, gate shared).
-  // Walks read it under the exclusive gate without this lock.
-  util::Mutex table_mu_;
+  // The walk lock. Guards families_, free_ids_, every family's member list and every
+  // member's VMA map against the walkers that run beside the mutators.
+  mutable util::SharedMutex walk_mu_;
   // Indexed by family id; slot 0 is never used (0 marks an unstamped frame).
   std::vector<std::unique_ptr<AnonFamily>> families_;
   std::vector<uint16_t> free_ids_;

@@ -6,6 +6,7 @@
 
 #include "src/debug/debug.h"
 #include "src/fi/fault_inject.h"
+#include "src/pt/mm_locks.h"
 #include "src/pt/pte.h"
 #include "src/reclaim/mm_gate.h"
 #include "src/trace/metrics.h"
@@ -16,7 +17,12 @@ namespace reclaim {
 
 namespace {
 
-constexpr size_t kScanBatch = 64;
+constexpr int kMaxRounds = 16;
+
+// Reverse-map walks per walk-lock hold in aging. A mutator changing a VMA map or a family
+// (mmap, fork's link, exit's unlink) waits for at most this many walks, about a
+// microsecond.
+constexpr size_t kWalksPerHold = 8;
 
 // Ends a batch of isolations: back onto the chosen list, then the isolation pins
 // (PageLru::Take*) drop. A drop frees a frame only when nothing maps it any more (a read
@@ -33,34 +39,65 @@ void Discard(ShrinkContext& ctx, FrameId frame) {
   ctx.allocator->DecRef(frame);
 }
 
+// The scan budget of a round: twice what is still wanted, escalating (the priority analog
+// of Linux's shrink loop) so that a working set that is entirely referenced still
+// converges — once a round covers the whole inactive list, every accessed bit is clear
+// and the next aging pass demotes the cold tail.
+uint64_t RoundScan(uint64_t need, int round) {
+  return std::max<uint64_t>(need * 2, kScanBatch) << std::min(round, 10);
+}
+
 }  // namespace
 
 uint64_t AgeActiveList(ShrinkContext& ctx, uint64_t scan, bool* tlb_dirty,
                        uint64_t* scanned_out) {
   std::vector<FrameId> batch;
-  std::vector<RmapLocation> locations;
-  ctx.lru->TakeActive(scan, &batch);
-  if (scanned_out != nullptr) {
-    *scanned_out = batch.size();
-  }
   std::vector<FrameId> rotated;
   std::vector<FrameId> demoted;
-  for (FrameId frame : batch) {
-    locations.clear();
-    ctx.rmap->Walk(frame, &locations);
-    bool referenced = false;
-    for (const RmapLocation& location : locations) {
-      if (TestAndClearAccessed(location.slot)) {
-        referenced = true;
-        *tlb_dirty = true;
+  std::vector<RmapLocation> locations;
+  uint64_t scanned = 0;
+  uint64_t demoted_total = 0;
+  MmGate::BeginAging();
+  while (scanned < scan) {
+    batch.clear();
+    rotated.clear();
+    demoted.clear();
+    size_t take = static_cast<size_t>(std::min<uint64_t>(scan - scanned, kScanBatch));
+    if (ctx.lru->TakeActive(take, &batch) == 0) {
+      break;
+    }
+    scanned += batch.size();
+    for (size_t first = 0; first < batch.size(); first += kWalksPerHold) {
+      // Mutators run meanwhile: the walk lock holds the families and VMA maps still, the
+      // epoch keeps every table on a walked path backed, and the CAS in
+      // TestAndClearAccessed re-checks each slot the walk found.
+      Rmap::WalkScope walk(*ctx.rmap);
+      PtEpoch::ReadGuard epoch;
+      ODF_CHECK(epoch.ok() || MmGate::ThreadHoldsExclusive())
+          << "aging beside the mutators without an epoch reader slot";
+      for (FrameId frame : std::span<const FrameId>(batch).subspan(
+               first, std::min(kWalksPerHold, batch.size() - first))) {
+        locations.clear();
+        ctx.rmap->Walk(frame, &locations);
+        bool referenced = false;
+        for (const RmapLocation& location : locations) {
+          referenced |= TestAndClearAccessed(location.slot, frame);
+        }
+        (referenced ? rotated : demoted).push_back(frame);
       }
     }
-    (referenced ? rotated : demoted).push_back(frame);
+    *tlb_dirty |= !rotated.empty();
+    PutBack(ctx, rotated, /*active=*/true);
+    PutBack(ctx, demoted, /*active=*/false);
+    demoted_total += demoted.size();
   }
-  PutBack(ctx, rotated, /*active=*/true);
-  PutBack(ctx, demoted, /*active=*/false);
-  CountVm(VmCounter::k_pgdeactivate, demoted.size());
-  return demoted.size();
+  MmGate::EndAging(/*isolated=*/scanned > 0);
+  CountVm(VmCounter::k_pgrefill, scanned);
+  CountVm(VmCounter::k_pgdeactivate, demoted_total);
+  if (scanned_out != nullptr) {
+    *scanned_out = scanned;
+  }
+  return demoted_total;
 }
 
 uint64_t ShrinkInactiveList(ShrinkContext& ctx, uint64_t want, uint64_t scan,
@@ -101,7 +138,11 @@ uint64_t ShrinkInactiveList(ShrinkContext& ctx, uint64_t want, uint64_t scan,
         continue;
       }
       locations.clear();
-      ctx.rmap->Walk(frame, &locations);
+      {
+        // No mutator runs (the exclusive gate), so the slots stay valid after the guard.
+        PtEpoch::ReadGuard epoch;
+        ctx.rmap->Walk(frame, &locations);
+      }
       if (locations.empty()) {
         // Mapped nowhere, yet not freed: a pin (a read hit, a test, a mid-operation caller)
         // holds it besides ours. Nothing to unmap.
@@ -128,12 +169,10 @@ uint64_t ShrinkInactiveList(ShrinkContext& ctx, uint64_t want, uint64_t scan,
       // Second chance: referenced since it was deactivated.
       bool referenced = false;
       for (const RmapLocation& location : locations) {
-        if (TestAndClearAccessed(location.slot)) {
-          referenced = true;
-          *tlb_dirty = true;
-        }
+        referenced |= TestAndClearAccessed(location.slot, frame);
       }
       if (referenced) {
+        *tlb_dirty = true;
         rotated.push_back(frame);
         CountVm(VmCounter::k_pgactivate);
         continue;
@@ -190,39 +229,28 @@ uint64_t ShrinkInactiveList(ShrinkContext& ctx, uint64_t want, uint64_t scan,
   return freed;
 }
 
-uint64_t UnmapPages(ShrinkContext& ctx, uint64_t want, Pageout* pageout) {
+uint64_t UnmapPages(ShrinkContext& ctx, uint64_t want, Pageout* pageout, uint64_t scan,
+                    bool aging_dirty, uint64_t* examined_out) {
   ODF_DCHECK(MmGate::ThreadHoldsExclusive()) << "reclaim without the MmGate held exclusive";
   ODF_DCHECK(pageout->slots.empty() && pageout->drops.empty()) << "pageout not finished";
   // Pages faulted since the last round still sit in per-thread add batches; the exclusive
   // gate guarantees no thread is appending, so every batch can be emptied onto the lists.
-  ctx.lru->DrainAddBatches();
-  bool tlb_dirty = false;
-  uint64_t freed = 0;
-  // Alternate aging and shrinking. The first passes over freshly-faulted pages mostly
-  // harvest accessed bits (everything looks referenced and gets its second chance); the
-  // demotions those passes produce are what the later passes evict. Scan pressure
-  // escalates each round (the priority analog of Linux's shrink loop) so a working set
-  // that is entirely referenced still converges: once a round covers the whole inactive
-  // list, every accessed bit is clear and the next aging pass demotes the cold tail.
-  for (int round = 0; round < 16 && freed < want; ++round) {
-    uint64_t need = want - freed;
-    uint64_t scan = std::max<uint64_t>(need * 2, kScanBatch) << std::min(round, 10);
-    uint64_t demoted = 0;
-    uint64_t aged = 0;
-    if (ctx.lru->InactiveSize() < scan) {
-      demoted = AgeActiveList(ctx, scan, &tlb_dirty, &aged);
-    }
-    uint64_t scanned = 0;
-    uint64_t got = ShrinkInactiveList(ctx, need, scan, &tlb_dirty, pageout, &scanned);
-    freed += got;
-    if (got == 0 && demoted == 0 && scanned == 0 && aged == 0) {
-      break;  // Total stall: both lists are empty or drained. Caller falls back (OOM).
-    }
+  // The round's aging, which ran before, could not see them.
+  const uint64_t drained = ctx.lru->DrainAddBatches();
+  bool tlb_dirty = aging_dirty;
+  uint64_t scanned = 0;
+  uint64_t freed = ShrinkInactiveList(ctx, want, scan != 0 ? scan : RoundScan(want, 0),
+                                      &tlb_dirty, pageout, &scanned);
+  if (drained + scanned > 0) {
+    MmGate::NoteUnmap();
+  }
+  if (examined_out != nullptr) {
+    *examined_out = drained + scanned;
   }
   if (tlb_dirty && ctx.flush_tlbs) {
-    // One coarse flush per reclaim round, BEFORE any mutator can run again (the caller
-    // still holds the gate): stale translations to evicted frames or cleared accessed bits
-    // must not survive into the next memory operation.
+    // One coarse flush per round, BEFORE any mutator can run again (the caller still holds
+    // the gate): stale translations to evicted frames or cleared accessed bits must not
+    // survive into the next memory operation.
     ctx.flush_tlbs();
   }
   if (freed == 0) {
@@ -254,11 +282,53 @@ void FinishPageout(ShrinkContext& ctx, Pageout* pageout) {
 }
 
 uint64_t ReclaimPages(ShrinkContext& ctx, uint64_t want) {
-  Pageout pageout;
-  MmGate::ExclusiveScope gate;
-  uint64_t freed = UnmapPages(ctx, want, &pageout);
-  gate.Unlock();
-  FinishPageout(ctx, &pageout);
+  // A thread with no epoch reader slot (every slot claimed) cannot walk beside the
+  // mutators; it ages inside its exclusive hold instead.
+  const bool age_beside = PtEpoch::Global().ThreadCanRead();
+  uint64_t freed = 0;
+  // Alternate aging and shrinking. The first passes over freshly-faulted pages mostly
+  // harvest accessed bits (everything looks referenced and gets its second chance); the
+  // demotions those passes produce are what the later rounds evict.
+  for (int round = 0; round < kMaxRounds && freed < want;) {
+    const MmGate::ReclaimMark mark = MmGate::MarkReclaim();
+    const uint64_t need = want - freed;
+    const uint64_t scan = RoundScan(need, round);
+    bool tlb_dirty = false;
+    uint64_t demoted = 0;
+    uint64_t aged = 0;
+    auto age = [&] {
+      if (ctx.lru->InactiveSize() < scan) {
+        demoted = AgeActiveList(ctx, scan, &tlb_dirty, &aged);
+      }
+    };
+    if (age_beside) {
+      MmGate::SharedScope gate;
+      age();
+    }
+    Pageout pageout;
+    uint64_t examined = 0;
+    uint64_t got;
+    {
+      MmGate::ExclusiveScope gate;
+      if (!age_beside) {
+        age();
+      }
+      got = UnmapPages(ctx, need, &pageout, scan, tlb_dirty, &examined);
+      gate.Unlock();
+      FinishPageout(ctx, &pageout);
+    }
+    freed += got;
+    if (got == 0 && demoted == 0 && examined == 0 && aged == 0) {
+      // Both lists and the add batches looked empty. If another reclaimer's pass held the
+      // frames isolated, or moved them between this round's aging and its unmap phase,
+      // that is not a stall: wait for a pass in flight and try again.
+      if (MmGate::WaitForReclaimPasses(mark)) {
+        continue;
+      }
+      break;  // Total stall: both lists are empty or drained. Caller falls back (OOM).
+    }
+    ++round;
+  }
   return freed;
 }
 

@@ -2,14 +2,17 @@
 // active-list aging scan that feeds it. This is the policy core shared by kswapd and
 // direct reclaim (Kernel::ReclaimMemory).
 //
-// Eviction runs in two phases (docs/reclaim.md "Pageout"). UnmapPages and the scans under
-// it need the MmGate EXCLUSIVELY (mm_gate.h): they rewrite leaf entries in tables shared
-// across address spaces, and the gate guarantees no mutator is mid-operation and that
-// TLBs are flushed before any mutator resumes. Read hits take no gate, so their unpins
-// still run: every frame the shrinker examines is pinned by its isolation
-// (PageLru::Take*). FinishPageout then runs without the gate: it copies the evicted frames
-// into their reserved swap slots and only then drops their references (gen before free:
-// the flush came first). ReclaimPages does both.
+// A reclaim round runs in three phases (docs/reclaim.md "Aging", "Pageout").
+// AgeActiveList runs beside the mutators, under the MmGate held SHARED (mm_gate.h): it
+// only harvests accessed bits, walking each frame's mappings under the rmap walk lock and
+// an epoch guard and clearing each bit with a CAS that re-checks the entry. UnmapPages
+// then needs the MmGate EXCLUSIVELY: it rewrites leaf entries in tables shared across
+// address spaces, and the gate guarantees no mutator is mid-operation and that TLBs are
+// flushed before any mutator resumes. Read hits take no gate, so their unpins still run:
+// every frame either phase examines is pinned by its isolation (PageLru::Take*).
+// FinishPageout then runs without the gate: it copies the evicted frames into their
+// reserved swap slots and only then drops their references (gen before free: the flush
+// came first). ReclaimPages runs the rounds.
 #ifndef ODF_SRC_RECLAIM_SHRINK_H_
 #define ODF_SRC_RECLAIM_SHRINK_H_
 
@@ -26,6 +29,9 @@
 namespace odf {
 namespace reclaim {
 
+// Frames isolated per LRU-lock hold, by aging and by the shrinker alike.
+inline constexpr size_t kScanBatch = 64;
+
 // Everything a reclaim pass needs, bundled so shrink/kswapd stay below the process layer.
 // flush_tlbs must invalidate every process's TLB (coarse, generation-bump flush); the
 // kernel supplies it because only the process table knows who has a TLB.
@@ -37,9 +43,14 @@ struct ShrinkContext {
   std::function<void()> flush_tlbs;
 };
 
-// Ages the active tail: frames referenced since their last scan rotate back to the active
-// head (accessed bits harvested), cold frames demote to the inactive head (pgdeactivate).
-// Returns the number demoted; sets *tlb_dirty when any accessed bit was cleared.
+// Ages up to `scan` frames off the active tail, kScanBatch at a time (one LRU-lock hold
+// per batch; the walk lock and an epoch guard per few walks): frames referenced since
+// their last scan rotate back to the active head (accessed bits harvested), cold frames
+// demote to the inactive head (pgdeactivate). Every frame isolated counts pgrefill. Runs
+// with the MmGate held shared (beside the mutators; the calling thread must be able to
+// take a PtEpoch::ReadGuard) or exclusively. Returns the number demoted; sets *tlb_dirty
+// when any accessed bit was cleared, and the caller owes a TLB flush before its next
+// eviction.
 // *scanned_out (optional) reports how many frames were examined: a pass that rotates a
 // fully-referenced list demotes nothing yet still makes progress (the cleared bits make
 // the next pass demote), and ReclaimPages must not read that as a stall.
@@ -73,12 +84,17 @@ uint64_t ShrinkInactiveList(ShrinkContext& ctx, uint64_t want, uint64_t scan,
                             uint64_t* scanned_out = nullptr);
 
 // The unmap phase of a reclaim round, under the exclusive gate: drains every thread's LRU
-// add batch, alternates aging and shrinking until `want` frames are evicted or no progress
-// is possible, and flushes TLBs once if anything changed. A round that evicted something
-// opens a pageout (MmGate::BeginPageout) that FinishPageout ends; one that evicted nothing
-// first waits for other evictors' pageouts, so that its caller sees the frames they are
-// about to free before judging memory exhausted. Returns frames evicted.
-uint64_t UnmapPages(ShrinkContext& ctx, uint64_t want, Pageout* pageout)
+// add batch, shrinks the inactive list (ShrinkInactiveList, `scan` frames at most; 0 means
+// the first round's max(2 * want, kScanBatch)), and flushes TLBs once if anything changed
+// — including the accessed bits the round's aging cleared (`aging_dirty`). It does not
+// age: the round ages before it, beside the mutators. A round that evicted something opens
+// a pageout (MmGate::BeginPageout) that FinishPageout ends; one that evicted nothing first
+// waits for other evictors' pageouts, so that its caller sees the frames they are about to
+// free before judging memory exhausted. Returns frames evicted; *examined_out (optional)
+// reports the frames drained onto the lists plus those scanned, so that zero means the
+// phase found nothing at all to work on.
+uint64_t UnmapPages(ShrinkContext& ctx, uint64_t want, Pageout* pageout, uint64_t scan = 0,
+                    bool aging_dirty = false, uint64_t* examined_out = nullptr)
     ODF_REQUIRES(MmGate::Global());
 
 // The pageout phase, with or without the gate: commits every reserved write-out, then
@@ -87,10 +103,15 @@ uint64_t UnmapPages(ShrinkContext& ctx, uint64_t want, Pageout* pageout)
 // hit's unpin frees it.
 void FinishPageout(ShrinkContext& ctx, Pageout* pageout);
 
-// The full reclaim round used by kswapd and direct reclaim: takes the MmGate exclusively
-// for UnmapPages only and runs FinishPageout after releasing it. A calling mutator's
-// shared holds (the upgrade, mm_gate.h) come back after the pageout. Returns frames
-// evicted.
+// Reclaim as used by kswapd and direct reclaim: rounds of aging, unmap and pageout until
+// `want` frames are evicted or no progress is possible. Each round ages the active list
+// under the shared gate when the inactive list is short of the round's scan, takes the
+// MmGate exclusively for UnmapPages only, and runs FinishPageout after releasing it. Scan
+// pressure escalates each round (the priority analog of Linux's shrink loop). A calling
+// mutator's shared holds (the upgrade, mm_gate.h) come back after each round's pageout. A
+// round that finds nothing to age or shrink after another thread's pass took frames off
+// the lists meanwhile waits for any aging pass in flight and retries
+// (MmGate::WaitForReclaimPasses) instead of reporting a stall. Returns frames evicted.
 uint64_t ReclaimPages(ShrinkContext& ctx, uint64_t want);
 
 }  // namespace reclaim

@@ -169,6 +169,9 @@ bool CounterReplayComparable(uint32_t counter) {
     // evictor commits, which runs without the gate; how long it held the gate is timing.
     case VmCounter::k_pgswapin_pending:
     case VmCounter::k_mm_gate_hold_ns:
+    // Aging runs beside the mutators, so how many frames kswapd's passes isolate depends on
+    // what the recorded threads faulted meanwhile.
+    case VmCounter::k_pgrefill:
     // The recorder's own accounting: bumped while recording, quiet while replaying.
     case VmCounter::k_trace_ring_overwrite:
     case VmCounter::k_replay_ops_recorded:

@@ -93,7 +93,8 @@ namespace odf {
   X(tlb_l1_hits)                 \
   X(tlb_pin_retries)             \
   X(pgswapin_pending)            \
-  X(mm_gate_hold_ns)
+  X(mm_gate_hold_ns)             \
+  X(pgrefill)
 
 enum class VmCounter : uint32_t {
 #define ODF_VM_ENUM_MEMBER(name) k_##name,

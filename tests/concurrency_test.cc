@@ -378,11 +378,13 @@ TEST(ConcurrencyTest, ReadHitsNeverSeeAnEvictedFrameReused) {
 TEST(ConcurrencyTest, ReadUnpinsThatFreeFramesDoNotRaceTheEvictor) {
   constexpr uint64_t kPagesA = 48;
   constexpr uint64_t kPagesZapped = kPagesA / 2;
-  constexpr uint64_t kPagesB = 96;
+  constexpr uint64_t kPagesB = 144;
   constexpr int kReaders = 2;
   constexpr int kRounds = 24;
   Kernel kernel;
-  kernel.SetMemoryLimitFrames(128);  // A and B alone need 144 data frames.
+  // B alone needs 144 data frames, so every round evicts whether or not the readers have
+  // faulted A's zapped half back in.
+  kernel.SetMemoryLimitFrames(128);
   kernel.StartKswapd();
   Process& a = kernel.CreateProcess();
   Process& b = kernel.CreateProcess();
@@ -438,6 +440,148 @@ TEST(ConcurrencyTest, ReadUnpinsThatFreeFramesDoNotRaceTheEvictor) {
   }
   kernel.Exit(a, 0);
   kernel.Exit(b, 0);
+  EXPECT_TRUE(kernel.allocator().AllFree());
+}
+
+// Aging harvests accessed bits beside the mutators: a thread holding the MmGate shared — a
+// mutator mid-operation — does not hold up a reclaim round's aging pass, only its unmap
+// phase, which needs the gate exclusively. Bounded: aging that waits for the mutator is a
+// failure, not a hang.
+TEST(ConcurrencyTest, AgingCompletesWhileAMutatorHoldsTheGate) {
+  constexpr uint64_t kPages = 32;
+  Kernel kernel;
+  Process& p = kernel.CreateProcess();
+  Vaddr va = p.Mmap(kPages * kPageSize, kProtRead | kProtWrite);
+  FillPattern(p, va, kPages * kPageSize, 31);
+  RotateLruToActive(kernel);  // Every page on the active list, inactive list empty.
+  const uint64_t refill_before = ReadVm(VmCounter::k_pgrefill);
+
+  std::atomic<bool> held{false};
+  std::atomic<bool> release{false};
+  std::thread mutator([&] {
+    reclaim::MmGate::SharedScope gate;
+    held.store(true);
+    while (!release.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  while (!held.load()) {
+    std::this_thread::yield();
+  }
+  uint64_t freed = 0;
+  std::thread reclaimer([&] {
+    reclaim::ShrinkContext ctx = KernelShrinkContext(kernel);
+    freed = reclaim::ReclaimPages(ctx, 4);
+  });
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (ReadVm(VmCounter::k_pgrefill) - refill_before < kPages &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const uint64_t aged_while_held = ReadVm(VmCounter::k_pgrefill) - refill_before;
+  release.store(true);
+  mutator.join();
+  reclaimer.join();
+  EXPECT_EQ(aged_while_held, kPages) << "aging waited for a mutator's shared hold";
+  EXPECT_EQ(freed, 4u);
+  ExpectPattern(p, va, kPages * kPageSize, 31);
+  debug::VerifyResult verify = debug::VerifyKernel(kernel);
+  EXPECT_TRUE(verify.ok()) << verify.Describe();
+  kernel.Exit(p, 0);
+  EXPECT_TRUE(kernel.allocator().AllFree());
+}
+
+// kswapd ages beside every kind of mutator in one anon family. A writer rewrites and
+// re-reads the parent's pages against its shadow (after each on-demand fork its writes
+// copy shared tables), while this thread churns the parent's VMA map — mmap, mremap that
+// grows and moves, mprotect, partial and whole munmap — and forks children of both engines
+// that write their own pages, then exit. The pool is short of the pages, so kswapd keeps
+// aging and evicting throughout. Every byte must match, no process may be OOM-killed, and
+// the kernel must verify afterwards. Under TSan this checks the walk lock, the epoch guard
+// around each walk and the accessed-bit CAS against every VMA-map and family change.
+TEST(ConcurrencyTest, KswapdAgesBesideEveryKindOfMutator) {
+  constexpr uint64_t kPages = 96;
+  constexpr uint64_t kScratch = 16;
+  constexpr int kRounds = 16;
+  Kernel kernel;
+  kernel.SetMemoryLimitFrames(112);
+  kernel.StartKswapd();
+  Process& p = kernel.CreateProcess();
+  Vaddr va = p.Mmap(kPages * kPageSize, kProtRead | kProtWrite);
+  std::vector<std::byte> shadow(kPages);
+  for (uint64_t i = 0; i < kPages; ++i) {
+    shadow[i] = std::byte{static_cast<uint8_t>(i % 251 + 1)};
+    ASSERT_TRUE(p.MemsetMemory(va + i * kPageSize, shadow[i], kPageSize));
+  }
+  const uint64_t refill_before = ReadVm(VmCounter::k_pgrefill);
+  std::atomic<bool> stop{false};
+  std::atomic<int> failures{0};
+  std::thread writer([&] {
+    uint64_t rng = 0x9e3779b97f4a7c15;
+    std::vector<std::byte> page(kPageSize);
+    for (int op = 0; !stop.load(std::memory_order_relaxed); ++op) {
+      rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
+      uint64_t index = (rng >> 33) % kPages;
+      Vaddr at = va + index * kPageSize;
+      if ((rng >> 20) % 2 == 0) {
+        std::byte value{static_cast<uint8_t>(op % 255 + 1)};
+        if (!p.MemsetMemory(at, value, kPageSize)) {
+          ++failures;
+          continue;
+        }
+        shadow[index] = value;
+      } else if (!p.ReadMemory(at, page) ||
+                 std::any_of(page.begin(), page.end(),
+                             [&](std::byte b) { return b != shadow[index]; })) {
+        ++failures;
+      }
+    }
+  });
+  for (int round = 0; round < kRounds; ++round) {
+    Vaddr scratch = p.Mmap(kScratch * kPageSize, kProtRead | kProtWrite);
+    if (!p.MemsetMemory(scratch, std::byte{0x5c}, kScratch * kPageSize)) {
+      ++failures;
+    }
+    // Grow: in place when the gap allows, otherwise a move of the page-table entries.
+    scratch = p.Mremap(scratch, kScratch * kPageSize, 2 * kScratch * kPageSize);
+    p.address_space().Protect(scratch, kScratch * kPageSize, kProtRead);
+    std::vector<std::byte> page(kPageSize);
+    if (!p.ReadMemory(scratch + (kScratch - 1) * kPageSize, page) ||
+        page[0] != std::byte{0x5c}) {
+      ++failures;
+    }
+    p.address_space().Protect(scratch, kScratch * kPageSize, kProtRead | kProtWrite);
+    p.Munmap(scratch + kScratch / 2 * kPageSize, kScratch / 2 * kPageSize);  // A split.
+    p.Munmap(scratch, 2 * kScratch * kPageSize);
+    ForkMode mode = round % 2 == 0 ? ForkMode::kOnDemand : ForkMode::kClassic;
+    Process* child = kernel.TryFork(p, mode);
+    if (child == nullptr) {
+      continue;  // ENOMEM under the tight pool is a legal outcome.
+    }
+    std::byte mine{static_cast<uint8_t>(0xc0 + round)};
+    for (uint64_t i = 0; i < kPages; i += 24) {
+      if (!child->MemsetMemory(va + i * kPageSize, mine, kPageSize) ||
+          ReadByte(*child, va + i * kPageSize + 7) != mine) {
+        ++failures;
+      }
+    }
+    kernel.Exit(*child, 0);
+    kernel.Wait(p);
+  }
+  stop.store(true);
+  writer.join();
+  kernel.StopKswapd();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(kernel.oom_kills(), 0u);
+  EXPECT_GT(ReadVm(VmCounter::k_pgrefill), refill_before) << "kswapd never aged";
+  debug::VerifyResult verify = debug::VerifyKernel(kernel);
+  EXPECT_TRUE(verify.ok()) << verify.Describe();
+  std::vector<std::byte> page(kPageSize);
+  for (uint64_t i = 0; i < kPages; ++i) {
+    ASSERT_TRUE(p.ReadMemory(va + i * kPageSize, page));
+    ASSERT_EQ(page[kPageSize - 1], shadow[i]) << "page " << i;
+  }
+  kernel.Exit(p, 0);
   EXPECT_TRUE(kernel.allocator().AllFree());
 }
 

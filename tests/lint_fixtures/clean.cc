@@ -69,4 +69,9 @@ void ThreadFence() {
   std::atomic_thread_fence(std::memory_order_seq_cst);  // odf-lint: allow(thread-fence)
 }
 
+void RmapWalkGuarded(ShrinkContext& ctx, std::vector<RmapLocation>* out) {
+  PtEpoch::ReadGuard epoch;
+  ctx.rmap->Walk(frame, out);  // guard above: no finding
+}
+
 }  // namespace odf_fixture

@@ -50,4 +50,8 @@ void ThreadFence() {
   std::atomic_thread_fence(std::memory_order_seq_cst);  // thread-fence
 }
 
+void RmapWalkNoGuard(Rmap& rmap, std::vector<RmapLocation>* out) {
+  rmap.Walk(frame, out);  // lockfree-walk-guard
+}
+
 }  // namespace odf_fixture

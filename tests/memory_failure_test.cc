@@ -459,6 +459,7 @@ TEST_F(MemoryFailureTest, OfflineOfAFrameWithAPendingWriteOutIsBusyUntilCommit) 
   ctx.flush_tlbs = [&p] { p.address_space().locks().FlushAll(); };
   {
     debug::MutationScope mid_pageout;  // Keeps the debug-vm auto-verifier off meanwhile.
+    AgeLruCold(kernel);
     reclaim::Pageout pageout;
     {
       reclaim::MmGate::ExclusiveScope gate;

@@ -285,6 +285,7 @@ TEST(ReclaimTest, EvictedFramesAreFreedOnlyAfterTheFlush) {
     referenced_at_flush = referenced();
     p.address_space().locks().FlushAll();
   };
+  AgeLruCold(kernel);
   reclaim::Pageout pageout;
   uint64_t freed = 0;
   {
@@ -357,6 +358,7 @@ TEST(ReclaimTest, ReadPinsThatOutliveTheirMappingsFreeTheFrameOnce) {
       }
       as.locks().FlushAll();
     };
+    AgeLruCold(kernel);
     reclaim::Pageout pageout;
     uint64_t freed = 0;
     {
@@ -387,17 +389,6 @@ TEST(ReclaimTest, ReadPinsThatOutliveTheirMappingsFreeTheFrameOnce) {
   EXPECT_TRUE(allocator.AllFree());
 }
 
-reclaim::ShrinkContext TestShrinkContext(Kernel& kernel, Process& p) {
-  reclaim::ShrinkContext ctx;
-  ctx.allocator = &kernel.allocator();
-  ctx.swap = &kernel.swap_space();
-  ctx.rmap = &kernel.rmap();
-  ctx.lru = &kernel.lru();
-  AddressSpace* as = &p.address_space();
-  ctx.flush_tlbs = [as] { as->locks().FlushAll(); };
-  return ctx;
-}
-
 // A swap-in that lands between the two phases of an eviction: the page tables already hold
 // swap entries, but no byte has reached the device yet. The fault reads the pre-eviction
 // bytes from the still-pinned frame; the swap-in drops each slot's last reference, so the
@@ -408,12 +399,13 @@ TEST(ReclaimTest, SwapInDuringPendingWriteOutReadsTheFrame) {
   Process& p = kernel.CreateProcess();
   Vaddr va = p.Mmap(kPages * kPageSize, kProtRead | kProtWrite);
   FillPattern(p, va, kPages * kPageSize, 11);
-  reclaim::ShrinkContext ctx = TestShrinkContext(kernel, p);
+  reclaim::ShrinkContext ctx = KernelShrinkContext(kernel);
   SwapSpace& swap = kernel.swap_space();
   {
     // The debug-vm auto-verifier must not run while the pageout is open (kswapd keeps its
     // MutationScope across the pageout for the same reason).
     debug::MutationScope mid_pageout;
+    AgeLruCold(kernel);
     reclaim::Pageout pageout;
     uint64_t evicted = 0;
     {
@@ -447,12 +439,13 @@ TEST(ReclaimTest, SlotDroppedWhileWriteOutPendingIsReusedOnlyAfterCommit) {
   Process& p = kernel.CreateProcess();
   Vaddr va = p.Mmap(kPages * kPageSize, kProtRead | kProtWrite);
   FillPattern(p, va, kPages * kPageSize, 12);
-  reclaim::ShrinkContext ctx = TestShrinkContext(kernel, p);
+  reclaim::ShrinkContext ctx = KernelShrinkContext(kernel);
   SwapSpace& swap = kernel.swap_space();
   std::vector<std::byte> other_page(kPageSize, std::byte{0x77});
   std::vector<SwapSlot> reserved;
   {
     debug::MutationScope mid_pageout;
+    AgeLruCold(kernel);
     reclaim::Pageout pageout;
     {
       reclaim::MmGate::ExclusiveScope gate;
@@ -491,6 +484,51 @@ TEST(ReclaimTest, SlotDroppedWhileWriteOutPendingIsReusedOnlyAfterCommit) {
   kernel.Exit(p, 0);
   EXPECT_TRUE(kernel.allocator().AllFree());
   EXPECT_TRUE(swap.AllFree());
+}
+
+// A direct reclaimer whose round runs while another reclaimer's aging pass holds the
+// whole active list isolated. Its aging finds the active list empty and its unmap phase,
+// which waits for the pass to end, an empty inactive list (the pass puts every frame back
+// on the active list, all referenced). That is no stall: the round waits for the pass and
+// tries again instead of reporting nothing reclaimable, which would OOM-kill a process.
+TEST(ReclaimTest, DirectReclaimRetriesWhileAnotherReclaimersAgingHoldsTheActiveList) {
+  constexpr uint64_t kPages = 32;
+  Kernel kernel;
+  Process& p = kernel.CreateProcess();
+  Vaddr va = p.Mmap(kPages * kPageSize, kProtRead | kProtWrite);
+  FillPattern(p, va, kPages * kPageSize, 17);
+  RotateLruToActive(kernel);
+  ASSERT_EQ(kernel.lru().ActiveSize(), kPages);
+  ASSERT_EQ(kernel.lru().InactiveSize(), 0u);
+  // Free frames below what the reclaimer wants: a reclaim that reports nothing would have
+  // to OOM-kill.
+  kernel.SetMemoryLimitFrames(kernel.allocator().Stats().allocated_frames + 1);
+
+  FrameAllocator& allocator = kernel.allocator();
+  std::vector<FrameId> isolated;
+  uint64_t freed = 0;
+  std::thread reclaimer;
+  {
+    // Another reclaimer's aging pass, in flight: the shared gate, the frames isolated.
+    reclaim::MmGate::SharedScope gate;
+    reclaim::MmGate::BeginAging();
+    ASSERT_EQ(kernel.lru().TakeActive(kPages, &isolated), kPages);
+    reclaimer = std::thread([&] { freed = kernel.ReclaimMemory(8); });
+    // Long enough for the reclaimer's aging to find the active list empty and its unmap
+    // phase to queue behind this shared hold.
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    kernel.lru().PutBack(isolated, /*active=*/true);
+    allocator.DecRefBatch(isolated);
+    reclaim::MmGate::EndAging(/*isolated=*/true);
+  }
+  reclaimer.join();
+  EXPECT_GT(freed, 0u) << "the reclaimer gave up while the frames were only isolated";
+  EXPECT_EQ(kernel.oom_kills(), 0u);
+  kernel.SetMemoryLimitFrames(0);
+  ExpectPattern(p, va, kPages * kPageSize, 17);
+  ExpectVerifies(kernel);
+  kernel.Exit(p, 0);
+  EXPECT_TRUE(allocator.AllFree());
 }
 
 // The headline satellite: evict a frame that is mapped through an on-demand-SHARED PTE
@@ -861,6 +899,23 @@ TEST(ReclaimProcfsTest, VmstatReportsGateHoldsAndPendingSwapIns) {
   EXPECT_GT(VmstatValue(after, "mm_gate_hold_count"), VmstatValue(before, "mm_gate_hold_count"));
   EXPECT_EQ(VmstatValue(after, "pgswapin_pending"), VmstatValue(before, "pgswapin_pending"))
       << "direct reclaim finishes its pageout before it returns";
+}
+
+// Aging scans count pgrefill (Linux's name for active-list frames aged), whatever the trace
+// setting, and show in vmstat: every frame aging demotes was scanned first.
+TEST(ReclaimProcfsTest, VmstatCountsAgingScansAsPgrefill) {
+  Kernel kernel;
+  Process& p = kernel.CreateProcess();
+  Vaddr va = p.Mmap(16 * kPageSize, kProtRead | kProtWrite);
+  FillPattern(p, va, 16 * kPageSize, 14);
+  std::string before = FormatVmstat(kernel);
+  ASSERT_GT(kernel.ReclaimMemory(16), 0u);  // Second chance first, so the rounds age.
+  std::string after = FormatVmstat(kernel);
+  uint64_t refill = VmstatValue(after, "pgrefill") - VmstatValue(before, "pgrefill");
+  uint64_t demoted =
+      VmstatValue(after, "pgdeactivate") - VmstatValue(before, "pgdeactivate");
+  EXPECT_GT(demoted, 0u);
+  EXPECT_GE(refill, demoted);
 }
 
 }  // namespace

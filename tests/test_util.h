@@ -4,11 +4,14 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "src/proc/kernel.h"
 #include "src/proc/process.h"
+#include "src/reclaim/mm_gate.h"
+#include "src/reclaim/shrink.h"
 #include "src/trace/metrics.h"
 #include "src/util/rng.h"
 
@@ -57,6 +60,48 @@ class VmDeltas {
  private:
   std::array<uint64_t, kVmCounterCount> before_;
 };
+
+// A reclaim context over `kernel` whose flush invalidates every running process's TLB, as
+// the kernel's own (private) context does.
+inline reclaim::ShrinkContext KernelShrinkContext(Kernel& kernel) {
+  reclaim::ShrinkContext ctx;
+  ctx.allocator = &kernel.allocator();
+  ctx.swap = &kernel.swap_space();
+  ctx.rmap = &kernel.rmap();
+  ctx.lru = &kernel.lru();
+  ctx.flush_tlbs = [&kernel] {
+    for (const std::shared_ptr<Process>& process : kernel.RunningProcesses()) {
+      process->address_space().locks().FlushAll();
+    }
+  };
+  return ctx;
+}
+
+// Runs one unmap pass that evicts nothing: every freshly faulted page on the LRU gets its
+// second chance — its accessed bit cleared, the page moved to the active list — as in the
+// first round of a reclaim (reclaim::ReclaimPages).
+inline void RotateLruToActive(Kernel& kernel) {
+  reclaim::ShrinkContext ctx = KernelShrinkContext(kernel);
+  reclaim::MmGate::ExclusiveScope gate;
+  reclaim::Pageout none;
+  EXPECT_EQ(reclaim::UnmapPages(ctx, kernel.lru().Size(), &none), 0u)
+      << "a page on the LRU had no accessed bit to give it a second chance";
+}
+
+// Ages every page on the LRU cold, the way a reclaim round ages before its unmap phase:
+// after RotateLruToActive, an aging pass beside the mutators demotes them all to the
+// inactive list. Tests that drive reclaim::UnmapPages directly call it first. It flushes
+// through its own hook, so the hooks of a test's own ShrinkContext see only the unmap
+// phase under test.
+inline void AgeLruCold(Kernel& kernel) {
+  RotateLruToActive(kernel);
+  reclaim::ShrinkContext ctx = KernelShrinkContext(kernel);
+  reclaim::MmGate::SharedScope gate;
+  const uint64_t active = kernel.lru().ActiveSize();
+  bool tlb_dirty = false;
+  EXPECT_EQ(reclaim::AgeActiveList(ctx, active, &tlb_dirty), active);
+  EXPECT_FALSE(tlb_dirty) << "a page was touched between the two passes";
+}
 
 }  // namespace odf
 
