@@ -11,6 +11,9 @@
 #ifndef ODF_BENCH_BENCH_COMMON_H_
 #define ODF_BENCH_BENCH_COMMON_H_
 
+#include <sys/resource.h>
+
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <string>
@@ -92,20 +95,72 @@ inline Vaddr FirstVmaStart(Process& p) {
   return p.address_space().vmas().begin()->second.start;
 }
 
+// Host minor faults the calling thread has taken so far (getrusage RUSAGE_THREAD). Each one
+// is the host mapping in a page of simulator memory on its first touch — for a fork, the
+// frames of page tables it builds in chunks no fork touched before. The paper's kernel
+// takes those pages from the already-mapped direct map, so this is a cost of the
+// substitution, recorded beside the fork times rather than hidden in them.
+inline uint64_t HostMinorFaults() {
+  rusage usage{};
+  getrusage(RUSAGE_THREAD, &usage);
+  return static_cast<uint64_t>(usage.ru_minflt);
+}
+
 // Times `reps` forks of `parent` (child exits immediately, as in the paper's Fig. 1 loop);
-// returns per-fork milliseconds.
-inline std::vector<double> TimeForks(Kernel& kernel, Process& parent, ForkMode mode,
-                                     int reps) {
+// returns per-fork milliseconds. With `host_minflt`, also appends each fork's host minor
+// faults (HostMinorFaults delta across the fork alone).
+inline std::vector<double> TimeForks(Kernel& kernel, Process& parent, ForkMode mode, int reps,
+                                     std::vector<uint64_t>* host_minflt = nullptr) {
   std::vector<double> times_ms;
   times_ms.reserve(static_cast<size_t>(reps));
   for (int r = 0; r < reps; ++r) {
+    uint64_t minflt_before = HostMinorFaults();
     Stopwatch sw;
     Process& child = kernel.Fork(parent, mode);
     times_ms.push_back(sw.ElapsedMillis());
+    if (host_minflt != nullptr) {
+      host_minflt->push_back(HostMinorFaults() - minflt_before);
+    }
     kernel.Exit(child, 0);
     kernel.Wait(parent);
   }
   return times_ms;
+}
+
+// A fork series read the way the host sees it: the first fork of a parent, which builds
+// page tables in never-touched simulator memory, beside the steady state of the forks
+// after it (means over forks 2..n). Benches that report it run at least two forks.
+struct FirstVsSteady {
+  double first_ms = 0;
+  double steady_ms = 0;
+  uint64_t first_minflt = 0;
+  double steady_minflt = 0;
+
+  static FirstVsSteady Of(const std::vector<double>& ms, const std::vector<uint64_t>& minflt) {
+    ODF_CHECK(ms.size() >= 2 && minflt.size() == ms.size());
+    FirstVsSteady split;
+    split.first_ms = ms[0];
+    split.first_minflt = minflt[0];
+    for (size_t i = 1; i < ms.size(); ++i) {
+      split.steady_ms += ms[i];
+      split.steady_minflt += static_cast<double>(minflt[i]);
+    }
+    split.steady_ms /= static_cast<double>(ms.size() - 1);
+    split.steady_minflt /= static_cast<double>(ms.size() - 1);
+    return split;
+  }
+
+  // The four cells, in the column order of FirstVsSteadyColumns.
+  std::vector<std::string> Cells(int ms_digits) const {
+    return {TablePrinter::FormatDouble(first_ms, ms_digits),
+            TablePrinter::FormatDouble(steady_ms, ms_digits), std::to_string(first_minflt),
+            TablePrinter::FormatDouble(steady_minflt, 1)};
+  }
+};
+
+inline std::vector<std::string> FirstVsSteadyColumns() {
+  return {"First fork (ms)", "Steady fork (ms)", "First fork host minflt",
+          "Steady host minflt/fork"};
 }
 
 inline void PrintHeader(const std::string& title, const std::string& paper_ref) {

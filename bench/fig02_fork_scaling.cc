@@ -17,13 +17,24 @@ void Run() {
 
   TablePrinter table({"Size (GB)", "Sequential avg (ms)", "Sequential min (ms)",
                       "Concurrent 3x avg (ms)", "Concurrent 3x min (ms)"});
+  std::vector<std::string> split_columns = FirstVsSteadyColumns();
+  split_columns.insert(split_columns.begin(), "Size (GB)");
+  TablePrinter split(split_columns);
+  // The sequential series runs at least two forks so it has a steady state to report.
+  const int seq_forks = std::max(config.reps, 2);
   for (double gb : SizeSweepGb(config.max_gb)) {
     uint64_t bytes = GbToBytes(gb);
 
     // Sequential.
     Kernel kernel;
     Process& parent = MakePopulatedProcess(kernel, bytes);
-    StatsSummary seq = Summarize(TimeForks(kernel, parent, ForkMode::kClassic, config.reps));
+    std::vector<uint64_t> minflt;
+    std::vector<double> seq_ms =
+        TimeForks(kernel, parent, ForkMode::kClassic, seq_forks, &minflt);
+    StatsSummary seq = Summarize(seq_ms);
+    std::vector<std::string> split_row = FirstVsSteady::Of(seq_ms, minflt).Cells(3);
+    split_row.insert(split_row.begin(), TablePrinter::FormatDouble(gb, 1));
+    split.AddRow(split_row);
 
     // Concurrent: 3 instances, each forking its own process (the paper's setup).
     RunningStats concurrent;
@@ -56,7 +67,11 @@ void Run() {
                   TablePrinter::FormatDouble(concurrent.min(), 3)});
   }
   table.Print();
-  WriteBenchJson("fig02_fork_scaling", config, {{"fork_scaling", &table}});
+  std::printf("\nSequential series, first fork vs the forks after it (host minor faults are\n"
+              "first touches of simulator memory, mostly child page-table frames):\n");
+  split.Print();
+  WriteBenchJson("fig02_fork_scaling", config,
+                 {{"fork_scaling", &table}, {"first_vs_steady", &split}});
 }
 
 }  // namespace

@@ -94,6 +94,15 @@ if [[ -z "$ONLY" || "$ONLY" == "default" ]]; then
   fi
 fi
 
+# Figure 7 shape gate: the invocation-latency bench in fast mode exits nonzero unless
+# on-demand-fork is below fork at every size, with fork / ODF inside a wide ratio band.
+if [[ -z "$ONLY" || "$ONLY" == "default" ]]; then
+  note "fig07 invocation-latency shape (default preset, ODF_BENCH_FAST=1)"
+  if ! ODF_BENCH_FAST=1 ODF_BENCH_JSON=0 ./build/bench/fig07_invocation_latency; then
+    FAILURES+=("fig07 shape")
+  fi
+fi
+
 # Memory failure (docs/memory-failure.md): the labeled suite by itself — hard/soft
 # offline, containment through shared ODF tables, quarantine permanence, the poisoned-PTE
 # fault contract — must stay a usable developer entry point like the other labels.

@@ -11,6 +11,7 @@
 //                   too, write-protected at the PUD level. Tables then copy-on-write lazily
 //                   at two levels: first the PMD table on the first write below a PUD entry,
 //                   then the PTE table (or the 2 MiB page) on the first write below it.
+#include <algorithm>
 #include <array>
 #include <span>
 
@@ -32,6 +33,7 @@ struct ShareState {
   bool share_pmd_tables = false;
   uint64_t pte_tables_shared = 0;
   uint64_t pmd_tables_shared = 0;
+  uint64_t upper_entries = 0;  // PGD, PUD and PMD entries visited (fork_upper_entries).
 };
 
 // Shares one PMD table between the parent's and child's PUD entries (write-protecting
@@ -48,17 +50,19 @@ void SharePmdEntry(ShareState& state, uint64_t* src_slot, uint64_t* dst_slot, Pt
   ODF_TRACE(pmd_table_shared, state.pid, table);
 }
 
-// Shares every PTE table referenced by one PMD table (§3.5): one address-space reference and
-// one write-protected entry pair per present table, with all pt_share_count increments taken
-// in a single IncPtShareBatch call. Two passes — collect, batch-increment, then publish — so
-// every reference exists before the corresponding child entry becomes visible, and the whole
-// 1 GiB span costs one refcount call site instead of 512 (docs/performance.md).
-void ShareAllPteTables(ShareState& state, uint64_t* src, uint64_t* dst) {
+// Shares the PTE tables of PMD entries [first, last] (§3.5): one address-space reference
+// and one write-protected entry pair per present table, with all pt_share_count increments
+// taken in a single IncPtShareBatch call. Two passes — collect, batch-increment, then
+// publish — so every reference exists before the corresponding child entry becomes
+// visible, and a table's whole span costs one refcount call site instead of one per entry
+// (docs/performance.md). Spans never share a chunk, so no entry here is visited twice.
+void SharePteTables(ShareState& state, uint64_t* src, uint64_t* dst, uint64_t first,
+                    uint64_t last) {
   FrameAllocator& allocator = *state.allocator;
   std::array<uint64_t, kEntriesPerTable> indices;
   std::array<FrameId, kEntriesPerTable> tables;
   size_t shared = 0;
-  for (uint64_t i = 0; i < kEntriesPerTable; ++i) {
+  for (uint64_t i = first; i <= last; ++i) {
     Pte entry = LoadEntry(&src[i]);
     if (!entry.IsPresent()) {
       continue;
@@ -84,20 +88,34 @@ void ShareAllPteTables(ShareState& state, uint64_t* src, uint64_t* dst) {
   state.pte_tables_shared += shared;
 }
 
-bool ShareLevel(ShareState& state, FrameId parent_table, FrameId child_table, PtLevel level) {
+// Shares [start, end) of the parent's tree below `parent_table` (at `level`, covering the
+// range) into `child_table`, visiting only the entries the range covers — the
+// pgd_addr_end walk of the kernel's copy_page_range. An upper-level entry the child
+// already has is reused: an earlier span built that sub-table (recurse into it) or shared
+// the parent's whole PMD table at the PUD (nothing left to do).
+bool ShareRange(ShareState& state, FrameId parent_table, FrameId child_table, PtLevel level,
+                Vaddr start, Vaddr end) {
   FrameAllocator& allocator = *state.allocator;
   uint64_t* src = allocator.TableEntries(parent_table);
   uint64_t* dst = allocator.TableEntries(child_table);
+  const uint64_t first = TableIndex(start, level);
+  const uint64_t last = TableIndex(end - 1, level);
+  state.upper_entries += last - first + 1;
 
   if (level == PtLevel::kPmd) {
-    ShareAllPteTables(state, src, dst);
+    SharePteTables(state, src, dst, first, last);
     return true;
   }
 
-  for (uint64_t i = 0; i < kEntriesPerTable; ++i) {
+  const Vaddr table_base = start & ~(EntrySpan(level) * kEntriesPerTable - 1);
+  for (uint64_t i = first; i <= last; ++i) {
     Pte entry = LoadEntry(&src[i]);
     if (!entry.IsPresent()) {
       continue;
+    }
+    Pte existing = LoadEntry(&dst[i]);
+    if (existing.IsPresent() && existing.frame() == entry.frame()) {
+      continue;  // The parent's PMD table is already shared at this PUD entry.
     }
 
     if (level == PtLevel::kPud && state.share_pmd_tables) {
@@ -108,7 +126,7 @@ bool ShareLevel(ShareState& state, FrameId parent_table, FrameId child_table, Pt
     }
 
     // Upper levels: the child gets its own table, recursively filled.
-    FrameId child_sub = TryAllocPageTable(allocator);
+    FrameId child_sub = existing.IsPresent() ? existing.frame() : TryAllocPageTable(allocator);
     if (child_sub == kInvalidFrame) {
       if (level == PtLevel::kPud) {
         // Degrade: share the parent's whole PMD table write-protected at the PUD instead
@@ -116,7 +134,7 @@ bool ShareLevel(ShareState& state, FrameId parent_table, FrameId child_table, Pt
         // zero-allocation fallback. The chunk still COWs lazily, just one level higher.
         SharePmdEntry(state, &src[i], &dst[i], entry);
         CountVm(VmCounter::k_fork_degrade_classic);
-        ODF_TRACE(fork_degrade_classic, state.pid, i * EntrySpan(PtLevel::kPud),
+        ODF_TRACE(fork_degrade_classic, state.pid, table_base + i * EntrySpan(level),
                   static_cast<uint64_t>(DegradeFlavor::kOdfSharePmd));
         continue;
       }
@@ -124,9 +142,13 @@ bool ShareLevel(ShareState& state, FrameId parent_table, FrameId child_table, Pt
       // fork fails and the caller rolls back the partially built child.
       return false;
     }
-    StoreEntry(&dst[i], Pte::Make(child_sub, kPtePresent | kPteWritable | kPteUser |
-                                                 (entry.flags() & kPteAccessed)));
-    if (!ShareLevel(state, entry.frame(), child_sub, NextLevel(level))) {
+    if (!existing.IsPresent()) {
+      StoreEntry(&dst[i], Pte::Make(child_sub, kPtePresent | kPteWritable | kPteUser |
+                                                   (entry.flags() & kPteAccessed)));
+    }
+    const Vaddr base = table_base + i * EntrySpan(level);
+    if (!ShareRange(state, entry.frame(), child_sub, NextLevel(level), std::max(start, base),
+                    std::min(end, base + EntrySpan(level)))) {
       return false;
     }
   }
@@ -141,9 +163,25 @@ bool OnDemandSharePageTables(AddressSpace& parent, AddressSpace& child, ForkProf
   ShareState state{&parent.allocator()};
   state.pid = parent.owner_pid();
   state.share_pmd_tables = share_pmd_tables;
-  bool ok = ShareLevel(state, parent.pgd(), child.pgd(), PtLevel::kPgd);
+  // Walk the parent's VMAs merged into spans: VMAs whose 2 MiB chunks touch or overlap
+  // form one span, so a chunk is visited once however many VMAs it holds. Tables outside
+  // every VMA map nothing the child can reach and are not shared.
+  bool ok = true;
+  const auto& vmas = parent.vmas();
+  for (auto it = vmas.begin(); ok && it != vmas.end();) {
+    Vaddr span_start = it->second.start;
+    Vaddr span_end = it->second.end;
+    for (++it; it != vmas.end() &&
+               EntryBase(it->second.start, PtLevel::kPmd) <=
+                   EntryBase(span_end + kPteTableSpan - 1, PtLevel::kPmd);
+         ++it) {
+      span_end = it->second.end;
+    }
+    ok = ShareRange(state, parent.pgd(), child.pgd(), PtLevel::kPgd, span_start, span_end);
+  }
   CountVm(VmCounter::k_pte_tables_shared, state.pte_tables_shared);
   CountVm(VmCounter::k_pmd_tables_shared, state.pmd_tables_shared);
+  CountVm(VmCounter::k_fork_upper_entries, state.upper_entries);
   if (profile != nullptr) {
     profile->upper_level_ns += sw.ElapsedNanos();
     profile->pte_tables_visited += state.pte_tables_shared;

@@ -33,9 +33,9 @@ thread_local WriteHold t_write_holds[kMaxWriteHolds];
 
 debug::LockClass& AsShardLockClass() { return g_as_shard_lock_class; }
 
-void NoteMmLockWait([[maybe_unused]] uint64_t kind, uint64_t wait_ns) {
-  // `kind` is traced only — ODF_TRACE compiles out in no-trace builds.
+void NoteMmLockWait(uint64_t kind, uint64_t wait_ns) {
   CountVm(VmCounter::k_lock_contended);
+  CountVm(kind <= 1 ? VmCounter::k_mm_gate_wait_ns : VmCounter::k_as_gate_wait_ns, wait_ns);
   ODF_TRACE(lock_contended, /*pid=*/0, kind, wait_ns);
   ODF_TRACE(lock_wait, /*pid=*/0, kind, wait_ns);
   MmLockWaitHistogram().RecordNanos(wait_ns);
@@ -54,11 +54,14 @@ void MmLockTable::InvalidateRange(Vaddr start, Vaddr end) {
     return;
   }
   CountVm(VmCounter::k_tlb_shootdowns, (end - PageAlignDown(start) + kPageSize - 1) / kPageSize);
-  // Chunks map to shards modulo kShards, so kShards consecutive chunks cover every shard
-  // exactly once: a wider range bumps each shard once too.
+  // Chunks map to shards modulo kShards, so kShards consecutive chunks cover every shard:
+  // a range that wide invalidates as much as a full flush and costs one bump like it.
   uint64_t first = start >> (kPageShift + kHugePageOrder);
-  uint64_t last = std::min((end - 1) >> (kPageShift + kHugePageOrder),
-                           first + static_cast<uint64_t>(kShards) - 1);
+  uint64_t last = (end - 1) >> (kPageShift + kHugePageOrder);
+  if (last - first + 1 >= static_cast<uint64_t>(kShards)) {
+    flush_gen_.fetch_add(1, std::memory_order_seq_cst);
+    return;
+  }
   for (uint64_t chunk = first; chunk <= last; ++chunk) {
     shards_[chunk & (kShards - 1)].gen.fetch_add(1, std::memory_order_seq_cst);
   }
@@ -67,9 +70,7 @@ void MmLockTable::InvalidateRange(Vaddr start, Vaddr end) {
 void MmLockTable::FlushAll() {
   CountVm(VmCounter::k_tlb_flushes);
   ODF_TRACE(tlb_flush, /*pid=*/0, as_id_);
-  for (Shard& shard : shards_) {
-    shard.gen.fetch_add(1, std::memory_order_seq_cst);
-  }
+  flush_gen_.fetch_add(1, std::memory_order_seq_cst);
 }
 
 MmLockTable::WriteScope::WriteScope(MmLockTable& table) : table_(table) {

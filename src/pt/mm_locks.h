@@ -5,9 +5,12 @@
 //   MmLockTable   one per AddressSpace — a BRAVO reader/writer gate for whole-AS operations
 //                 (range ops, fork, teardown take it exclusive; fault slow paths take it
 //                 shared) plus 64 range shards, each a 2 MiB-granular mutex and a shard
-//                 *generation* counter. Faults in disjoint shards never contend; a range
-//                 op bumps each covered shard generation ONCE (InvalidateRange, the
-//                 batched TLB shootdown) instead of flushing per PTE.
+//                 *generation* counter, and one address-space *flush generation*. A
+//                 translation's generation is the sum of its shard's and the flush
+//                 generation. Faults in disjoint shards never contend; a range op bumps
+//                 each covered shard generation ONCE (InvalidateRange, the batched TLB
+//                 shootdown) instead of flushing per PTE, and a full flush (or a range
+//                 that covers every shard) bumps the flush generation once.
 //
 //   PtEpoch       a quiescent-state epoch (QSBR) for page-table frames. Lock-free readers
 //                 enter a read section around a table walk; mutators that free a PUBLISHED
@@ -16,15 +19,16 @@
 //                 frees. Unpublished spares (Dedicate* losers) still DecRef directly.
 //
 //   TranslationCache  a per-thread map of (as id, vpn) -> frame, validated by the covering
-//                 shard generation. The hit path is entirely lock-free: probe, pin the
-//                 frame's refcount, recheck the generation, copy.
+//                 generation (ShardGen). The hit path is entirely lock-free: probe, pin
+//                 the frame's refcount, recheck the generation, copy.
 //
 // Lock order (documented in docs/debugging.md): MutationScope -> AS gate -> shard mutex
 // (fault path only, exactly one) -> reclaim::MmGate shared -> split locks / rmap /
 // allocator / LRU. The generation protocol's one load-bearing invariant: a mutator bumps
-// the covered shard generation AFTER rewriting entries and BEFORE dropping the frame
-// references those entries held ("gen before free"), so a reader whose pin precedes its
-// successful generation recheck can never hold a stale frame.
+// a generation covering the rewritten range (its shards' or the flush generation) AFTER
+// rewriting entries and BEFORE dropping the frame references those entries held ("gen
+// before free"), so a reader whose pin precedes its successful generation recheck can
+// never hold a stale frame.
 #ifndef ODF_SRC_PT_MM_LOCKS_H_
 #define ODF_SRC_PT_MM_LOCKS_H_
 
@@ -48,10 +52,12 @@ namespace odf {
 debug::LockClass& AsShardLockClass();
 
 // Records a blocked MM-lock acquisition in the contention observability surface:
-// the `lock_contended` vmstat counter, the `lock_contended`/`lock_wait` tracepoints, and
-// the `mm_lock_wait` latency histogram (all of which land in FormatVmstat and the
-// BENCH_*.json sidecars). `kind` is a small site discriminator carried in the trace args:
-// 0 = MmGate reader, 1 = MmGate writer, 2 = AS-gate reader, 3 = AS-gate writer.
+// the `lock_contended` vmstat counter, the wait's nanoseconds in `mm_gate_wait_ns`
+// (kinds 0, 1) or `as_gate_wait_ns` (kinds 2, 3), the `lock_contended`/`lock_wait`
+// tracepoints, and the `mm_lock_wait` latency histogram (all of which land in
+// FormatVmstat and the BENCH_*.json sidecars). `kind` is a small site discriminator, also
+// carried in the trace args: 0 = MmGate reader, 1 = MmGate writer, 2 = AS-gate reader,
+// 3 = AS-gate writer.
 void NoteMmLockWait(uint64_t kind, uint64_t wait_ns);
 
 // The whole-AS gate is itself a capability ("as_gate"): ReadScope/WriteScope below carry
@@ -83,12 +89,18 @@ class ODF_CAPABILITY("as_gate") MmLockTable {
     return static_cast<int>((va >> (kPageShift + kHugePageOrder)) & (kShards - 1));
   }
 
+  // The generation that validates a translation of `va`: its shard's generation plus the
+  // address-space flush generation. Both only grow, so the sum changes whenever either is
+  // bumped: a cached or in-flight translation whose generation still matches was made
+  // after the last invalidation that covered it. Two seq_cst loads; a reader compares
+  // the sum it read before its walk with the sum it reads after its pin.
   uint64_t ShardGen(Vaddr va) const {
-    return shards_[ShardOf(va)].gen.load(std::memory_order_seq_cst);
+    return shards_[ShardOf(va)].gen.load(std::memory_order_seq_cst) +
+           flush_gen_.load(std::memory_order_seq_cst);
   }
 
   // The TLB-shootdown plane. A mutator invalidates the translations it rewrote by bumping
-  // the covering shard generation(s): that is what invalidates every thread's
+  // a generation that covers them: that is what invalidates every thread's
   // TranslationCache entry and fails in-flight lock-free readers' rechecks. Callers must
   // respect gen-before-free: entries already rewritten, frame references not yet dropped.
 
@@ -98,10 +110,12 @@ class ODF_CAPABILITY("as_gate") MmLockTable {
     shards_[ShardOf(va)].gen.fetch_add(1, std::memory_order_seq_cst);
   }
   // A range (the batched shootdown): one bump per covered shard, however many pages the
-  // range spans, escalating to every shard once it covers kShards or more 2 MiB chunks.
-  // Every covered page counts as one tlb_shootdowns entry, whatever the range's width.
+  // range spans; a range of kShards or more 2 MiB chunks covers every shard and bumps the
+  // flush generation once instead. Every covered page counts as one tlb_shootdowns entry,
+  // whatever the range's width.
   void InvalidateRange(Vaddr start, Vaddr end);
-  // Full flush (CR3 reload analog): bumps every shard; counts one tlb_flushes entry.
+  // Full flush (CR3 reload analog): one bump of the flush generation; counts one
+  // tlb_flushes entry.
   void FlushAll();
 
   // Whole-AS reader (fault slow path). Fast-path cost: one padded fetch_add + one load.
@@ -174,7 +188,10 @@ class ODF_CAPABILITY("as_gate") MmLockTable {
   };
 
   util::BravoGate gate_;
+  // The access path reads both words of this line on every translation; only a full
+  // flush writes it. (The gate's slots before it and the shards after it are line-aligned.)
   uint64_t as_id_;
+  std::atomic<uint64_t> flush_gen_{0};
   Shard shards_[kShards];
 };
 
@@ -247,12 +264,12 @@ class ODF_CAPABILITY("epoch") PtEpoch {
 
 // Per-thread translation cache: the L0 of the access path, in front of the lock-free walk
 // (L1) and the locked walk (L2). It is the simulator's only translation cache. Entries are
-// validated by (as id, vpn, shard generation); a hit costs a probe, a refcount pin, and a
+// validated by (as id, vpn, generation); a hit costs a probe, a refcount pin, and a
 // generation recheck — no locks, no shared cache lines.
 struct TransCacheEntry {
   uint64_t as_id = 0;  // 0 = empty slot.
   uint64_t vpn = 0;
-  uint64_t gen = 0;            // Covering shard generation when inserted.
+  uint64_t gen = 0;            // Covering generation (ShardGen) when inserted.
   FrameId frame = kInvalidFrame;  // Leaf data frame (tail-resolved for huge mappings).
   FrameId pin = kInvalidFrame;    // Frame carrying the refcount (compound head).
   bool write_ok = false;  // True only when inserted by a WRITE access (dirty bit already set).

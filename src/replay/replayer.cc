@@ -169,6 +169,9 @@ bool CounterReplayComparable(uint32_t counter) {
     // evictor commits, which runs without the gate; how long it held the gate is timing.
     case VmCounter::k_pgswapin_pending:
     case VmCounter::k_mm_gate_hold_ns:
+    // How long a gate acquisition waited is timing too.
+    case VmCounter::k_mm_gate_wait_ns:
+    case VmCounter::k_as_gate_wait_ns:
     // Aging runs beside the mutators, so how many frames kswapd's passes isolate depends on
     // what the recorded threads faulted meanwhile.
     case VmCounter::k_pgrefill:

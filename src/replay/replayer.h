@@ -82,8 +82,9 @@ void FinalizeRecording(Kernel& kernel);
 // frames_allocated/freed include refill batching), kswapd scheduling, lock contention, the
 // translation-cache tiers (tlb_hits/misses/l1_hits depend on the accessing thread's cache,
 // tlb_pin_retries on racing mutators and on that cache too), the evictor's timing
-// (pgswapin_pending, mm_gate_hold_ns), kswapd's aging beside the mutators (pgrefill), and
-// the recorder's own counters (recording bumps them; replaying does not).
+// (pgswapin_pending, mm_gate_hold_ns), gate waits (mm_gate_wait_ns, as_gate_wait_ns),
+// kswapd's aging beside the mutators (pgrefill), and the recorder's own counters
+// (recording bumps them; replaying does not).
 bool CounterReplayComparable(uint32_t counter);
 
 }  // namespace replay

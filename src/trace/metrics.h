@@ -94,7 +94,10 @@ namespace odf {
   X(tlb_pin_retries)             \
   X(pgswapin_pending)            \
   X(mm_gate_hold_ns)             \
-  X(pgrefill)
+  X(pgrefill)                    \
+  X(fork_upper_entries)          \
+  X(mm_gate_wait_ns)             \
+  X(as_gate_wait_ns)
 
 enum class VmCounter : uint32_t {
 #define ODF_VM_ENUM_MEMBER(name) k_##name,

@@ -5,7 +5,10 @@
 // on different cores never bounce a shared cache line the way a
 // std::shared_mutex reader count does. Writers flip the pending word (which
 // diverts new readers to the underlying shared_mutex), take the mutex, then
-// wait for in-flight fast readers to drain from the slots.
+// wait for in-flight fast readers to drain from the slots this gate's readers
+// have ever used: a reader marks its slot in a per-gate mask before its first
+// count on it, so a gate that only ever saw a few threads costs its writer a
+// few loads, not one per slot.
 //
 // This is deliberately a bare synchronization primitive with no repo
 // dependencies: it lives in src/util (below the mm lock graph) and the mm-layer
@@ -15,6 +18,7 @@
 #define ODF_SRC_UTIL_BRAVO_GATE_H_
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <shared_mutex>
@@ -33,7 +37,7 @@ namespace odf::util {
 // which also keeps the conditional fallback protocol here free of opt-outs.
 class ODF_CAPABILITY("bravo_gate") BravoGate {
  public:
-  static constexpr int kSlots = 64;
+  static constexpr int kSlots = 64;  // One bit each in used_slots_.
 
   BravoGate() = default;
   BravoGate(const BravoGate&) = delete;
@@ -48,9 +52,19 @@ class ODF_CAPABILITY("bravo_gate") BravoGate {
   // of writers_pending_ (the seq_cst pair forms the store-buffering / Dekker
   // handshake with LockExclusive). If a writer is pending, the increment is
   // undone and the reader falls back to the shared_mutex, reporting its wait.
+  // Before its first count on a slot the reader sets the slot's bit in
+  // used_slots_; the bit is never cleared, so afterwards the check is one load
+  // of the line that holds writers_pending_.
   ReadToken LockShared() {
     ReadToken token;
     int slot = SlotIndex();
+    uint64_t bit = uint64_t{1} << slot;
+    // seq_cst, not relaxed: when another thread set the bit, this load must order
+    // that fetch_or before this reader's count in the single total order, or a
+    // writer's mask load could still miss it.
+    if ((used_slots_.load(std::memory_order_seq_cst) & bit) == 0) {
+      used_slots_.fetch_or(bit, std::memory_order_seq_cst);
+    }
     slots_[slot].count.fetch_add(1, std::memory_order_seq_cst);
     if (writers_pending_.load(std::memory_order_seq_cst) == 0) {
       token.slot = slot;
@@ -73,14 +87,19 @@ class ODF_CAPABILITY("bravo_gate") BravoGate {
 
   // Exclusive acquisition: publish the pending writer (diverting new readers to
   // the mutex), take the mutex (excludes fallback readers and other writers),
-  // then spin until every fast-path reader slot drains. Returns nanoseconds
-  // spent blocked, for the caller's contention metrics.
+  // then spin until every used fast-path reader slot drains. A slot missing
+  // from the mask is safe to skip: its reader sets the bit before counting and
+  // loads writers_pending_ after, so in the total order either the mask load
+  // below sees the bit, or that reader sees the pending writer and backs off.
+  // Returns nanoseconds spent blocked, for the caller's contention metrics.
   uint64_t LockExclusive() {
     auto start = std::chrono::steady_clock::now();
     writers_pending_.fetch_add(1, std::memory_order_seq_cst);
     mu_.lock();
-    for (int i = 0; i < kSlots; ++i) {
-      while (slots_[i].count.load(std::memory_order_seq_cst) != 0) {
+    for (uint64_t used = used_slots_.load(std::memory_order_seq_cst); used != 0;
+         used &= used - 1) {
+      const Slot& slot = slots_[std::countr_zero(used)];
+      while (slot.count.load(std::memory_order_seq_cst) != 0) {
         std::this_thread::yield();
       }
     }
@@ -113,7 +132,10 @@ class ODF_CAPABILITY("bravo_gate") BravoGate {
                                      .count());
   }
 
+  // Read by every reader: after its first use of a slot, a fast-path reader
+  // only loads this line; writers and fallback readers (mu_) write it.
   std::atomic<int> writers_pending_{0};
+  std::atomic<uint64_t> used_slots_{0};  // Bit i: some reader has counted on slot i.
   std::shared_mutex mu_;
   Slot slots_[kSlots];
 };

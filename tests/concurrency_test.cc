@@ -13,10 +13,12 @@
 #include <vector>
 
 #include "src/debug/verify.h"
+#include "src/pt/mm_locks.h"
 #include "src/reclaim/mm_gate.h"
 #include "src/replay/recorder.h"
 #include "src/replay/replayer.h"
 #include "src/trace/metrics.h"
+#include "src/util/bravo_gate.h"
 #include "tests/test_util.h"
 
 namespace odf {
@@ -866,6 +868,144 @@ TEST(ConcurrencyTest, ConcurrentForkVmCountersStayConsistent) {
   EXPECT_EQ(ReadVm(VmCounter::k_fork_on_demand) - forks_before,
             static_cast<uint64_t>(kThreads) * kForksPerThread);
   EXPECT_EQ(kernel.ProcessCount(), static_cast<size_t>(kThreads));
+}
+
+// BravoGate's writer scans only the reader slots marked in the gate's mask. A fresh gate
+// has none marked, and each round's reader is a new thread, so every round pits a writer
+// against a reader's first count on its slot: the reader must either be seen by the
+// writer's scan or back off to the mutex. Odd rounds start both at once; even rounds let
+// the reader in first, the order in which a writer that missed the bit would not wait.
+// A reader that got in stays until the writer has started its acquisition. The guarded
+// value is a plain int, so a writer that skipped a live reader is a data race under TSan
+// and a torn read or a counted reader otherwise.
+TEST(ConcurrencyTest, BravoWriterExcludesAReaderOnItsFirstSlotUse) {
+  constexpr int kRounds = 200;
+  int torn_reads = 0;
+  int readers_seen_by_writer = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    util::BravoGate gate;
+    int guarded = 0;  // The writer moves it 0 -> 1 -> 2; a reader must never see 1.
+    std::atomic<int> readers_inside{0};
+    std::atomic<bool> go{false};
+    std::atomic<bool> reader_entered{false};
+    std::atomic<bool> writer_started{false};
+    int seen = 0;
+    std::thread reader([&] {
+      while (!go.load()) {
+        std::this_thread::yield();
+      }
+      util::BravoGate::ReadToken token = gate.LockShared();
+      readers_inside.fetch_add(1);
+      reader_entered.store(true);
+      while (!writer_started.load()) {
+        std::this_thread::yield();
+      }
+      // Long enough for a writer that skipped this slot to be caught here.
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      seen = guarded;
+      readers_inside.fetch_sub(1);
+      gate.UnlockShared(token);
+    });
+    go.store(true);
+    if (round % 2 == 0) {
+      while (!reader_entered.load()) {
+        std::this_thread::yield();
+      }
+    }
+    writer_started.store(true);
+    gate.LockExclusive();
+    readers_seen_by_writer += readers_inside.load();
+    guarded = 1;
+    std::this_thread::yield();
+    guarded = 2;
+    gate.UnlockExclusive();
+    reader.join();
+    torn_reads += seen == 1 ? 1 : 0;
+  }
+  EXPECT_EQ(readers_seen_by_writer, 0) << "a reader was inside while the writer held the gate";
+  EXPECT_EQ(torn_reads, 0);
+}
+
+// PtEpoch::Drain waits for every reader in its read section, one on a slot first claimed
+// after the process's last drain included. The reader here claims its slot after that
+// drain and sits in its read section over a PTE table while another thread unmaps the
+// table: the unmap's drain must wait for it.
+TEST(ConcurrencyTest, DrainWaitsForAReaderOnANewlyClaimedSlot) {
+  Kernel kernel;
+  Process& p = kernel.CreateProcess();
+  Vaddr va = p.Mmap(kHugePageSize, kProtRead | kProtWrite);
+  WriteByte(p, va, std::byte{0x17});
+  PtEpoch::Global().Drain();
+
+  std::atomic<int> stage{0};  // 1: reader inside its section, 2: unmap returned.
+  bool unmapped_while_inside = true;
+  FrameId walked = kInvalidFrame;
+  std::thread reader([&] {
+    PtEpoch::ReadGuard guard;
+    EXPECT_TRUE(guard.ok());
+    Translation t = p.address_space().walker().TranslateLockFree(p.address_space().pgd(), va);
+    walked = t.status == TranslateStatus::kOk ? t.frame : kInvalidFrame;
+    stage.store(1);
+    // Long enough for an unmap whose drain skipped this slot to finish meanwhile.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    unmapped_while_inside = stage.load() == 2;
+  });
+  while (stage.load() != 1) {
+    std::this_thread::yield();
+  }
+  p.Munmap(va, kHugePageSize);  // Retires the PTE table, then drains.
+  stage.store(2);
+  reader.join();
+  EXPECT_NE(walked, kInvalidFrame);
+  EXPECT_FALSE(unmapped_while_inside) << "the drain freed a table under a live reader";
+  kernel.Exit(p, 0);
+  EXPECT_TRUE(kernel.allocator().AllFree());
+}
+
+// A shared acquisition that waits out an exclusive hold adds its wait to its gate's
+// counter, whatever the trace setting: mm_gate_wait_ns for the MmGate, as_gate_wait_ns for
+// an address-space gate, and nothing to the other one. Each hold lasts 20 ms after the
+// waiter has started; the counted wait must be a real wait, not a fast-path blip.
+TEST(ConcurrencyTest, GateWaitsAreCountedPerGate) {
+  Kernel kernel;
+  Process& p = kernel.CreateProcess();
+  MmLockTable& locks = p.address_space().locks();
+  constexpr uint64_t kMinCountedNs = 1'000'000;
+  // Runs `acquire` on a new thread while the caller holds a gate exclusively.
+  auto wait_on_held_gate = [](auto acquire) {
+    std::atomic<bool> started{false};
+    std::thread waiter([&started, acquire] {
+      started.store(true);  // Its last use of `started`, which dies when this returns.
+      acquire();
+    });
+    while (!started.load()) {
+      std::this_thread::yield();
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    return waiter;
+  };
+  {
+    VmDeltas waits;
+    std::thread waiter;
+    {
+      reclaim::MmGate::ExclusiveScope gate;
+      waiter = wait_on_held_gate([] { reclaim::MmGate::SharedScope shared; });
+    }
+    waiter.join();
+    EXPECT_GE(waits.Of(VmCounter::k_mm_gate_wait_ns), kMinCountedNs);
+    EXPECT_EQ(waits.Of(VmCounter::k_as_gate_wait_ns), 0u);
+  }
+  {
+    VmDeltas waits;
+    std::thread waiter;
+    {
+      MmLockTable::WriteScope gate(locks);
+      waiter = wait_on_held_gate([&locks] { MmLockTable::ReadScope shared(locks); });
+    }
+    waiter.join();
+    EXPECT_GE(waits.Of(VmCounter::k_as_gate_wait_ns), kMinCountedNs);
+    EXPECT_EQ(waits.Of(VmCounter::k_mm_gate_wait_ns), 0u);
+  }
 }
 
 // Built-in vmstat counters live in per-thread shards (src/trace/metrics.h); a read sums the
