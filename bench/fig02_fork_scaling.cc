@@ -20,8 +20,8 @@ void Run() {
   std::vector<std::string> split_columns = FirstVsSteadyColumns();
   split_columns.insert(split_columns.begin(), "Size (GB)");
   TablePrinter split(split_columns);
-  // The sequential series runs at least two forks so it has a steady state to report.
-  const int seq_forks = std::max(config.reps, 2);
+  // The sequential series runs enough forks for a steady state after the second fork.
+  const int seq_forks = std::max(config.reps, kFirstVsSteadyForks);
   for (double gb : SizeSweepGb(config.max_gb)) {
     uint64_t bytes = GbToBytes(gb);
 
@@ -67,8 +67,8 @@ void Run() {
                   TablePrinter::FormatDouble(concurrent.min(), 3)});
   }
   table.Print();
-  std::printf("\nSequential series, first fork vs the forks after it (host minor faults are\n"
-              "first touches of simulator memory, mostly child page-table frames):\n");
+  std::printf("\nSequential series, first and second fork vs forks 3..n (host minor faults\n"
+              "are first touches of simulator memory, mostly child page-table frames):\n");
   split.Print();
   WriteBenchJson("fig02_fork_scaling", config,
                  {{"fork_scaling", &table}, {"first_vs_steady", &split}});

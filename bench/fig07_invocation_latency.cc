@@ -22,8 +22,8 @@ bool Run() {
   std::vector<std::string> split_columns = FirstVsSteadyColumns();
   split_columns.insert(split_columns.begin(), {"Size (GB)", "Engine"});
   TablePrinter split(split_columns);
-  // At least two forks per engine and size, so each has a steady state to report.
-  const int forks = std::max(config.reps, 2);
+  // Enough forks per engine and size for a steady state after the second fork.
+  const int forks = std::max(config.reps, kFirstVsSteadyForks);
   bool ok = true;
   for (double gb : SizeSweepGb(config.max_gb)) {
     uint64_t bytes = GbToBytes(gb);
@@ -54,8 +54,8 @@ bool Run() {
     }
   }
   table.Print();
-  std::printf("\nFirst fork vs the forks after it, per engine (host minor faults are first\n"
-              "touches of simulator memory, mostly page-table frames):\n");
+  std::printf("\nFirst and second fork vs forks 3..n, per engine (host minor faults are\n"
+              "first touches of simulator memory, mostly page-table frames):\n");
   split.Print();
   WriteBenchJson("fig07_invocation_latency", config,
                  {{"invocation_latency", &table}, {"first_vs_steady", &split}});

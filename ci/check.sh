@@ -103,6 +103,16 @@ if [[ -z "$ONLY" || "$ONLY" == "default" ]]; then
   fi
 fi
 
+# Figure 3 shape gate: the fork-profile bench in fast mode exits nonzero unless the steady
+# classic fork (forks 3..n) spends more than half its attributed time in the metadata and
+# refcount passes.
+if [[ -z "$ONLY" || "$ONLY" == "default" ]]; then
+  note "fig03 fork-profile shape (default preset, ODF_BENCH_FAST=1)"
+  if ! ODF_BENCH_FAST=1 ODF_BENCH_JSON=0 ./build/bench/fig03_fork_profile; then
+    FAILURES+=("fig03 shape")
+  fi
+fi
+
 # Memory failure (docs/memory-failure.md): the labeled suite by itself — hard/soft
 # offline, containment through shared ODF tables, quarantine permanence, the poisoned-PTE
 # fault contract — must stay a usable developer entry point like the other labels.

@@ -62,6 +62,15 @@ util::Mutex& MaterializeStripe(FrameId frame) {
   return g_materialize_stripes[frame % kMaterializeStripes];
 }
 
+bool PageIsZero(const std::byte* data) {
+  const auto* words = reinterpret_cast<const uint64_t*>(data);
+  uint64_t any = 0;
+  for (size_t i = 0; i < kPageSize / sizeof(uint64_t); ++i) {
+    any |= words[i];
+  }
+  return any == 0;
+}
+
 // Lockdep classes (debug-vm builds only; empty tags otherwise). All 64 materialize
 // stripes share one class, exactly like lockdep keying lock instances by type.
 debug::LockClass g_pool_lock_class("FrameAllocator::mutex_");
@@ -305,7 +314,8 @@ void FrameAllocator::ScrubFreedBytes(FrameId frame, uint64_t bytes) {
   ASAN_POISON_MEMORY_REGION(data, bytes);
 }
 
-void FrameAllocator::InitAllocatedFrame(PerCpuCache& cache, FrameId frame, uint8_t flags) {
+void FrameAllocator::InitAllocatedFrame(PerCpuCache& cache, FrameId frame, uint8_t flags,
+                                        bool known_zero) {
   PageMeta& meta = MetaRef(frame);
   ODF_VM_BUG_ON_PAGE((meta.flags & kPageFlagAllocated) != 0, meta, frame)
       << "double allocation";
@@ -340,9 +350,12 @@ void FrameAllocator::InitAllocatedFrame(PerCpuCache& cache, FrameId frame, uint8
   CountAllocated(cache, 1);
   if ((flags & kPageFlagPageTable) != 0) {
     AddDelta(cache.page_table_frames, 1);
+    CountVm(known_zero ? VmCounter::k_pt_quicklist_hit : VmCounter::k_pt_quicklist_miss);
     // Tables are always real memory. The frame is still private to this thread; a walker
     // reaches the zeroed entries only through the (release-stored) entry that links it.
-    PublishMaterialized(cache, frame, meta, kPageSize, /*zero=*/true);
+    // A zeroed-table frame skips the memset, except in debug-vm, which poisoned it at free.
+    PublishMaterialized(cache, frame, meta, kPageSize,
+                        /*zero=*/!known_zero || debug::Compiled());
   }
   CountVm(VmCounter::k_frames_allocated);
 }
@@ -387,6 +400,12 @@ FrameId FrameAllocator::AllocateFromCache(uint8_t flags) {
     return kInvalidFrame;  // Frame limit armed: the exact, locked quota path takes over.
   }
   PerCpuCache& cache = CacheForThread(this, id_);
+  if ((flags & kPageFlagPageTable) != 0) {
+    FrameId table = AllocateZeroedTable(cache, flags);
+    if (table != kInvalidFrame) {
+      return table;
+    }
+  }
   for (;;) {
     if (cache.count == 0) {
       CountVm(VmCounter::k_pcp_miss);
@@ -430,6 +449,42 @@ void FrameAllocator::FreeToCache(PerCpuCache& cache, FrameId frame) {
   cache.slots[cache.count++] = frame;
 }
 
+FrameId FrameAllocator::AllocateZeroedTable(PerCpuCache& cache, uint8_t flags) {
+  while (cache.zeroed_count > 0) {
+    FrameId frame = cache.zeroed_tables[--cache.zeroed_count];
+    if (MetaRef(frame).IsHwPoisoned()) {
+      // Poisoned while parked, like a frame in the order-0 cache: quarantine, try the next.
+      debug::MutexGuard guard(mutex_, g_pool_lock_class);
+      QuarantineLocked(frame);
+      continue;
+    }
+    InitAllocatedFrame(cache, frame, flags, /*known_zero=*/true);
+    return frame;
+  }
+  return kInvalidFrame;
+}
+
+bool FrameAllocator::ParkZeroedTable(PerCpuCache& cache, FrameId frame, PageMeta& meta) {
+  // Every table teardown clears the entries it drops (DropPteTableReference,
+  // DropPmdTableReference, FreeTableRecursive), and spare or lost-race tables were never
+  // filled, so a freed table is all zero. A full list leaves the frame to the order-0
+  // path, where the thread's next data allocation (a COW copy) finds it warm; release
+  // builds skip the scan then, debug-vm checks every table free.
+  const bool full = cache.zeroed_count == PerCpuCache::kCapacity;
+  if (full && !debug::Compiled()) {
+    return false;
+  }
+  // The scan reads bytes the teardown just wrote.
+  const bool zero = PageIsZero(FrameBytes(frame));
+  ODF_VM_BUG_ON_PAGE(!zero, meta, frame) << "page table freed with a non-zero entry";
+  if (full || !zero) {
+    return false;
+  }
+  ReleaseFrameState(cache, frame, meta);
+  cache.zeroed_tables[cache.zeroed_count++] = frame;
+  return true;
+}
+
 void FrameAllocator::MarkHwPoison(FrameId frame) {
   debug::MutexGuard guard(mutex_, g_pool_lock_class);
   PageMeta& meta = MetaRef(frame);
@@ -445,8 +500,8 @@ void FrameAllocator::MarkHwPoison(FrameId frame) {
   // The frame is free. If it sits inside a 512-aligned run on the compound free list,
   // break the run now — AllocateCompoundGranted recycles runs whole and must never build
   // a huge page around a dead subframe. Frames on the order-0 free list (or parked in a
-  // per-thread cache) are diverted lazily at their next pop instead; both are cheap
-  // because poison events are rare.
+  // per-thread cache or zeroed-table list) are diverted lazily at their next pop instead;
+  // both are cheap because poison events are rare.
   constexpr FrameId kCompoundFrames = 1u << kHugePageOrder;
   FrameId run = frame & ~static_cast<FrameId>(kCompoundFrames - 1);
   for (size_t i = 0; i < compound_free_list_.size(); ++i) {
@@ -472,13 +527,17 @@ bool FrameAllocator::IsHwPoisoned(FrameId frame) const {
 
 void FrameAllocator::DrainCacheToPool(phys_internal::PerCpuCache& cache) {
   FoldCacheStats(cache);
-  if (cache.count == 0) {
+  if (cache.count == 0 && cache.zeroed_count == 0) {
     return;
   }
   CountVm(VmCounter::k_pcp_drain, cache.count);
   debug::MutexGuard guard(mutex_, g_pool_lock_class);
   while (cache.count > 0) {
     free_list_.push_back(cache.slots[--cache.count]);
+  }
+  // Parked tables join the order-0 free list; their next table owner zero-fills them.
+  while (cache.zeroed_count > 0) {
+    free_list_.push_back(cache.zeroed_tables[--cache.zeroed_count]);
   }
 }
 
@@ -511,6 +570,13 @@ FrameId FrameAllocator::TryAllocate(uint8_t flags) {
 
 FrameId FrameAllocator::AllocateGranted(uint8_t flags) {
   PerCpuCache& cache = CacheForThread(this, id_);
+  if ((flags & kPageFlagPageTable) != 0) {
+    // The quota is granted; InitAllocatedFrame charges it exactly as for a pool frame.
+    FrameId table = AllocateZeroedTable(cache, flags);
+    if (table != kInvalidFrame) {
+      return table;
+    }
+  }
   FrameId frame;
   {
     debug::MutexGuard guard(mutex_, g_pool_lock_class);
@@ -686,6 +752,9 @@ void FrameAllocator::FreeLastRef(FrameId frame, PageMeta& meta) {
   }
   // Poisoned frames always take the locked path: they retire to quarantine, never a cache.
   PerCpuCache& cache = CacheForThread(this, id_);
+  if (meta.IsPageTable() && !meta.IsHwPoisoned() && ParkZeroedTable(cache, frame, meta)) {
+    return;
+  }
   if (!meta.IsCompoundHead() && !meta.IsHwPoisoned() && CacheEligible()) {
     FreeToCache(cache, frame);
     return;
@@ -948,7 +1017,7 @@ uint64_t FrameAllocator::CachedFrames() const {
   uint64_t total = 0;
   phys_internal::WithCaches(this, [&](std::span<PerCpuCache* const> caches) {
     for (const PerCpuCache* cache : caches) {
-      total += cache->count;
+      total += cache->count + cache->zeroed_count;
     }
   });
   return total;

@@ -64,7 +64,9 @@ class FrameAllocator {
 
   // Allocates one 4 KiB frame. `flags` should include the owner kind (anon/file/page-table).
   // Page-table frames get their data materialised and zeroed immediately (tables are always
-  // real memory; they are what this library is about). The frame starts with refcount 1.
+  // real memory; they are what this library is about): a freed table frame parked on the
+  // calling thread's zeroed-table list is already zero and is taken without a memset,
+  // any other frame is zero-filled. The frame starts with refcount 1.
   //
   // This is the GFP_NOFAIL analog: it never consults fault injection and aborts when the
   // frame limit cannot be satisfied after reclaim. Recoverable paths use TryAllocate.
@@ -92,8 +94,11 @@ class FrameAllocator {
 
   // Drops one reference; frees the frame when the count hits zero. For compound heads the
   // entire compound is freed. Must not be called on tails (callers resolve the head first).
-  // Order-0 frames freed while no limit is armed go to the calling thread's cache. The drop
-  // is inline (it is the unpin of every simulated access); the free is not.
+  // Order-0 frames freed while no limit is armed go to the calling thread's cache. A page
+  // table goes to the thread's zeroed-table list, limit or not; its bytes must be all zero
+  // by then (every teardown clears the entries it drops; debug-vm checks it with a
+  // VM_BUG_ON). The drop is inline (it is the unpin of every simulated access); the free
+  // is not.
   void DecRef(FrameId frame);
 
   // Adds a reference. All refcount mutation goes through these entry points (enforced by
@@ -184,8 +189,9 @@ class FrameAllocator {
   // Frames parked in per-thread caches are free (they count toward nothing here).
   bool AllFree() const;
 
-  // Frames currently parked in this allocator's per-thread caches. Callers must be quiescent
-  // (no thread concurrently allocating/freeing); intended for tests and procfs.
+  // Frames currently parked in this allocator's per-thread caches, zeroed-table lists
+  // included. Callers must be quiescent (no thread concurrently allocating/freeing);
+  // intended for tests and procfs.
   uint64_t CachedFrames() const;
 
   // --- Simulated physical-memory pressure (paper §4 "Robustness") ---
@@ -197,8 +203,11 @@ class FrameAllocator {
   //
   // Arming a limit routes every allocation and free through the locked quota path (the
   // per-thread caches stand down and the allocated count becomes one shared counter again)
-  // so the limit is enforced exactly, not approximately. Folds every thread's statistics
-  // deltas into the shared totals; call it while no other thread allocates or frees.
+  // so the limit is enforced exactly, not approximately. The zeroed-table lists stay in
+  // service: a parked table frame counts as free, and taking one still passes fault
+  // injection, the quota check and the kswapd wake, and charges the shared count. Folds
+  // every thread's statistics deltas into the shared totals; call it while no other thread
+  // allocates or frees.
   void SetFrameLimit(uint64_t frames);
   uint64_t frame_limit() const;
 
@@ -257,9 +266,9 @@ class FrameAllocator {
   using LruReleaseHook = std::function<void(std::span<const FrameId>)>;
   void SetLruReleaseHook(LruReleaseHook hook);
 
-  // Internal: returns `cache`'s frames to the shared free list and folds its statistics
-  // deltas into the shared totals. Called (under the cache registry lock) when a thread
-  // exits; see src/phys/per_cpu_cache.h.
+  // Internal: returns `cache`'s frames, parked tables included, to the shared free list and
+  // folds its statistics deltas into the shared totals. Called (under the cache registry
+  // lock) when a thread exits; see src/phys/per_cpu_cache.h.
   void DrainCacheToPool(phys_internal::PerCpuCache& cache);
 
  private:
@@ -300,13 +309,24 @@ class FrameAllocator {
   // refcount already reached zero.
   FrameId AllocateFromCache(uint8_t flags);
   void FreeToCache(phys_internal::PerCpuCache& cache, FrameId frame);
+
+  // Zeroed-table list paths. AllocateZeroedTable takes a table frame parked on the calling
+  // thread's list and initialises it without a memset; kInvalidFrame when the list is
+  // empty. The caller has passed fault injection and, under a frame limit, the quota.
+  // ParkZeroedTable frees a table frame whose last reference dropped onto the thread's
+  // list; false when the list is full or (release builds only) the bytes are not all zero,
+  // and the caller frees it the ordinary way.
+  FrameId AllocateZeroedTable(phys_internal::PerCpuCache& cache, uint8_t flags);
+  bool ParkZeroedTable(phys_internal::PerCpuCache& cache, FrameId frame, PageMeta& meta);
   bool CacheEligible() const {
     return frame_limit_.load(std::memory_order_relaxed) == 0;
   }
 
   // Marks `frame` allocated and initialises its metadata. Caller owns the frame exclusively
-  // (just popped from the free list or a cache); no lock is required.
-  void InitAllocatedFrame(phys_internal::PerCpuCache& cache, FrameId frame, uint8_t flags);
+  // (just popped from the free list or a cache); no lock is required. `known_zero` says a
+  // page-table frame's bytes are already zero (it came off a zeroed-table list).
+  void InitAllocatedFrame(phys_internal::PerCpuCache& cache, FrameId frame, uint8_t flags,
+                          bool known_zero = false);
   // Inverse: tears down an order-0 non-compound frame's state (drops its materialised
   // content, adjusts stats) before the id is parked in a cache or the free list.
   void ReleaseFrameState(phys_internal::PerCpuCache& cache, FrameId frame, PageMeta& meta);

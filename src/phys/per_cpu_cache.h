@@ -20,6 +20,16 @@
 // Each cache also carries its thread's share of the allocator statistics (the per-CPU
 // vm_stat_diff analog): signed deltas the owner updates without a shared atomic, summed by
 // FrameAllocator::Stats and folded into the allocator's totals at thread exit.
+//
+// Beside the order-0 stack, each cache keeps a second one of freed page-table frames whose
+// bytes are known zero (the analog of Linux's pte quicklists). Table teardown clears every
+// entry it drops, so a table allocation served from this list skips the 4 KiB memset and
+// the pool lock. Unlike the order-0 stack it stays in service under a frame limit: a
+// parked table frame is a free frame like any other, and every take still walks the quota
+// path (FrameAllocator, docs/performance.md). A full list leaves further table frees to the
+// order-0 path, and thread exit drains the list to the pool's free list: tables freed on one
+// thread are not handed to another thread zeroed. The first fork of a fresh parent has no
+// freed tables to reuse and still zero-fills cold frames.
 #ifndef ODF_SRC_PHYS_PER_CPU_CACHE_H_
 #define ODF_SRC_PHYS_PER_CPU_CACHE_H_
 
@@ -46,6 +56,10 @@ struct PerCpuCache {
 
   std::array<FrameId, kCapacity> slots;
   size_t count = 0;
+
+  // Free page-table frames whose bytes are all zero, bounded like `slots`.
+  std::array<FrameId, kCapacity> zeroed_tables;
+  size_t zeroed_count = 0;
 
   // This thread's signed deltas of FrameAllocatorStats fields. Only the owner writes them
   // (relaxed load + store, no locked instruction); readers load them under the registry

@@ -149,6 +149,9 @@ bool CounterReplayComparable(uint32_t counter) {
     case VmCounter::k_pcp_miss:
     case VmCounter::k_pcp_refill:
     case VmCounter::k_pcp_drain:
+    // Whether a table allocation finds a zeroed table parked depends on the same history.
+    case VmCounter::k_pt_quicklist_hit:
+    case VmCounter::k_pt_quicklist_miss:
     case VmCounter::k_batch_free:
     case VmCounter::k_frames_allocated:
     case VmCounter::k_frames_freed:

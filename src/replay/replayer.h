@@ -78,13 +78,13 @@ void FinalizeRecording(Kernel& kernel);
                                    std::string* error);
 
 // True when the vmstat counter is deterministic under the replay contract and is compared
-// by the final-state check. Excluded: per-CPU cache traffic (pcp_*, batch_free,
-// frames_allocated/freed include refill batching), kswapd scheduling, lock contention, the
-// translation-cache tiers (tlb_hits/misses/l1_hits depend on the accessing thread's cache,
-// tlb_pin_retries on racing mutators and on that cache too), the evictor's timing
-// (pgswapin_pending, mm_gate_hold_ns), gate waits (mm_gate_wait_ns, as_gate_wait_ns),
-// kswapd's aging beside the mutators (pgrefill), and the recorder's own counters
-// (recording bumps them; replaying does not).
+// by the final-state check. Excluded: per-CPU cache traffic (pcp_*, pt_quicklist_*,
+// batch_free, frames_allocated/freed include refill batching), kswapd scheduling, lock
+// contention, the translation-cache tiers (tlb_hits/misses/l1_hits depend on the accessing
+// thread's cache, tlb_pin_retries on racing mutators and on that cache too), the evictor's
+// timing (pgswapin_pending, mm_gate_hold_ns), gate waits (mm_gate_wait_ns,
+// as_gate_wait_ns), kswapd's aging beside the mutators (pgrefill), and the recorder's own
+// counters (recording bumps them; replaying does not).
 bool CounterReplayComparable(uint32_t counter);
 
 }  // namespace replay

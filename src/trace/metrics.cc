@@ -92,15 +92,6 @@ MetricsRegistry& MetricsRegistry::Global() {
   return *registry;
 }
 
-Counter& MetricsRegistry::RegisterCounter(const std::string& name) {
-  util::MutexLock guard(mutex_);
-  auto& slot = counters_[name];
-  if (slot == nullptr) {
-    slot = std::make_unique<Counter>();
-  }
-  return *slot;
-}
-
 LatencyHistogram& MetricsRegistry::RegisterHistogram(const std::string& name) {
   util::MutexLock guard(mutex_);
   auto& slot = histograms_[name];
@@ -116,10 +107,6 @@ std::vector<std::pair<std::string, uint64_t>> MetricsRegistry::SnapshotCounters(
   for (size_t i = 0; i < kVmCounterCount; ++i) {
     snapshot.emplace_back(VmCounterName(static_cast<VmCounter>(i)), built_in[i]);
   }
-  util::MutexLock guard(mutex_);
-  for (const auto& [name, counter] : counters_) {
-    snapshot.emplace_back(name, counter->Value());
-  }
   return snapshot;
 }
 
@@ -130,9 +117,7 @@ uint64_t MetricsRegistry::CounterValue(std::string_view name) const {
       return ReadVm(counter);
     }
   }
-  util::MutexLock guard(mutex_);
-  auto it = counters_.find(std::string(name));
-  return it == counters_.end() ? 0 : it->second->Value();
+  return 0;
 }
 
 std::vector<std::pair<std::string, const LatencyHistogram*>> MetricsRegistry::Histograms()
@@ -173,9 +158,6 @@ void MetricsRegistry::ResetForTest() {
     }
   }
   util::MutexLock guard(mutex_);
-  for (auto& [name, counter] : counters_) {
-    counter->Reset();
-  }
   for (auto& [name, histogram] : histograms_) {
     histogram->Reset();
   }

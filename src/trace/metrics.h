@@ -1,15 +1,15 @@
 // odf::trace metrics — the /proc/vmstat analog: a fixed catalog of kernel-wide monotonic
 // counters bumped from the hot paths (always on), plus a MetricsRegistry where subsystems
-// register named counters and latency histograms dynamically. Exporters render the
-// combined view as vmstat text or JSON.
+// register named latency histograms dynamically. Exporters render the combined view as
+// vmstat text or JSON.
 //
 // Built-in counters use a fixed enum + per-thread shards (the kernel's per-CPU
 // vm_event_states pattern): each thread bumps its own cache-line-aligned array with a
 // relaxed load and store — no locked instruction, no shared cache line — and a read sums
 // the live shards plus the totals of threads that have exited (a lock plus O(threads)
 // work, for the cold readers: vmstat, sidecars, tests). Dynamic registration is for
-// colder, subsystem-specific series (fork latency histograms, app metrics) where a map
-// lookup at registration time is fine.
+// colder, subsystem-specific latency histograms where a map lookup at registration time
+// is fine.
 #ifndef ODF_SRC_TRACE_METRICS_H_
 #define ODF_SRC_TRACE_METRICS_H_
 
@@ -97,7 +97,9 @@ namespace odf {
   X(pgrefill)                    \
   X(fork_upper_entries)          \
   X(mm_gate_wait_ns)             \
-  X(as_gate_wait_ns)
+  X(as_gate_wait_ns)             \
+  X(pt_quicklist_hit)            \
+  X(pt_quicklist_miss)
 
 enum class VmCounter : uint32_t {
 #define ODF_VM_ENUM_MEMBER(name) k_##name,
@@ -147,18 +149,7 @@ std::array<uint64_t, kVmCounterCount> ReadAllVm();
 // One counter, read the same way (cold path: a lock plus O(threads) work).
 uint64_t ReadVm(VmCounter counter);
 
-// A dynamically registered monotonic counter.
-class Counter {
- public:
-  void Add(uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
-  uint64_t Value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<uint64_t> value_{0};
-};
-
-// Registry of named counters and histograms. Registration returns a stable reference (the
+// Registry of named histograms. Registration returns a stable reference (the
 // object lives for the registry's lifetime; ResetForTest zeroes values but never removes
 // registrations, so cached references at instrumentation sites stay valid).
 class MetricsRegistry {
@@ -170,15 +161,13 @@ class MetricsRegistry {
   // The process-wide registry every kernel subsystem reports into (vmstat is machine-global).
   static MetricsRegistry& Global();
 
-  // Returns the existing counter/histogram under `name`, registering it first if needed.
-  Counter& RegisterCounter(const std::string& name);
+  // Returns the existing histogram under `name`, registering it first if needed.
   LatencyHistogram& RegisterHistogram(const std::string& name);
 
-  // All counters — built-in vmstat counters first (catalog order), then registered ones in
-  // name order — as (name, value) pairs.
+  // The built-in vmstat counters, in catalog order, as (name, value) pairs.
   std::vector<std::pair<std::string, uint64_t>> SnapshotCounters() const;
 
-  // Value of one counter by name (built-in or registered); 0 when unknown.
+  // Value of one built-in counter by name; 0 when unknown.
   uint64_t CounterValue(std::string_view name) const;
 
   // Registered histograms as (name, histogram*) pairs in name order.
@@ -188,15 +177,14 @@ class MetricsRegistry {
   // "name_p50_us" / "name_p99_us" / "name_count" summary lines.
   std::string FormatVmstat() const;
 
-  // Zeroes built-in counters (every live thread shard and the retired totals) and
-  // registered counters, and resets histograms (registrations survive). Like
+  // Zeroes built-in counters (every live thread shard and the retired totals) and resets
+  // histograms (registrations survive). Like
   // Tracer::Clear, only meaningful while the hot paths are quiescent: a concurrent bump
   // can write its thread's pre-reset value back.
   void ResetForTest();
 
  private:
   mutable util::Mutex mutex_;
-  std::map<std::string, std::unique_ptr<Counter>> counters_ ODF_GUARDED_BY(mutex_);
   std::map<std::string, std::unique_ptr<LatencyHistogram>> histograms_ ODF_GUARDED_BY(mutex_);
 };
 

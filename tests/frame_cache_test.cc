@@ -2,7 +2,8 @@
 // refcount/free paths: cache hit/miss/refill/drain behaviour, drain on thread exit, leak
 // freedom under randomized multi-thread churn, scalar/batch API equivalence, the per-thread
 // statistics deltas, and that a reused frame's stale bytes never leak to its next owner
-// (frame data lives at fixed addresses, so a reused frame still holds them). Part of the
+// (frame data lives at fixed addresses, so a reused frame still holds them), and the
+// zeroed-table lists that hand freed page tables back without a memset. Part of the
 // `concurrency` ctest label and expected to run clean under -fsanitize=thread (the tsan
 // preset, docs/testing.md).
 #include "src/phys/frame_allocator.h"
@@ -16,6 +17,9 @@
 #include <thread>
 #include <vector>
 
+#include "src/debug/debug.h"
+#include "src/debug/verify.h"
+#include "src/mf/memory_failure.h"
 #include "src/proc/kernel.h"
 #include "src/trace/metrics.h"
 #include "src/util/rng.h"
@@ -469,6 +473,11 @@ TEST(FrameCacheTest, ReusedPageTableFrameStartsAllZero) {
                           std::byte{0}))
       << "a data frame reused as a page table must start with empty entries";
   std::memset(allocator.TableEntries(table), 0xff, kPageSize);
+  if (debug::Compiled()) {
+    // debug-vm aborts on a table freed dirty (TableFreedWithANonZeroEntryAborts); release
+    // builds keep it off the zeroed-table list and zero it at reuse, which is checked here.
+    std::memset(allocator.TableEntries(table), 0, kPageSize);
+  }
   allocator.DecRef(table);
   FrameId again = allocator.Allocate(kPageFlagPageTable);
   ASSERT_EQ(again, table);
@@ -649,6 +658,158 @@ TEST(FrameCacheTest, SetFrameLimitFoldsDeltasForAnExactFreeCount) {
   }
   EXPECT_EQ(allocator.FreeFrames(), kLimit);
   EXPECT_TRUE(allocator.AllFree());
+}
+
+// --- Zeroed-table lists: freed page tables come back without a memset ---
+
+bool TableIsAllZero(FrameAllocator& allocator, FrameId table) {
+  return AllBytesAre(reinterpret_cast<const std::byte*>(allocator.TableEntries(table)),
+                     std::byte{0});
+}
+
+TEST(FrameCacheTest, FreedTableIsReusedZeroedFromTheListWithAndWithoutALimit) {
+  for (uint64_t limit : {uint64_t{0}, uint64_t{1024}}) {
+    SCOPED_TRACE(limit == 0 ? "no frame limit" : "frame limit armed");
+    FrameAllocator allocator;
+    allocator.SetFrameLimit(limit);
+    FrameId table = allocator.Allocate(kPageFlagPageTable);
+    // A table in use, emptied the way teardown empties it.
+    StoreEntry(&allocator.TableEntries(table)[7], Pte::Make(123, kPtePresent | kPteUser));
+    StoreEntry(&allocator.TableEntries(table)[7], Pte());
+    uint64_t cached_before = allocator.CachedFrames();
+    allocator.DecRef(table);
+    EXPECT_EQ(allocator.CachedFrames(), cached_before + 1)
+        << "a freed table parks on the thread's zeroed-table list, limit or not";
+    EXPECT_TRUE(allocator.AllFree()) << "a parked table is a free frame";
+
+    uint64_t hits_before = ReadVm(VmCounter::k_pt_quicklist_hit);
+    uint64_t misses_before = ReadVm(VmCounter::k_pt_quicklist_miss);
+    FrameId again = allocator.Allocate(kPageFlagPageTable);
+    EXPECT_EQ(again, table) << "the table allocation must take the parked table";
+    EXPECT_EQ(ReadVm(VmCounter::k_pt_quicklist_hit), hits_before + 1);
+    EXPECT_EQ(ReadVm(VmCounter::k_pt_quicklist_miss), misses_before)
+        << "a list hit is not zero-filled";
+    EXPECT_TRUE(TableIsAllZero(allocator, again));
+    EXPECT_EQ(allocator.Stats().page_table_frames, 1u);
+    EXPECT_EQ(allocator.Stats().materialized_bytes, kPageSize);
+
+    // With the list empty, the next table is zero-filled from the pool.
+    FrameId fresh = allocator.Allocate(kPageFlagPageTable);
+    EXPECT_EQ(ReadVm(VmCounter::k_pt_quicklist_miss), misses_before + 1);
+    EXPECT_TRUE(TableIsAllZero(allocator, fresh));
+    allocator.DecRef(fresh);
+    allocator.DecRef(again);
+    EXPECT_TRUE(allocator.AllFree());
+    EXPECT_EQ(allocator.Stats().materialized_bytes, 0u);
+  }
+}
+
+TEST(FrameCacheDeathTest, TableFreedWithANonZeroEntryAborts) {
+  if (!debug::Compiled()) {
+    GTEST_SKIP() << "VM_BUG_ON compiles out with -DODF_DEBUG_VM=OFF";
+  }
+  FrameAllocator allocator;
+  FrameId table = allocator.Allocate(kPageFlagPageTable);
+  StoreEntry(&allocator.TableEntries(table)[511], Pte::Make(42, kPtePresent | kPteUser));
+  EXPECT_DEATH(allocator.DecRef(table), "non-zero entry");
+}
+
+TEST(FrameCacheTest, ParkedTablesAreFreeAndDrainOnThreadExit) {
+  FrameAllocator allocator;
+  constexpr size_t kTables = 40;
+  uint64_t parked = 0;
+  bool all_free_while_parked = false;
+  std::thread worker([&] {
+    std::vector<FrameId> tables;
+    for (size_t i = 0; i < kTables; ++i) {
+      tables.push_back(allocator.Allocate(kPageFlagPageTable));
+    }
+    for (FrameId table : tables) {
+      allocator.DecRef(table);
+    }
+    parked = allocator.CachedFrames();
+    all_free_while_parked = allocator.AllFree();
+  });
+  worker.join();
+  EXPECT_GE(parked, kTables) << "the worker's tables park on its zeroed-table list";
+  EXPECT_TRUE(all_free_while_parked) << "parked tables count as free";
+  EXPECT_EQ(allocator.CachedFrames(), 0u) << "thread exit drains the zeroed-table list";
+  EXPECT_TRUE(allocator.AllFree());
+  EXPECT_EQ(allocator.Stats().page_table_frames, 0u);
+
+  // The drain returned the tables to the order-0 free list: here, on a thread whose list is
+  // empty, a table allocation is a miss and zero-fills a pool frame.
+  uint64_t misses_before = ReadVm(VmCounter::k_pt_quicklist_miss);
+  FrameId table = allocator.Allocate(kPageFlagPageTable);
+  EXPECT_EQ(ReadVm(VmCounter::k_pt_quicklist_miss), misses_before + 1);
+  EXPECT_TRUE(TableIsAllZero(allocator, table));
+  allocator.DecRef(table);
+  EXPECT_TRUE(allocator.AllFree());
+}
+
+TEST(FrameCacheTest, QuotaIsExactWhileTablesAreParked) {
+  FrameAllocator allocator;
+  constexpr uint64_t kLimit = 16;
+  allocator.SetFrameLimit(kLimit);
+  allocator.SetWatermarks({.min = kLimit, .low = kLimit, .high = kLimit});
+  std::atomic<int> wakes{0};
+  allocator.SetPressureCallback([&wakes] { wakes.fetch_add(1, std::memory_order_relaxed); });
+  std::vector<FrameId> tables;
+  for (uint64_t i = 0; i < kLimit / 2; ++i) {
+    tables.push_back(allocator.Allocate(kPageFlagPageTable));
+  }
+  for (FrameId table : tables) {
+    allocator.DecRef(table);
+  }
+  tables.clear();
+  EXPECT_EQ(allocator.FreeFrames(), kLimit) << "parked tables count as free under a limit";
+
+  uint64_t hits_before = ReadVm(VmCounter::k_pt_quicklist_hit);
+  int wakes_before = wakes.load(std::memory_order_relaxed);
+  for (uint64_t i = 0; i < kLimit; ++i) {
+    FrameId table = allocator.TryAllocate(kPageFlagPageTable);
+    ASSERT_NE(table, kInvalidFrame) << "allocation " << i << " fits under the limit";
+    tables.push_back(table);
+    EXPECT_EQ(allocator.FreeFrames(), kLimit - i - 1) << "each take charges one frame";
+  }
+  EXPECT_EQ(ReadVm(VmCounter::k_pt_quicklist_hit), hits_before + kLimit / 2)
+      << "the parked half is served from the list";
+  EXPECT_EQ(wakes.load(std::memory_order_relaxed) - wakes_before, static_cast<int>(kLimit))
+      << "every take, list hit or not, nudges kswapd below the low watermark";
+  EXPECT_EQ(allocator.TryAllocate(kPageFlagPageTable), kInvalidFrame)
+      << "allocation must fail at exactly the limit";
+
+  // Park one: it is free again, and exactly one more allocation fits.
+  allocator.DecRef(tables.back());
+  tables.pop_back();
+  EXPECT_EQ(allocator.FreeFrames(), 1u);
+  tables.push_back(allocator.TryAllocate(kPageFlagPageTable));
+  EXPECT_NE(tables.back(), kInvalidFrame);
+  EXPECT_EQ(allocator.TryAllocate(kPageFlagPageTable), kInvalidFrame);
+  for (FrameId table : tables) {
+    allocator.DecRef(table);
+  }
+  EXPECT_TRUE(allocator.AllFree());
+  allocator.SetPressureCallback(nullptr);
+}
+
+TEST(FrameCacheTest, ParkedTablePoisonedByMemoryFailureIsQuarantined) {
+  Kernel kernel;
+  FrameAllocator& allocator = kernel.allocator();
+  FrameId table = allocator.Allocate(kPageFlagPageTable);
+  allocator.DecRef(table);
+  mf::MfResult result = kernel.MemoryFailure(table);
+  if (result == mf::MfResult::kNotSupported) {
+    GTEST_SKIP() << "memory-failure handling compiled out (ODF_MEMORY_FAILURE=OFF)";
+  }
+  EXPECT_EQ(result, mf::MfResult::kDelayed) << "the parked table is a free frame";
+  uint64_t quarantined_before = allocator.Stats().quarantined_frames;
+  FrameId next = allocator.Allocate(kPageFlagPageTable);
+  EXPECT_NE(next, table) << "a poisoned parked table must not be handed out";
+  EXPECT_EQ(allocator.Stats().quarantined_frames, quarantined_before + 1);
+  EXPECT_TRUE(TableIsAllZero(allocator, next));
+  allocator.DecRef(next);
+  EXPECT_TRUE(debug::VerifyKernel(kernel).ok());
 }
 
 }  // namespace
