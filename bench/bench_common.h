@@ -23,6 +23,7 @@
 #include "src/trace/json.h"
 #include "src/trace/metrics.h"
 #include "src/trace/trace.h"
+#include "src/util/host_memory.h"
 #include "src/util/log.h"
 #include "src/util/stats.h"
 #include "src/util/stopwatch.h"
@@ -232,6 +233,14 @@ inline void WriteBenchJson(const std::string& name, const BenchConfig& config,
   json.Key("reps").Value(config.reps);
   json.Key("seconds").Value(config.seconds);
   json.Key("fast").Value(config.fast);
+  json.EndObject();
+  // How the host backed simulated RAM: its THP mode (frame data is advised MADV_HUGEPAGE,
+  // which takes effect only under `always` or `madvise`) and this process's huge-page and
+  // total resident memory at exit. A run on a host without THP reads anon_huge_pages_kb 0.
+  json.Key("host").BeginObject();
+  json.Key("thp_enabled").Value(HostThpMode());
+  json.Key("anon_huge_pages_kb").Value(SelfSmapsRollupKb("AnonHugePages"));
+  json.Key("rss_kb").Value(SelfSmapsRollupKb("Rss"));
   json.EndObject();
   json.Key("sections").BeginArray();
   for (const BenchSection& section : sections) {

@@ -107,6 +107,13 @@ offending line or the line above it — always with a reason):
       atomic operations themselves (a seq_cst RMW and a seq_cst load, a
       release store and an acquire load), which TSan does see.
 
+  raw-mmap
+      mmap / madvise may only be called from src/phys/frame_allocator.cc. That
+      is where simulated RAM is reserved, 2 MiB-aligned and advised
+      MADV_HUGEPAGE (the direct-map analog); memory mapped anywhere else would
+      sit on 4 KiB host pages and bring back the host TLB misses the paper's
+      kernel never pays.
+
 Output: one line per finding, `file:line:col: rule-id: message` (the format
 compilers and editors parse), or a JSON array with --json. Fixture files under
 tests/lint_fixtures/ are skipped by the default tree scan (they exist to be
@@ -189,6 +196,10 @@ TRACE_CALL_RE = re.compile(r"\btrace::Emit\s*\(")
 THREAD_FENCE_RE = re.compile(r"\batomic_thread_fence\s*\(")
 
 WRITEBACK_RE = re.compile(r"(?:\.|->)TryReserveWriteOut\s*\(")
+
+# raw-mmap: simulated RAM is reserved in one place, with the huge-page advice.
+RAW_MMAP_RE = re.compile(r"(?<![\w.>])(?:::\s*)?(?:mmap|madvise)\s*\(")
+RAW_MMAP_ALLOWED = ("src/phys/frame_allocator.cc",)
 
 # table-mutex: the process-table lock stays narrow; only kernel.cc may take it.
 TABLE_MUTEX_RE = re.compile(r"\btable_mutex_\b")
@@ -398,6 +409,15 @@ def lint_file(rel_path, findings):
                 "through the shrinker so rmap, LRU, and workingset state stay "
                 "consistent",
                 column_of(WRITEBACK_RE, raw, code),
+            )
+
+        if rel_path not in RAW_MMAP_ALLOWED and RAW_MMAP_RE.search(code):
+            report(
+                "raw-mmap",
+                "mmap/madvise outside src/phys/frame_allocator.cc — reserve simulated "
+                "memory through the FrameAllocator, whose chunks are 2 MiB-aligned "
+                "and advised MADV_HUGEPAGE",
+                column_of(RAW_MMAP_RE, raw, code),
             )
 
         if not (in_phys or in_mf) and HWPOISON_MARK_RE.search(code):

@@ -403,7 +403,10 @@ void AddressSpace::PopulateRange(Vaddr start, uint64_t length) {
   ODF_CHECK(vma != nullptr && end <= vma->end) << "populate range must be inside one VMA";
 
   // Populate installs entries; like the fault handler, it must never write into tables
-  // shared with other processes (their VMA layouts may differ).
+  // shared with other processes (their VMA layouts may differ). The same pass builds the
+  // range's page tables, ahead of any data frame: table frames are written and data frames
+  // stay metadata-only, and the host backs frame memory 2 MiB at a time, so tables that
+  // landed between runs of data frames would make the host back those data frames too.
   for (Vaddr chunk = EntryBase(start, PtLevel::kPmd); chunk < end; chunk += kPteTableSpan) {
     EnsureExclusivePmdPath(*this, chunk);
     uint64_t* pmd_slot = walker_.FindEntry(pgd_, chunk, PtLevel::kPmd);
@@ -414,6 +417,9 @@ void AddressSpace::PopulateRange(Vaddr start, uint64_t length) {
               1) {
         DedicatePteTable(*this, chunk, pmd_slot);
       }
+    }
+    if (!vma->huge) {
+      walker_.EnsureEntry(pgd_, chunk, PtLevel::kPte);
     }
   }
 

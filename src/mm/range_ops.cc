@@ -45,6 +45,28 @@ bool TableIsEmpty(FrameAllocator& allocator, FrameId table) {
   return true;
 }
 
+// Allocates the private copy a table dedicate may need into `*spare`, before the split
+// lock. None is needed when `shared` already has a single sharer: that count cannot rise
+// while the caller holds its address space's gate and shard lock, since only this address
+// space's own fork could share the table again, so the recheck under the split lock is
+// then certain to take the fixup path. Returns false when a kTry allocation failed.
+bool SpareForDedicate(FrameAllocator& allocator, FrameId shared, AllocPolicy policy,
+                      FrameId* spare) {
+  if (allocator.GetMeta(shared).pt_share_count.load(std::memory_order_acquire) == 1) {
+    *spare = kInvalidFrame;
+    return true;
+  }
+  *spare = policy == AllocPolicy::kTry ? TryAllocPageTable(allocator)
+                                       : AllocPageTable(allocator);
+  return *spare != kInvalidFrame;
+}
+
+void FreeSpare(FrameAllocator& allocator, FrameId spare) {
+  if (spare != kInvalidFrame) {
+    allocator.DecRef(spare);
+  }
+}
+
 }  // namespace
 
 util::Mutex& PtSplitLock(FrameId table) {
@@ -144,10 +166,10 @@ FrameId DedicatePmdTable(AddressSpace& as, Vaddr pud_span_base, uint64_t* pud_sl
 
   // Allocate the private table BEFORE taking the split lock: a NOFAIL allocation may block
   // in direct reclaim (which takes the MmGate exclusively), and no lock may be held at a
-  // quota-wait point (src/reclaim/mm_gate.h). The fixup path below frees the spare.
-  FrameId dedicated = policy == AllocPolicy::kTry ? TryAllocPageTable(allocator)
-                                                  : AllocPageTable(allocator);
-  if (dedicated == kInvalidFrame) {
+  // quota-wait point (src/reclaim/mm_gate.h). A table whose other sharers are already gone
+  // needs none (see SpareForDedicate).
+  FrameId dedicated = kInvalidFrame;
+  if (!SpareForDedicate(allocator, shared, policy, &dedicated)) {
     // kTry only: nothing has been mutated; the caller unwinds or degrades.
     return kInvalidFrame;
   }
@@ -161,16 +183,18 @@ FrameId DedicatePmdTable(AddressSpace& as, Vaddr pud_span_base, uint64_t* pud_sl
   {
     Pte current = LoadEntry(pud_slot);
     if (!current.IsPresent() || current.IsHuge() || current.frame() != shared) {
-      allocator.DecRef(dedicated);
+      FreeSpare(allocator, dedicated);
       return current.IsPresent() && !current.IsHuge() ? current.frame() : kInvalidFrame;
     }
   }
   PageMeta& shared_meta = allocator.GetMeta(shared);
   uint32_t share = shared_meta.pt_share_count.load(std::memory_order_acquire);
   ODF_DCHECK(share >= 1);
+  ODF_CHECK(share == 1 || dedicated != kInvalidFrame)
+      << "PMD table " << shared << " gained a sharer under the split lock";
   Vaddr span_end = pud_span_base + EntrySpan(PtLevel::kPud);
   if (share == 1) {
-    allocator.DecRef(dedicated);  // The other sharers went away: the spare is unused.
+    FreeSpare(allocator, dedicated);  // The other sharers went away: the spare is unused.
     StoreEntry(pud_slot, pud.WithFlag(kPteWritable));
     as.locks().InvalidateRange(pud_span_base, span_end);
     CountVm(VmCounter::k_pmd_table_fixup);
@@ -248,10 +272,9 @@ FrameId DedicatePteTable(AddressSpace& as, Vaddr chunk_base, uint64_t* pmd_slot,
   FrameId shared = pmd.frame();
 
   // Allocate the private table BEFORE taking the split lock (see DedicatePmdTable: no lock
-  // may be held at a quota-wait point). The fixup path below frees the spare.
-  FrameId dedicated = policy == AllocPolicy::kTry ? TryAllocPageTable(allocator)
-                                                  : AllocPageTable(allocator);
-  if (dedicated == kInvalidFrame) {
+  // may be held at a quota-wait point), unless the table is already ours alone.
+  FrameId dedicated = kInvalidFrame;
+  if (!SpareForDedicate(allocator, shared, policy, &dedicated)) {
     // kTry only: nothing has been mutated; the caller unwinds or degrades.
     return kInvalidFrame;
   }
@@ -262,18 +285,20 @@ FrameId DedicatePteTable(AddressSpace& as, Vaddr chunk_base, uint64_t* pmd_slot,
   {
     Pte current = LoadEntry(pmd_slot);
     if (!current.IsPresent() || current.IsHuge() || current.frame() != shared) {
-      allocator.DecRef(dedicated);
+      FreeSpare(allocator, dedicated);
       return current.IsPresent() && !current.IsHuge() ? current.frame() : kInvalidFrame;
     }
   }
   PageMeta& shared_meta = allocator.GetMeta(shared);
   uint32_t share = shared_meta.pt_share_count.load(std::memory_order_acquire);
   ODF_DCHECK(share >= 1);
+  ODF_CHECK(share == 1 || dedicated != kInvalidFrame)
+      << "PTE table " << shared << " gained a sharer under the split lock";
   if (share == 1) {
     // The other sharers went away while we were faulting: the table is already ours.
     // Re-enable the hierarchical write permission and keep it (paper §3.4: "both the
     // previously shared table and the new table become dedicated").
-    allocator.DecRef(dedicated);
+    FreeSpare(allocator, dedicated);
     StoreEntry(pmd_slot, pmd.WithFlag(kPteWritable));
     as.locks().InvalidateRange(chunk_base, chunk_base + kPteTableSpan);
     CountVm(VmCounter::k_pte_table_fixup);

@@ -6,11 +6,13 @@
 // MAP_NORESERVE mmap, and frame f's 4 KiB sit at chunk_base[f >> 16] + (f & 0xffff) * 4 KiB
 // (a compound's 2 MiB is contiguous by construction). No frame allocation, COW copy or free
 // calls the heap. Chunk storage (metadata and data) belongs to the process, not the
-// allocator: a destroyed allocator's chunks are reused by the next one. The host backs a
-// page only once a frame is materialised (written or explicitly zeroed), so a 50 GB
+// allocator: a destroyed allocator's chunks are reused by the next one. The host backs
+// memory only once a frame in it is materialised (written or explicitly zeroed), so a 50 GB
 // simulated mapping costs only metadata — the substitution that lets paper-scale sweeps run
-// in a small container (see DESIGN.md). A freed frame keeps its host page resident, exactly
-// as memory does.
+// in a small container (see DESIGN.md). Chunk data is 2 MiB-aligned and advised
+// MADV_HUGEPAGE, so where the host's THP mode allows, it backs a materialised frame's whole
+// 2 MiB run with one huge page (the direct-map analog; a compound is exactly one). A freed
+// frame keeps its host memory resident, exactly as memory does.
 //
 // Concurrency model (docs/performance.md): order-0 allocation and free are served from
 // per-thread frame caches (src/phys/per_cpu_cache.h, the pcplist analog) and touch the

@@ -122,6 +122,20 @@ TEST_F(OdfHugeForkTest, SoleSharerGetsPudFixup) {
   EXPECT_TRUE(EntryOf(parent_, va, PtLevel::kPud).IsWritable());
 }
 
+TEST_F(OdfHugeForkTest, PudFixupAfterTheOtherSharerExitedAllocatesNoFrame) {
+  Vaddr va = parent_.Mmap(kHugePageSize, kProtRead | kProtWrite);
+  FillPattern(parent_, va, kHugePageSize, 5);
+  Process& child = kernel_.Fork(parent_, ForkMode::kOnDemandHuge);
+  kernel_.Exit(child, 0);  // The parent is now the PMD table's only sharer.
+  kernel_.Wait(parent_);
+  VmDeltas parent_write;
+  WriteByte(parent_, va + kPageSize, std::byte{2});
+  EXPECT_EQ(parent_write.Of(VmCounter::k_pmd_table_fixup), 1u);
+  EXPECT_EQ(parent_write.Of(VmCounter::k_frames_allocated), 0u)
+      << "a table with a single sharer needs no spare copy at either level";
+  EXPECT_EQ(ReadByte(parent_, va + kPageSize), std::byte{2});
+}
+
 TEST_F(OdfHugeForkTest, UnmapDropsWholePmdTableReference) {
   Vaddr va = parent_.Mmap(8 * kHugePageSize, kProtRead | kProtWrite);
   FillPattern(parent_, va, 8 * kHugePageSize, 6);

@@ -186,6 +186,19 @@ TEST_F(OdfForkTest, SoleSharerGetsFixupNotCopy) {
   EXPECT_TRUE(PmdEntryOf(parent_, va).IsWritable());
 }
 
+TEST_F(OdfForkTest, FixupAfterTheOtherSharerExitedAllocatesNoFrame) {
+  Vaddr va = MapFilled(kHugePageSize);
+  Process& child = kernel_.Fork(parent_, ForkMode::kOnDemand);
+  kernel_.Exit(child, 0);  // The parent is now the table's only sharer.
+  kernel_.Wait(parent_);
+  VmDeltas parent_write;
+  WriteByte(parent_, va + kPageSize, std::byte{2});
+  EXPECT_EQ(parent_write.Of(VmCounter::k_pte_table_fixup), 1u);
+  EXPECT_EQ(parent_write.Of(VmCounter::k_frames_allocated), 0u)
+      << "a table with a single sharer needs no spare copy, and its page no COW copy";
+  EXPECT_EQ(ReadByte(parent_, va + kPageSize), std::byte{2});
+}
+
 TEST_F(OdfForkTest, ManyProcessesCanShareOneTable) {
   Vaddr va = MapFilled(kHugePageSize);
   FrameId table = PteTableOf(parent_, va);

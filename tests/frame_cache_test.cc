@@ -20,6 +20,7 @@
 #include "src/debug/debug.h"
 #include "src/debug/verify.h"
 #include "src/mf/memory_failure.h"
+#include "src/phys/per_cpu_cache.h"
 #include "src/proc/kernel.h"
 #include "src/trace/metrics.h"
 #include "src/util/rng.h"
@@ -73,6 +74,41 @@ TEST(FrameCacheTest, OverfullCacheSpillsBatchToPool) {
   }
   EXPECT_GT(ReadVm(VmCounter::k_pcp_drain), drains_before) << "spill must have happened";
   EXPECT_LE(allocator.CachedFrames(), 64u) << "cache capacity must stay bounded";
+  EXPECT_TRUE(allocator.AllFree());
+}
+
+TEST(FrameCacheTest, SpillKeepsTheMostRecentlyFreedHalf) {
+  constexpr size_t kBatch = phys_internal::PerCpuCache::kBatch;
+  FrameAllocator allocator;
+  std::vector<FrameId> frames;
+  for (size_t i = 0; i < 4 * kBatch; ++i) {
+    frames.push_back(allocator.Allocate(kPageFlagAnon));
+  }
+  // Free in order until the cache fills and spills; the frame whose free spilled is on top.
+  size_t spilled_at = frames.size();
+  for (size_t i = 0; i < frames.size() && spilled_at == frames.size(); ++i) {
+    uint64_t drains_before = ReadVm(VmCounter::k_pcp_drain);
+    allocator.DecRef(frames[i]);
+    if (ReadVm(VmCounter::k_pcp_drain) != drains_before) {
+      spilled_at = i;
+    }
+  }
+  ASSERT_LT(spilled_at, frames.size()) << "the cache never spilled";
+  ASSERT_GE(spilled_at, kBatch);
+  // The coldest half went to the pool: the next allocations are the frames freed last, the
+  // one that spilled first, then the batch freed just before it, newest first.
+  std::vector<FrameId> reused;
+  for (size_t k = 0; k <= kBatch; ++k) {
+    reused.push_back(allocator.Allocate(kPageFlagAnon));
+    EXPECT_EQ(reused.back(), frames[spilled_at - k]) << "allocation " << k << " after the spill";
+  }
+  EXPECT_EQ(allocator.CachedFrames(), 0u) << "the spill left exactly the hot half and one";
+  for (FrameId frame : reused) {
+    allocator.DecRef(frame);
+  }
+  for (size_t i = spilled_at + 1; i < frames.size(); ++i) {
+    allocator.DecRef(frames[i]);
+  }
   EXPECT_TRUE(allocator.AllFree());
 }
 

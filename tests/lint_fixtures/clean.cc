@@ -74,4 +74,8 @@ void RmapWalkGuarded(ShrinkContext& ctx, std::vector<RmapLocation>* out) {
   ctx.rmap->Walk(frame, out);  // guard above: no finding
 }
 
+void* ReserveRam(size_t bytes) {
+  return mmap(nullptr, bytes, 3, 0x22, -1, 0);  // odf-lint: allow(raw-mmap)
+}
+
 }  // namespace odf_fixture

@@ -54,4 +54,8 @@ void RmapWalkNoGuard(Rmap& rmap, std::vector<RmapLocation>* out) {
   rmap.Walk(frame, out);  // lockfree-walk-guard
 }
 
+void* ReserveRam(size_t bytes) {
+  return mmap(nullptr, bytes, 3, 0x22, -1, 0);  // raw-mmap
+}
+
 }  // namespace odf_fixture

@@ -42,6 +42,7 @@ EXPECTED_DIRTY = {
     ("tests/lint_fixtures/dirty.cc", 46, "hwpoison-flag"),
     ("tests/lint_fixtures/dirty.cc", 50, "thread-fence"),
     ("tests/lint_fixtures/dirty.cc", 54, "lockfree-walk-guard"),
+    ("tests/lint_fixtures/dirty.cc", 58, "raw-mmap"),
     ("tests/lint_fixtures/dirty.h", 9, "missing-nodiscard"),
 }
 
