@@ -23,6 +23,7 @@ void Run() {
 
     ForkProfile profile;
     RunningStats total_ms;
+    const uint64_t shared_before = ReadVm(VmCounter::k_pte_tables_shared);
     for (int r = 0; r < config.reps; ++r) {
       Stopwatch sw;
       Process& child = kernel.Fork(parent, ForkMode::kOnDemand, &profile);
@@ -32,7 +33,8 @@ void Run() {
     }
     double upper_ms = static_cast<double>(profile.upper_level_ns) / 1e6 /
                       static_cast<double>(config.reps);
-    uint64_t leaf_tables = profile.pte_tables_visited / static_cast<uint64_t>(config.reps);
+    uint64_t leaf_tables = (ReadVm(VmCounter::k_pte_tables_shared) - shared_before) /
+                           static_cast<uint64_t>(config.reps);
     // Upper tables = PMD + PUD + PGD tables the child needed (every 1 GiB of leaves needs
     // one PMD table; PUD/PGD are 1-2 tables at these sizes).
     uint64_t upper_tables = (leaf_tables + kEntriesPerTable - 1) / kEntriesPerTable + 2;

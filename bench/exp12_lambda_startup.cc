@@ -4,13 +4,13 @@
 // populated runtime image + precomputed function state.
 #include "bench/bench_common.h"
 #include "src/apps/lambda.h"
-#include "src/util/latency_recorder.h"
 
 namespace odf {
 namespace {
 
-void RunMode(ForkMode mode, int invocations, LatencyRecorder* startup,
-             LatencyRecorder* end_to_end, double* deploy_seconds, uint64_t* checksum) {
+// Appends each invocation's startup and end-to-end latency (us) to the two vectors.
+void RunMode(ForkMode mode, int invocations, std::vector<double>* startup,
+             std::vector<double>* end_to_end, double* deploy_seconds, uint64_t* checksum) {
   Kernel kernel;
   LambdaConfig config;
   config.fork_mode = mode;
@@ -23,8 +23,8 @@ void RunMode(ForkMode mode, int invocations, LatencyRecorder* startup,
       b = static_cast<uint8_t>(rng.Next());
     }
     LambdaInvocation result = platform.Invoke(payload);
-    startup->Record(result.startup_us);
-    end_to_end->Record(result.startup_us + result.run_us);
+    startup->push_back(result.startup_us);
+    end_to_end->push_back(result.startup_us + result.run_us);
     *checksum ^= result.result;
   }
 }
@@ -43,10 +43,10 @@ void Run() {
   uint8_t payload[32] = {1, 2, 3};
   LambdaInvocation cold = cold_platform.InvokeCold(payload);
 
-  LatencyRecorder classic_startup;
-  LatencyRecorder classic_total;
-  LatencyRecorder odf_startup;
-  LatencyRecorder odf_total;
+  std::vector<double> classic_startup;
+  std::vector<double> classic_total;
+  std::vector<double> odf_startup;
+  std::vector<double> odf_total;
   double deploy_classic = 0;
   double deploy_odf = 0;
   uint64_t checksum_classic = 0;
@@ -61,19 +61,19 @@ void Run() {
                       "end-to-end p50 (us)"});
   table.AddRow({"cold start (no template)", TablePrinter::FormatDouble(cold.startup_us, 0),
                 "-", TablePrinter::FormatDouble(cold.startup_us + cold.run_us, 0)});
-  table.AddRow({"warm, fork", TablePrinter::FormatDouble(classic_startup.PercentileValue(50), 1),
-                TablePrinter::FormatDouble(classic_startup.PercentileValue(99), 1),
-                TablePrinter::FormatDouble(classic_total.PercentileValue(50), 1)});
+  table.AddRow({"warm, fork", TablePrinter::FormatDouble(Percentile(classic_startup, 50), 1),
+                TablePrinter::FormatDouble(Percentile(classic_startup, 99), 1),
+                TablePrinter::FormatDouble(Percentile(classic_total, 50), 1)});
   table.AddRow({"warm, on-demand-fork",
-                TablePrinter::FormatDouble(odf_startup.PercentileValue(50), 1),
-                TablePrinter::FormatDouble(odf_startup.PercentileValue(99), 1),
-                TablePrinter::FormatDouble(odf_total.PercentileValue(50), 1)});
+                TablePrinter::FormatDouble(Percentile(odf_startup, 50), 1),
+                TablePrinter::FormatDouble(Percentile(odf_startup, 99), 1),
+                TablePrinter::FormatDouble(Percentile(odf_total, 50), 1)});
   table.Print();
   WriteBenchJson("exp12_lambda_startup", config, {{"lambda_startup", &table}});
   std::printf(
       "\nTemplate deploy (amortised once): %.2f s. Startup reduction vs fork: %.1fx.\n"
       "Shape check: cold >> warm-fork >> warm-ODF, with ODF startup in single-digit us.\n",
-      deploy_odf, classic_startup.PercentileValue(50) / odf_startup.PercentileValue(50));
+      deploy_odf, Percentile(classic_startup, 50) / Percentile(odf_startup, 50));
 }
 
 }  // namespace

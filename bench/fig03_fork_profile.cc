@@ -30,6 +30,7 @@ bool Run() {
   ForkProfile steady;   // Forks 3..n.
   std::vector<double> total_ms;
   std::vector<uint64_t> minflt;
+  const uint64_t entries_before = ReadVm(VmCounter::k_fork_pte_entries_copied);
   for (int r = 0; r < forks; ++r) {
     ForkProfile one;
     uint64_t minflt_before = HostMinorFaults();
@@ -40,7 +41,6 @@ bool Run() {
     kernel.Exit(child, 0);
     kernel.Wait(parent);
     for (ForkProfile* into : {&profile, r == 0 ? &first : r == 1 ? &second : &steady}) {
-      into->pte_entries_copied += one.pte_entries_copied;
       into->meta_resolve_ns += one.meta_resolve_ns;
       into->refcount_ns += one.refcount_ns;
       into->entry_copy_ns += one.entry_copy_ns;
@@ -48,6 +48,7 @@ bool Run() {
       into->upper_level_ns += one.upper_level_ns;
     }
   }
+  const uint64_t entries_copied = ReadVm(VmCounter::k_fork_pte_entries_copied) - entries_before;
 
   // `ns` as a fraction of the time `p` attributes to its phases.
   auto fraction = [](const ForkProfile& p, uint64_t ns) {
@@ -58,7 +59,7 @@ bool Run() {
   };
   auto pct = [&](uint64_t ns) { return share(profile, ns); };
   std::printf("Mapped: %.1f GB, %llu PTE entries copied across %d forks\n\n", gb,
-              static_cast<unsigned long long>(profile.pte_entries_copied), forks);
+              static_cast<unsigned long long>(entries_copied), forks);
 
   TablePrinter table({"Phase (kernel analog)", "Time (ms)", "Share"});
   table.AddRow({"page metadata lookup + compound_head()",

@@ -12,13 +12,12 @@
 // the parallelism (see EXPERIMENTS.md).
 #include "bench/bench_common.h"
 #include "src/apps/kvstore.h"
-#include "src/util/latency_recorder.h"
 
 namespace odf {
 namespace {
 
 struct RedisRun {
-  LatencyRecorder latency;           // Per-request latency (us).
+  std::vector<double> latency;       // Per-request latency (us).
   RunningStats fork_ms;              // Per-snapshot fork blocking time.
   uint64_t requests = 0;
   uint64_t snapshots = 0;
@@ -56,7 +55,7 @@ void RunWorkload(ForkMode mode, uint64_t keys, uint64_t value_size, double secon
       Process& child = kernel.Fork(server, mode);
       double blocked_ms = fork_timer.ElapsedMillis();
       out->fork_ms.Add(blocked_ms);
-      out->latency.Record(op_timer.ElapsedMicros());
+      out->latency.push_back(op_timer.ElapsedMicros());
       ++out->snapshots;
       changed_since_snapshot = 0;
       // Child-side serialization happens "in parallel" in real Redis: off the clock here.
@@ -65,7 +64,7 @@ void RunWorkload(ForkMode mode, uint64_t keys, uint64_t value_size, double secon
       kernel.Exit(child, 0);
       kernel.Wait(server);
     } else {
-      out->latency.Record(op_timer.ElapsedMicros());
+      out->latency.push_back(op_timer.ElapsedMicros());
     }
     ++out->requests;
   }
@@ -90,16 +89,20 @@ void Run() {
   RunWorkload(ForkMode::kOnDemand, keys, value_size, config.seconds, &odf);
 
   TablePrinter table({"Percentile", "Fork (us)", "On-demand-fork (us)", "Reduction"});
-  for (double p : LatencyRecorder::PaperPercentiles()) {
-    double a = classic.latency.PercentileValue(p);
-    double b = odf.latency.PercentileValue(p);
+  // The percentile ladder the paper reports for Redis.
+  const double kPaperPercentiles[] = {50.0, 90.0, 95.0, 99.0, 99.9, 99.99};
+  std::vector<double> classic_pct = Percentiles(classic.latency, kPaperPercentiles);
+  std::vector<double> odf_pct = Percentiles(odf.latency, kPaperPercentiles);
+  for (size_t i = 0; i < std::size(kPaperPercentiles); ++i) {
+    double a = classic_pct[i];
+    double b = odf_pct[i];
     char label[32];
-    std::snprintf(label, sizeof(label), ">=%.4g%%", p);
+    std::snprintf(label, sizeof(label), ">=%.4g%%", kPaperPercentiles[i]);
     table.AddRow({label, TablePrinter::FormatDouble(a, 1), TablePrinter::FormatDouble(b, 1),
                   TablePrinter::FormatPercent((a - b) / a, 2)});
   }
-  double max_a = classic.latency.Summary().max;
-  double max_b = odf.latency.Summary().max;
+  double max_a = Summarize(classic.latency).max;
+  double max_b = Summarize(odf.latency).max;
   table.AddRow({"max", TablePrinter::FormatDouble(max_a, 1),
                 TablePrinter::FormatDouble(max_b, 1),
                 TablePrinter::FormatPercent((max_a - max_b) / max_a, 2)});

@@ -8,7 +8,7 @@ namespace odf {
 namespace {
 
 struct ApacheRun {
-  LatencyRecorder latency;
+  std::vector<double> latency;  // Per-request latency (us).
   double startup_fork_us = 0;
 };
 
@@ -22,10 +22,12 @@ void RunServer(ForkMode mode, uint64_t requests, ApacheRun* run) {
   // Warm the workers (first requests pay one-time COW faults in both modes, like a fresh
   // Apache instance touching its config pages).
   for (int i = 0; i < config.worker_count * 8; ++i) {
-    server.HandleRequest(rng.Next(), nullptr);
+    server.HandleRequest(rng.Next());
   }
   for (uint64_t i = 0; i < requests; ++i) {
-    server.HandleRequest(rng.Next(), &run->latency);
+    Stopwatch timer;
+    server.HandleRequest(rng.Next());
+    run->latency.push_back(timer.ElapsedMicros());
   }
   server.Shutdown();
 }
@@ -41,8 +43,8 @@ void Run() {
   ApacheRun odf;
   RunServer(ForkMode::kOnDemand, requests, &odf);
 
-  StatsSummary a = classic.latency.Summary();
-  StatsSummary b = odf.latency.Summary();
+  StatsSummary a = Summarize(classic.latency);
+  StatsSummary b = Summarize(odf.latency);
   TablePrinter table({"Metric", "Fork (us)", "On-demand-fork (us)", "Difference"});
   table.AddRow({"Mean", TablePrinter::FormatDouble(a.mean, 1),
                 TablePrinter::FormatDouble(b.mean, 1),
@@ -54,11 +56,14 @@ void Run() {
   std::printf("\n");
 
   TablePrinter pct_table({"Percentile", "Fork (us)", "On-demand-fork (us)", "Difference"});
-  for (double p : {50.0, 75.0, 90.0, 99.0}) {
-    double pa = classic.latency.PercentileValue(p);
-    double pb = odf.latency.PercentileValue(p);
+  const double kPercentiles[] = {50.0, 75.0, 90.0, 99.0};
+  std::vector<double> classic_pct = Percentiles(classic.latency, kPercentiles);
+  std::vector<double> odf_pct = Percentiles(odf.latency, kPercentiles);
+  for (size_t i = 0; i < std::size(kPercentiles); ++i) {
+    double pa = classic_pct[i];
+    double pb = odf_pct[i];
     char label[16];
-    std::snprintf(label, sizeof(label), ">=%.0f%%", p);
+    std::snprintf(label, sizeof(label), ">=%.0f%%", kPercentiles[i]);
     pct_table.AddRow({label, TablePrinter::FormatDouble(pa, 1),
                       TablePrinter::FormatDouble(pb, 1),
                       TablePrinter::FormatPercent((pb - pa) / pa, 2)});

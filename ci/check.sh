@@ -10,6 +10,7 @@
 # Presets covered (see CMakePresets.json):
 #   default       RelWithDebInfo, full ctest suite (the tier-1 gate)
 #   asan-ubsan    Debug + ASan/UBSan, full suite
+#   no-trace      tracepoints and fault injection compiled out, full suite
 #   tsan          ThreadSanitizer, concurrency- and reclaim-labeled suites
 #   fault-inject  RelWithDebInfo + fault injection, full suite (includes torture)
 #   debug-vm      invariant checkers armed: VM_BUG_ON, poisoning, lockdep, auto-verify
@@ -174,6 +175,9 @@ if [[ -z "$ONLY" || "$ONLY" == "thread-safety" ]]; then
 fi
 
 run_preset asan-ubsan
+# Tracepoints compiled out: ODF_TRACE(...) expands to nothing, so this build catches
+# variables only a tracepoint reads, and the sampled latency histograms must still fill.
+run_preset no-trace
 # The tsan preset IS the concurrency-under-TSan gate: its ctest preset filters to the
 # `concurrency|reclaim` labels (frame_cache_test, concurrency_test — the disjoint-fault/
 # overlapping-fork/kswapd stress and the concurrent-replay determinism test — plus

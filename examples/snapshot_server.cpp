@@ -7,7 +7,7 @@
 #include <string>
 
 #include "src/apps/kvstore.h"
-#include "src/util/latency_recorder.h"
+#include "src/util/stats.h"
 #include "src/util/stopwatch.h"
 
 int main(int argc, char** argv) {
@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   std::printf("dataset: %llu keys, %llu MB in-heap\n", (unsigned long long)store.Count(),
               (unsigned long long)(store.Stats().bytes_in_heap >> 20));
 
-  odf::LatencyRecorder latency;
+  std::vector<double> latency;  // Per-request latency (us).
   odf::RunningStats fork_block_ms;
   uint64_t writes_since_snapshot = 0;
   uint64_t snapshots = 0;
@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
     } else {
       store.Get(key);
     }
-    latency.Record(op.ElapsedMicros());
+    latency.push_back(op.ElapsedMicros());
     ++ops;
 
     if (writes_since_snapshot >= 10000) {  // Redis default save threshold.
@@ -62,9 +62,10 @@ int main(int argc, char** argv) {
               (unsigned long long)ops, run.ElapsedSeconds(),
               static_cast<double>(ops) / run.ElapsedSeconds(),
               (unsigned long long)snapshots);
-  std::printf("request latency: p50=%.1fus p99=%.1fus p99.99=%.1fus max=%.1fus\n",
-              latency.PercentileValue(50), latency.PercentileValue(99),
-              latency.PercentileValue(99.99), latency.Summary().max);
+  const double kLadder[] = {50, 99, 99.99};
+  std::vector<double> pct = odf::Percentiles(latency, kLadder);
+  std::printf("request latency: p50=%.1fus p99=%.1fus p99.99=%.1fus max=%.1fus\n", pct[0],
+              pct[1], pct[2], odf::Summarize(latency).max);
   if (snapshots > 0) {
     std::printf("fork blocking per snapshot: mean %.3f ms (stddev %.3f)\n",
                 fork_block_ms.mean(), fork_block_ms.stddev());

@@ -37,9 +37,8 @@ PreforkServer PreforkServer::Start(Kernel& kernel, const HttpdConfig& config) {
   return server;
 }
 
-uint64_t PreforkServer::HandleRequest(uint64_t document_id, LatencyRecorder* latency) {
+uint64_t PreforkServer::HandleRequest(uint64_t document_id) {
   ODF_CHECK(!shut_down_ && !workers_.empty());
-  Stopwatch timer;
   Process& worker = *workers_[next_worker_];
   next_worker_ = (next_worker_ + 1) % workers_.size();
 
@@ -55,10 +54,6 @@ uint64_t PreforkServer::HandleRequest(uint64_t document_id, LatencyRecorder* lat
     checksum = (checksum ^ static_cast<uint8_t>(b)) * 1099511628211ULL;
   }
   worker.StoreU64(scratch_base_ + (document_id % 64) * kPageSize, checksum);
-
-  if (latency != nullptr) {
-    latency->Record(timer.ElapsedMicros());
-  }
   return checksum;
 }
 

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "src/proc/kernel.h"
-#include "src/util/latency_recorder.h"
 #include "src/util/rng.h"
 
 namespace odf {
@@ -33,7 +32,7 @@ class PreforkServer {
   // Handles one request on the next worker (round-robin): parse a request line, read the
   // document from the worker's COW view, write a response scratch buffer. Returns the
   // response checksum (so the work is not optimized away).
-  uint64_t HandleRequest(uint64_t document_id, LatencyRecorder* latency = nullptr);
+  uint64_t HandleRequest(uint64_t document_id);
 
   // Time from Start() until all workers were forked (startup latency, fork-dependent).
   double startup_fork_micros() const { return startup_fork_micros_; }

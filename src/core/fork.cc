@@ -5,22 +5,8 @@
 #include "src/trace/metrics.h"
 #include "src/trace/trace.h"
 #include "src/util/log.h"
-#include "src/util/stopwatch.h"
 
 namespace odf {
-
-namespace {
-
-// Fork latency, one histogram per engine ("fork" / "on-demand-fork" / ...-huge).
-LatencyHistogram& ForkHistogram(ForkMode mode) {
-  static LatencyHistogram& classic =
-      MetricsRegistry::Global().RegisterHistogram("fork_classic_ns");
-  static LatencyHistogram& odf =
-      MetricsRegistry::Global().RegisterHistogram("fork_on_demand_ns");
-  return mode == ForkMode::kClassic ? classic : odf;
-}
-
-}  // namespace
 
 const char* ForkModeName(ForkMode mode) {
   switch (mode) {
@@ -43,10 +29,15 @@ void CopyVmaList(const AddressSpace& parent, AddressSpace& child) {
 bool CopyAddressSpace(AddressSpace& parent, AddressSpace& child, ForkMode mode,
                       ForkProfile* profile) {
   ODF_CHECK(child.vmas().empty()) << "fork target must be a fresh address space";
-  const bool tracing = trace::Enabled();
   ODF_TRACE(fork_begin, parent.owner_pid(), static_cast<uint64_t>(mode),
             parent.MappedBytes());
-  Stopwatch total;
+  // Fork latency, one histogram for classic fork and one for both on-demand engines.
+  static LatencyHistogram& classic_ns =
+      MetricsRegistry::Global().RegisterHistogram("fork_classic_ns");
+  static LatencyHistogram& on_demand_ns =
+      MetricsRegistry::Global().RegisterHistogram("fork_on_demand_ns");
+  trace::LatencySample latency(mode == ForkMode::kClassic ? classic_ns : on_demand_ns,
+                               /*force=*/profile != nullptr);
   CopyVmaList(parent, child);
   // The anon_vma_fork analog: the child joins the parent's anon family before any entry is
   // copied — O(1), and the only reverse-map work a fork does. Every frame the copy shares
@@ -55,7 +46,8 @@ bool CopyAddressSpace(AddressSpace& parent, AddressSpace& child, ForkMode mode,
   // walk-lock hold: the VMA copy above needs none, since no walk reaches the child before.
   bool ok = child.rmap() == nullptr || child.rmap()->LinkChild(parent, child);
   if (!ok) {
-    ODF_TRACE(fork_end, parent.owner_pid(), static_cast<uint64_t>(mode), total.ElapsedNanos());
+    [[maybe_unused]] const uint64_t elapsed = latency.Stop();
+    ODF_TRACE(fork_end, parent.owner_pid(), static_cast<uint64_t>(mode), elapsed);
     return false;
   }
   switch (mode) {
@@ -76,14 +68,11 @@ bool CopyAddressSpace(AddressSpace& parent, AddressSpace& child, ForkMode mode,
   // PMD-level for on-demand); flush, as the kernel flushes the hardware TLB on fork. On a
   // failed copy the parent may already be partially write-protected, so flush then too.
   parent.locks().FlushAll();
-  uint64_t elapsed = total.ElapsedNanos();
+  const uint64_t elapsed = latency.Stop();
   if (profile != nullptr) {
     profile->total_ns += elapsed;
   }
-  if (tracing) {
-    ODF_TRACE(fork_end, parent.owner_pid(), static_cast<uint64_t>(mode), elapsed);
-    ForkHistogram(mode).RecordNanos(elapsed);
-  }
+  ODF_TRACE(fork_end, parent.owner_pid(), static_cast<uint64_t>(mode), elapsed);
   return ok;
 }
 

@@ -19,12 +19,10 @@ enum class ForkMode {
 };
 
 // Cost attribution for the fork invocation, mirroring the perf-events breakdown of Fig. 3.
-// Filled when a profile pointer is passed to CopyAddressSpace (the instrumented path times
-// each sub-operation in separate batched passes per table).
+// Filled when a profile pointer is passed to CopyAddressSpace, which then times each batched
+// pass per table; without one the fork reads no clock for it. vmstat counts the work
+// (fork_pte_entries_copied, pte_tables_shared, fork_huge_entries_copied).
 struct ForkProfile {
-  uint64_t pte_entries_copied = 0;
-  uint64_t pte_tables_visited = 0;
-  uint64_t huge_entries_copied = 0;
   uint64_t meta_resolve_ns = 0;  // compound_head() analog: first touch of PageMeta.
   uint64_t refcount_ns = 0;      // page_ref_inc() analog: atomic increments.
   uint64_t entry_copy_ns = 0;    // Writing protected entries to both tables.

@@ -11,45 +11,30 @@
 #include "src/trace/metrics.h"
 #include "src/trace/trace.h"
 #include "src/util/log.h"
-#include "src/util/stopwatch.h"
 
 namespace odf {
 
 namespace {
 
-// Phase-timer policies for CopyPteSlice. The plain fork path compiles every timer away; the
-// profiled path (fig03) charges each pass to its ForkProfile field — one code path either
-// way, so the profile measures exactly the work an unprofiled fork does.
-struct NoPhaseTimer {
-  explicit NoPhaseTimer(ForkProfile*) {}
-  void Charge(uint64_t ForkProfile::*) {}
-};
-
-class StopwatchPhaseTimer {
- public:
-  explicit StopwatchPhaseTimer(ForkProfile* profile) : profile_(profile) {}
-  // Adds the time since construction or the previous charge to `field`.
-  void Charge(uint64_t ForkProfile::*field) {
-    profile_->*field += sw_.ElapsedNanos();
-    sw_.Restart();
-  }
-
- private:
-  ForkProfile* profile_;
-  Stopwatch sw_;
-};
-
 // Copies the present entries of one parent PTE table slice [lo, hi) into the child's table
-// in three batched passes, timed by PhaseTimer as the Fig. 3 breakdown: resolve metadata and
-// collect compound heads (the compound_head() hotspot), batch-increment every refcount in
-// one IncRefBatch call (page_ref_inc), then write the entries. References are taken before
-// any child entry becomes visible, so the table never points at an under-referenced frame.
-// There is no per-entry reverse-map work: the child joined the parent's anon family before
-// the copy, and each copied entry sits at the VA its frame's anon index already names.
-template <typename PhaseTimer>
+// in three batched passes, charged to `profile` (when non-null) as the Fig. 3 breakdown:
+// resolve metadata and collect compound heads (the compound_head() hotspot), batch-increment
+// every refcount in one IncRefBatch call (page_ref_inc), then write the entries. References
+// are taken before any child entry becomes visible, so the table never points at an
+// under-referenced frame. There is no per-entry reverse-map work: the child joined the
+// parent's anon family before the copy, and each copied entry sits at the VA its frame's
+// anon index already names.
 void CopyPteSlice(FrameAllocator& allocator, SwapSpace* swap, uint64_t* src, uint64_t* dst,
                   Vaddr lo, Vaddr hi, bool wrprotect, ForkProfile* profile) {
-  PhaseTimer timer(profile);
+  // An unprofiled fork never reads the clock.
+  uint64_t phase_start = profile != nullptr ? trace::NowNanos() : 0;
+  auto charge = [&](uint64_t ForkProfile::*phase) {
+    if (profile != nullptr) {
+      const uint64_t now = trace::NowNanos();
+      profile->*phase += now - phase_start;
+      phase_start = now;
+    }
+  };
   std::array<uint64_t, kEntriesPerTable> indices;
   std::array<FrameId, kEntriesPerTable> heads;
   size_t present = 0;
@@ -80,11 +65,11 @@ void CopyPteSlice(FrameAllocator& allocator, SwapSpace* swap, uint64_t* src, uin
     indices[present] = index;
     ++present;
   }
-  timer.Charge(&ForkProfile::meta_resolve_ns);
+  charge(&ForkProfile::meta_resolve_ns);
 
   // page_ref_inc for the whole table at one call site (docs/performance.md).
   allocator.IncRefBatch(std::span<const FrameId>(heads.data(), present));
-  timer.Charge(&ForkProfile::refcount_ns);
+  charge(&ForkProfile::refcount_ns);
 
   for (size_t i = 0; i < present; ++i) {
     uint64_t index = indices[i];
@@ -96,13 +81,10 @@ void CopyPteSlice(FrameAllocator& allocator, SwapSpace* swap, uint64_t* src, uin
     }
     StoreEntry(&dst[index], entry);
   }
-  timer.Charge(&ForkProfile::entry_copy_ns);
+  charge(&ForkProfile::entry_copy_ns);
 
-  uint64_t copied = present + swapped;
-  if (profile != nullptr) {
-    profile->pte_entries_copied += copied;
-  }
-  CountVm(VmCounter::k_fork_pte_entries_copied, copied);  // Batched: one add per table.
+  // Batched: one add per table.
+  CountVm(VmCounter::k_fork_pte_entries_copied, present + swapped);
 }
 
 }  // namespace
@@ -206,7 +188,7 @@ bool ClassicCopyPageTables(AddressSpace& parent, AddressSpace& child, ForkProfil
       Vaddr lo = std::max(chunk, vma.start);
       Vaddr hi = std::min(chunk + kPteTableSpan, vma.end);
 
-      Stopwatch alloc_sw;
+      const uint64_t alloc_start = profile != nullptr ? trace::NowNanos() : 0;
       uint64_t* first_child_slot =
           child_walker.TryEnsureEntry(child.pgd(), lo, PtLevel::kPte);
       if (first_child_slot == nullptr) {
@@ -220,14 +202,9 @@ bool ClassicCopyPageTables(AddressSpace& parent, AddressSpace& child, ForkProfil
       }
       uint64_t* dst = first_child_slot - TableIndex(lo, PtLevel::kPte);
       if (profile != nullptr) {
-        profile->table_alloc_ns += alloc_sw.ElapsedNanos();
-        ++profile->pte_tables_visited;
-        CopyPteSlice<StopwatchPhaseTimer>(allocator, parent.swap_space(), src, dst, lo, hi,
-                                          wrprotect, profile);
-      } else {
-        CopyPteSlice<NoPhaseTimer>(allocator, parent.swap_space(), src, dst, lo, hi,
-                                   wrprotect, profile);
+        profile->table_alloc_ns += trace::NowNanos() - alloc_start;
       }
+      CopyPteSlice(allocator, parent.swap_space(), src, dst, lo, hi, wrprotect, profile);
     }
   }
   return true;

@@ -21,7 +21,6 @@
 #include "src/trace/metrics.h"
 #include "src/trace/trace.h"
 #include "src/util/log.h"
-#include "src/util/stopwatch.h"
 
 namespace odf {
 
@@ -159,7 +158,7 @@ bool ShareRange(ShareState& state, FrameId parent_table, FrameId child_table, Pt
 
 bool OnDemandSharePageTables(AddressSpace& parent, AddressSpace& child, ForkProfile* profile,
                              bool share_pmd_tables) {
-  Stopwatch sw;
+  const uint64_t start = profile != nullptr ? trace::NowNanos() : 0;
   ShareState state{&parent.allocator()};
   state.pid = parent.owner_pid();
   state.share_pmd_tables = share_pmd_tables;
@@ -183,8 +182,7 @@ bool OnDemandSharePageTables(AddressSpace& parent, AddressSpace& child, ForkProf
   CountVm(VmCounter::k_pmd_tables_shared, state.pmd_tables_shared);
   CountVm(VmCounter::k_fork_upper_entries, state.upper_entries);
   if (profile != nullptr) {
-    profile->upper_level_ns += sw.ElapsedNanos();
-    profile->pte_tables_visited += state.pte_tables_shared;
+    profile->upper_level_ns += trace::NowNanos() - start;
   }
   return ok;
 }

@@ -21,8 +21,6 @@ namespace {
 // Auto-verify knobs and statistics. Defined in all builds so SetAutoVerify and friends
 // keep working (as no-ops) in release binaries; only the hook itself compiles out.
 std::atomic<bool> g_auto_verify{true};
-std::atomic<uint64_t> g_interval{1};
-std::atomic<uint64_t> g_eligible{0};
 std::atomic<uint64_t> g_runs{0};
 std::atomic<uint64_t> g_skipped_reentrant{0};
 std::atomic<uint64_t> g_skipped_concurrent{0};
@@ -317,10 +315,6 @@ VerifyStats GetVerifyStats() {
 
 void SetAutoVerify(bool enabled) { g_auto_verify.store(enabled, std::memory_order_relaxed); }
 
-void SetAutoVerifyInterval(uint64_t interval) {
-  g_interval.store(interval == 0 ? 1 : interval, std::memory_order_relaxed);
-}
-
 #if ODF_DEBUG_VM_COMPILED
 
 void AutoVerifyKernel(Kernel& kernel, const char* what) {
@@ -331,12 +325,6 @@ void AutoVerifyKernel(Kernel& kernel, const char* what) {
     return;
   }
   if (!g_auto_verify.load(std::memory_order_relaxed)) {
-    g_skipped_disabled.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  uint64_t sequence = g_eligible.fetch_add(1, std::memory_order_relaxed);
-  uint64_t interval = g_interval.load(std::memory_order_relaxed);
-  if (interval > 1 && sequence % interval != 0) {
     g_skipped_disabled.fetch_add(1, std::memory_order_relaxed);
     return;
   }

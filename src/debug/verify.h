@@ -55,7 +55,7 @@ struct VerifyStats {
   uint64_t runs = 0;                // Full verifications completed.
   uint64_t skipped_reentrant = 0;   // Hook fired inside another mutation on this thread.
   uint64_t skipped_concurrent = 0;  // Another thread was mid-mutation.
-  uint64_t skipped_disabled = 0;    // SetAutoVerify(false) or interval gating.
+  uint64_t skipped_disabled = 0;    // SetAutoVerify(false).
 };
 
 VerifyStats GetVerifyStats();
@@ -64,10 +64,6 @@ VerifyStats GetVerifyStats();
 // builds). Tests that deliberately corrupt state flip this off while seeding.
 void SetAutoVerify(bool enabled);
 
-// Run the automatic verifier only on every Nth eligible hook firing (default 1 = every
-// mutation). Full verification is O(mapped memory); torture workloads dial this up.
-void SetAutoVerifyInterval(uint64_t interval);
-
 // MutationScope (the mutator half of the quiescence protocol) lives in
 // src/debug/mutation.h so layers below the process tree can use it; this header
 // re-exports it for verifier callers.
@@ -75,7 +71,7 @@ void SetAutoVerifyInterval(uint64_t interval);
 #if ODF_DEBUG_VM_COMPILED
 
 // Post-mutation hook: verifies the whole kernel and aborts (with the full violation list)
-// on the first inconsistency. Skips itself when nested, raced, disabled, or off-interval.
+// on the first inconsistency. Skips itself when nested, raced or disabled.
 void AutoVerifyKernel(Kernel& kernel, const char* what);
 
 #else  // ODF_DEBUG_VM_COMPILED

@@ -13,17 +13,6 @@ namespace odf {
 
 namespace {
 
-// Fault-latency histograms (registered once; references stay valid across resets).
-LatencyHistogram& DemandZeroHistogram() {
-  static LatencyHistogram& h =
-      MetricsRegistry::Global().RegisterHistogram("fault_demand_zero_ns");
-  return h;
-}
-LatencyHistogram& CowPageHistogram() {
-  static LatencyHistogram& h = MetricsRegistry::Global().RegisterHistogram("fault_cow_page_ns");
-  return h;
-}
-
 // Records the kOom verdict: the address space is consistent, the access simply could not be
 // served. Callers (Process::AccessMemory, the torture harness) may retry after freeing
 // memory or disarming injection.
@@ -43,8 +32,9 @@ bool DemandInstall(AddressSpace& as, VmArea& vma, Vaddr va, uint64_t* slot) {
   // Poison markers are filtered by every caller (HandleFault, PopulateRange): installing
   // over one would resurrect a VA whose data died in a memory error.
   ODF_DCHECK(!LoadEntry(slot).IsHwPoison());
-  const bool tracing = trace::Enabled();
-  const uint64_t t0 = tracing ? trace::NowNanos() : 0;
+  static LatencyHistogram& histogram =
+      MetricsRegistry::Global().RegisterHistogram("fault_demand_zero_ns");
+  trace::LatencySample latency(histogram);
   uint64_t flags = kPtePresent | kPteUser | kPteAccessed;
   FrameId frame;
   if (vma.kind == VmaKind::kAnonPrivate) {
@@ -57,11 +47,8 @@ bool DemandInstall(AddressSpace& as, VmArea& vma, Vaddr va, uint64_t* slot) {
     }
     as.AddNewAnonRmap(frame, vma, va);
     CountVm(VmCounter::k_pgfault_demand_zero);
-    if (tracing) {
-      uint64_t ns = trace::NowNanos() - t0;
-      ODF_TRACE(fault_demand_zero, as.owner_pid(), va, ns);
-      DemandZeroHistogram().RecordNanos(ns);
-    }
+    [[maybe_unused]] const uint64_t ns = latency.Stop();
+    ODF_TRACE(fault_demand_zero, as.owner_pid(), va, ns);
   } else {
     FrameId cache_frame = vma.file->GetPage(vma.FilePageIndex(va));
     allocator.IncRef(cache_frame);
@@ -82,8 +69,9 @@ bool DemandInstall(AddressSpace& as, VmArea& vma, Vaddr va, uint64_t* slot) {
 // be allocated (the entry is left write-protected and intact).
 bool DataCowFault(AddressSpace& as, VmArea& vma, Vaddr va, uint64_t* slot) {
   FrameAllocator& allocator = as.allocator();
-  const bool tracing = trace::Enabled();
-  const uint64_t t0 = tracing ? trace::NowNanos() : 0;
+  static LatencyHistogram& histogram =
+      MetricsRegistry::Global().RegisterHistogram("fault_cow_page_ns");
+  trace::LatencySample latency(histogram);
   Pte entry = LoadEntry(slot);
   ODF_DCHECK(entry.IsPresent() && !entry.IsWritable());
   FrameId frame = entry.frame();
@@ -135,11 +123,8 @@ bool DataCowFault(AddressSpace& as, VmArea& vma, Vaddr va, uint64_t* slot) {
   as.locks().InvalidatePage(va);  // Gen-before-free: bump the shard before the old frame drops.
   PutMappedPage(allocator, entry, /*huge=*/false);
   CountVm(VmCounter::k_pgfault_cow_page);
-  if (tracing) {
-    uint64_t ns = trace::NowNanos() - t0;
-    ODF_TRACE(fault_cow_page, as.owner_pid(), va, ns);
-    CowPageHistogram().RecordNanos(ns);
-  }
+  [[maybe_unused]] const uint64_t ns = latency.Stop();
+  ODF_TRACE(fault_cow_page, as.owner_pid(), va, ns);
   return true;
 }
 
@@ -218,8 +203,9 @@ namespace {
 // allocation fails.
 bool HugeCowFault(AddressSpace& as, const VmArea& vma, Vaddr chunk_base, uint64_t* pmd_slot) {
   FrameAllocator& allocator = as.allocator();
-  const bool tracing = trace::Enabled();
-  const uint64_t t0 = tracing ? trace::NowNanos() : 0;
+  static LatencyHistogram& histogram =
+      MetricsRegistry::Global().RegisterHistogram("fault_cow_huge_ns");
+  trace::LatencySample latency(histogram);
   Pte entry = LoadEntry(pmd_slot);
   FrameId head = entry.frame();
   PageMeta& meta = allocator.GetMeta(head);
@@ -253,9 +239,8 @@ bool HugeCowFault(AddressSpace& as, const VmArea& vma, Vaddr chunk_base, uint64_
   as.locks().InvalidateRange(chunk_base, chunk_base + kHugePageSize);  // Gen-before-free.
   PutMappedPage(allocator, entry, /*huge=*/true);
   CountVm(VmCounter::k_pgfault_cow_huge);
-  if (tracing) {
-    ODF_TRACE(fault_cow_huge, as.owner_pid(), chunk_base, trace::NowNanos() - t0);
-  }
+  [[maybe_unused]] const uint64_t ns = latency.Stop();
+  ODF_TRACE(fault_cow_huge, as.owner_pid(), chunk_base, ns);
   return true;
 }
 

@@ -15,18 +15,6 @@ namespace odf {
 
 namespace {
 
-// Deferred-cost histograms for the on-demand table COW path (paper Table 1).
-LatencyHistogram& PteTableCowHistogram() {
-  static LatencyHistogram& h =
-      MetricsRegistry::Global().RegisterHistogram("fault_cow_pte_table_ns");
-  return h;
-}
-LatencyHistogram& PmdTableCowHistogram() {
-  static LatencyHistogram& h =
-      MetricsRegistry::Global().RegisterHistogram("fault_cow_pmd_table_ns");
-  return h;
-}
-
 // Number of split locks; hashing table frames across a small array mirrors the kernel's
 // per-table page locks without per-frame storage.
 constexpr size_t kSplitLockCount = 64;
@@ -158,8 +146,10 @@ bool DropPmdTableReference(FrameAllocator& allocator, SwapSpace* swap, FrameId t
 FrameId DedicatePmdTable(AddressSpace& as, Vaddr pud_span_base, uint64_t* pud_slot,
                          AllocPolicy policy) {
   FrameAllocator& allocator = as.allocator();
-  const bool tracing = trace::Enabled();
-  const uint64_t t0 = tracing ? trace::NowNanos() : 0;
+  // The deferred cost of the on-demand table COW path (paper Table 1).
+  static LatencyHistogram& histogram =
+      MetricsRegistry::Global().RegisterHistogram("fault_cow_pmd_table_ns");
+  trace::LatencySample latency(histogram);
   Pte pud = LoadEntry(pud_slot);
   ODF_DCHECK(pud.IsPresent() && !pud.IsHuge());
   FrameId shared = pud.frame();
@@ -237,11 +227,8 @@ FrameId DedicatePmdTable(AddressSpace& as, Vaddr pud_span_base, uint64_t* pud_sl
     PtEpoch::Global().Drain();
   }
   CountVm(VmCounter::k_pmd_table_cow);
-  if (tracing) {
-    uint64_t ns = trace::NowNanos() - t0;
-    ODF_TRACE(fault_cow_pmd_table, as.owner_pid(), pud_span_base, ns);
-    PmdTableCowHistogram().RecordNanos(ns);
-  }
+  [[maybe_unused]] const uint64_t ns = latency.Stop();
+  ODF_TRACE(fault_cow_pmd_table, as.owner_pid(), pud_span_base, ns);
   return dedicated;
 }
 
@@ -265,8 +252,9 @@ bool EnsureExclusivePmdPath(AddressSpace& as, Vaddr va, AllocPolicy policy) {
 FrameId DedicatePteTable(AddressSpace& as, Vaddr chunk_base, uint64_t* pmd_slot,
                          AllocPolicy policy) {
   FrameAllocator& allocator = as.allocator();
-  const bool tracing = trace::Enabled();
-  const uint64_t t0 = tracing ? trace::NowNanos() : 0;
+  static LatencyHistogram& histogram =
+      MetricsRegistry::Global().RegisterHistogram("fault_cow_pte_table_ns");
+  trace::LatencySample latency(histogram);
   Pte pmd = LoadEntry(pmd_slot);
   ODF_DCHECK(pmd.IsPresent() && !pmd.IsHuge());
   FrameId shared = pmd.frame();
@@ -354,11 +342,8 @@ FrameId DedicatePteTable(AddressSpace& as, Vaddr chunk_base, uint64_t* pmd_slot,
     PtEpoch::Global().Drain();
   }
   CountVm(VmCounter::k_pte_table_cow);
-  if (tracing) {
-    uint64_t ns = trace::NowNanos() - t0;
-    ODF_TRACE(fault_cow_pte_table, as.owner_pid(), chunk_base, ns);
-    PteTableCowHistogram().RecordNanos(ns);
-  }
+  [[maybe_unused]] const uint64_t ns = latency.Stop();
+  ODF_TRACE(fault_cow_pte_table, as.owner_pid(), chunk_base, ns);
   return dedicated;
 }
 

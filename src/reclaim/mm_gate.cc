@@ -1,10 +1,9 @@
 #include "src/reclaim/mm_gate.h"
 
-#include <chrono>
-
 #include "src/debug/debug.h"
 #include "src/pt/mm_locks.h"
 #include "src/trace/metrics.h"
+#include "src/trace/trace.h"
 
 namespace odf {
 namespace reclaim {
@@ -15,12 +14,6 @@ LatencyHistogram& MmGateHoldHistogram() {
   static LatencyHistogram& histogram =
       MetricsRegistry::Global().RegisterHistogram("mm_gate_hold");
   return histogram;
-}
-
-uint64_t NowNs() {
-  return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                   std::chrono::steady_clock::now().time_since_epoch())
-                                   .count());
 }
 
 }  // namespace
@@ -44,8 +37,6 @@ MmGate& MmGate::Global() {
 }
 
 bool MmGate::ThreadHoldsExclusive() { return tls_exclusive_depth_ > 0; }
-
-int MmGate::ThreadSharedDepth() { return tls_shared_depth_; }
 
 MmGate::SharedScope::SharedScope() {
   if (tls_exclusive_depth_ > 0) {
@@ -86,7 +77,7 @@ MmGate::ExclusiveScope::ExclusiveScope() {
   if (wait_ns > 1000) {
     NoteMmLockWait(/*kind=*/1, wait_ns);
   }
-  acquired_ns_ = NowNs();
+  acquired_ns_ = trace::NowNanos();
 }
 
 void MmGate::ExclusiveScope::Release() {
@@ -95,7 +86,7 @@ void MmGate::ExclusiveScope::Release() {
   if (!outermost_) {
     return;
   }
-  uint64_t held_ns = NowNs() - acquired_ns_;
+  uint64_t held_ns = trace::NowNanos() - acquired_ns_;
   CountVm(VmCounter::k_mm_gate_hold_ns, held_ns);
   MmGateHoldHistogram().RecordNanos(held_ns);
   Global().gate_.UnlockExclusive();

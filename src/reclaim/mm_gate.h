@@ -103,8 +103,6 @@ class ODF_CAPABILITY("mm_gate") MmGate {
 
   // True while the calling thread holds the gate exclusively.
   static bool ThreadHoldsExclusive();
-  // Number of SharedScopes open on the calling thread (0 = outside any memory operation).
-  static int ThreadSharedDepth();
 
   // Mutator side: shared hold for the duration of one memory operation. Reentrant per
   // thread; a no-op while the calling thread holds the gate exclusively.

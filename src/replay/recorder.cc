@@ -20,9 +20,6 @@ struct StreamCache {
 };
 thread_local StreamCache t_stream_cache;
 
-// Histogram sampling period for the op append path (power of two, amortizes clock reads).
-constexpr uint64_t kOpSamplePeriod = 64;
-
 }  // namespace
 
 const char* RecorderModeName(RecorderMode mode) {
@@ -141,24 +138,20 @@ void RecordOp(OpKind kind, int32_t pid, const uint64_t* args, uint32_t argc, uin
     return;  // Raced a Stop; drop silently.
   }
   Recorder::ThreadStream& stream = recorder.StreamForThisThread();
-  bool sampled = stream.op_sample_countdown-- == 0;
-  uint64_t t0 = 0;
-  if (sampled) {
-    stream.op_sample_countdown = kOpSamplePeriod - 1;
-    t0 = trace::NowNanos();
-  }
+  static LatencyHistogram& histogram =
+      MetricsRegistry::Global().RegisterHistogram("replay_append");
+  // A stream's first op is always timed, so its log starts from a real timestamp.
+  trace::LatencySample latency(histogram, /*force=*/stream.ops == 0);
   uint64_t seq = recorder.next_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-  // Non-sampled ops reuse the last timestamp (a 1-byte zero delta): op order is carried by
-  // seq, and skipping the clock read keeps the append path cheap.
-  uint64_t ts = sampled ? t0 : stream.state.last_ts;
+  // Untimed ops reuse the last timestamp (a 1-byte zero delta): op order is carried by seq,
+  // and skipping the clock read keeps the append path cheap.
+  uint64_t ts = latency.timed() ? latency.start_ns() : stream.state.last_ts;
   EncodeOpRaw(stream.open, stream.state, seq, kind, pid, ts, args, argc, status, result,
               payload, payload_length);
   ++stream.open_ops;
   ++stream.ops;
   recorder.DrainRing(stream, stream.ring->TotalAppended());
-  if (sampled && recorder.append_histogram_ != nullptr) {
-    recorder.append_histogram_->RecordNanos(trace::NowNanos() - t0);
-  }
+  latency.Stop();
   recorder.MaybeRotate(stream);
 }
 
@@ -240,7 +233,6 @@ bool Recorder::Start(const RecorderOptions& options) {
   for (const trace::TraceRing* ring : trace::Tracer::Global().Rings()) {
     ring_baseline_[ring] = ring->TotalAppended();
   }
-  append_histogram_ = &MetricsRegistry::Global().RegisterHistogram("replay_append");
   ever_started_ = true;
   generation_.fetch_add(1, std::memory_order_acq_rel);
   // Trace capture is runtime-gated and per-event tracepoints are the expensive part of a

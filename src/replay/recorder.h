@@ -13,7 +13,8 @@
 //     argument expressions are still evaluated (they are existing locals at every site).
 //   - not recording (the default): one relaxed atomic load and a predicted branch per op.
 //   - recording: one TLS lookup, one global seq fetch_add, and a varint encode (~tens of
-//     ns) per depth-0 op; the per-op latency histogram `replay_append` samples every 64th.
+//     ns) per depth-0 op; the per-op latency histogram `replay_append` is a
+//     trace::LatencySample (one op in 64, every op while tracing).
 //
 // Modes:
 //   - kFull: every chunk is retained until Stop/WriteLog (unbounded memory; tests, CI).
@@ -268,7 +269,6 @@ class Recorder {
     uint64_t open_ops = 0, open_events = 0, open_fi = 0;
     uint64_t ops = 0, events = 0, fi = 0;  // Totals including rotated/dropped chunks.
     uint64_t events_lost = 0;              // Ring wraparound between drains.
-    uint64_t op_sample_countdown = 0;      // Histogram sampling.
   };
 
   Recorder() = default;
@@ -303,7 +303,6 @@ class Recorder {
   std::array<uint64_t, kVmCounterCount> vm_baseline_ ODF_GUARDED_BY(mutex_){};
   std::map<const trace::TraceRing*, uint64_t> ring_baseline_
       ODF_GUARDED_BY(mutex_);  // Heads at Start.
-  LatencyHistogram* append_histogram_ = nullptr;
 };
 
 }  // namespace replay

@@ -59,17 +59,6 @@ void Emit(TraceEventId id, int32_t pid, uint64_t a0, uint64_t a1, uint64_t a2) {
   ring.Append(event);
 }
 
-std::vector<TraceEvent> TraceRing::Snapshot() const {
-  uint64_t head = head_.load(std::memory_order_acquire);
-  uint64_t start = head > kCapacity ? head - kCapacity : 0;
-  std::vector<TraceEvent> events;
-  events.reserve(static_cast<size_t>(head - start));
-  for (uint64_t i = start; i < head; ++i) {
-    events.push_back(slots_[i & (kCapacity - 1)]);
-  }
-  return events;
-}
-
 std::vector<TraceEvent> TraceRing::SnapshotSince(uint64_t from) const {
   uint64_t head = head_.load(std::memory_order_acquire);
   uint64_t start = head > kCapacity ? head - kCapacity : 0;

@@ -132,7 +132,7 @@ class TraceRing {
   }
 
   // Events still resident (the most recent <= kCapacity), oldest first.
-  std::vector<TraceEvent> Snapshot() const;
+  std::vector<TraceEvent> Snapshot() const { return SnapshotSince(0); }
 
   // Resident events with append index >= `from` (oldest first). Events older than the
   // resident window are gone; callers detect the gap via TotalAppended() - kCapacity.
@@ -161,9 +161,7 @@ class TraceRing {
 // Global runtime switch. Inline so the ODF_TRACE fast path is a single relaxed load.
 inline std::atomic<bool> g_trace_enabled{false};
 
-// With tracing compiled out, Enabled() folds to false so instrumentation-adjacent code
-// (`const bool tracing = trace::Enabled();` timestamp prologues) vanishes too — direct
-// callers get the same zero-cost guarantee as the ODF_TRACE macro itself.
+// With tracing compiled out, Enabled() folds to false for direct callers too.
 #if ODF_TRACE_COMPILED
 inline bool Enabled() { return g_trace_enabled.load(std::memory_order_relaxed); }
 #else
@@ -173,6 +171,41 @@ void SetEnabled(bool enabled);
 
 // Nanoseconds since the process-wide tracer epoch (steady clock).
 uint64_t NowNanos();
+
+// Times a call of an instrumented site into its registry histogram: every call while tracing
+// is on, else one in 64 by a per-thread xorshift draw (a countdown shared by the sites could
+// lock onto one site). Histogram counts are samples; vmstat counts the events.
+class LatencySample {
+ public:
+  // `force` times the call whatever the draw, for a caller that needs the duration itself.
+  explicit LatencySample(LatencyHistogram& histogram, bool force = false)
+      : histogram_(histogram), timed_(force || Enabled() || Draw()),
+        start_ns_(timed_ ? NowNanos() : 0) {}
+  bool timed() const { return timed_; }
+  uint64_t start_ns() const { return start_ns_; }
+  // Records and returns the nanoseconds since construction; 0 for an untimed call.
+  uint64_t Stop() {
+    if (!timed_) {
+      return 0;
+    }
+    const uint64_t ns = NowNanos() - start_ns_;
+    histogram_.RecordNanos(ns);
+    return ns;
+  }
+
+ private:
+  static bool Draw() {
+    static thread_local uint64_t state = 0x9e3779b97f4a7c15;
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state >> 58 == 0;
+  }
+
+  LatencyHistogram& histogram_;
+  const bool timed_;
+  const uint64_t start_ns_;
+};
 
 // Records one event into the calling thread's ring (registering the thread on first use).
 // Callers normally go through ODF_TRACE, which checks Enabled() first; calling Emit directly

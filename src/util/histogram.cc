@@ -28,7 +28,7 @@ uint64_t LatencyHistogram::BucketLowerBoundNanos(size_t index) {
   }
   int msb = static_cast<int>(octave) + 2;
   uint64_t base = 1ULL << msb;
-  return base + (static_cast<uint64_t>(sub) << (msb - 3)) - base / 2 * 0;
+  return base + (static_cast<uint64_t>(sub) << (msb - 3));
 }
 
 void LatencyHistogram::RecordNanos(uint64_t nanos) {

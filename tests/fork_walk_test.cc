@@ -1,11 +1,14 @@
 // Fork and exit pay for what is mapped: the on-demand fork walks only the parent's VMA
 // spans (fork_upper_entries counts its upper-level work), a full flush is one bump of the
 // address-space flush generation, and layouts whose VMAs share tables, cross table
-// boundaries or leave holes fork and exit exactly.
+// boundaries or leave holes fork and exit exactly. The fork and fault instrumentation is
+// one path too: a profiled fork fills the phases of its engine, and the fault latency
+// histograms sample whatever the trace setting.
 #include <gtest/gtest.h>
 
 #include "src/debug/verify.h"
 #include "src/pt/mm_locks.h"
+#include "src/trace/trace.h"
 #include "tests/test_util.h"
 
 namespace odf {
@@ -231,6 +234,100 @@ INSTANTIATE_TEST_SUITE_P(OnDemandEngines, ForkLayoutTest,
                            return param_info.param == ForkMode::kOnDemand ? "OnDemand"
                                                                           : "OnDemandHuge";
                          });
+
+// --- Instrumentation -----------------------------------------------------------------
+
+class ProfiledForkTest : public ::testing::TestWithParam<ForkMode> {};
+
+TEST_P(ProfiledForkTest, FillsThePhasesOfItsEngine) {
+  Kernel kernel;
+  Process& parent = kernel.CreateProcess();
+  constexpr uint64_t kLength = 8ull << 20;
+  Vaddr va = parent.Mmap(kLength, kRw);
+  parent.address_space().PopulateRange(va, kLength);
+
+  ForkProfile profile;
+  VmDeltas fork;
+  Process& child = kernel.Fork(parent, GetParam(), &profile);
+  EXPECT_LE(profile.AttributedNs(), profile.total_ns);
+  if (GetParam() == ForkMode::kClassic) {
+    EXPECT_GT(profile.meta_resolve_ns, 0u);
+    EXPECT_GT(profile.refcount_ns, 0u);
+    EXPECT_GT(profile.entry_copy_ns, 0u);
+    EXPECT_GT(profile.table_alloc_ns, 0u);
+    EXPECT_EQ(fork.Of(VmCounter::k_fork_pte_entries_copied), kLength / kPageSize);
+  } else {
+    EXPECT_GT(profile.upper_level_ns, 0u);
+    EXPECT_EQ(profile.meta_resolve_ns + profile.refcount_ns + profile.entry_copy_ns +
+                  profile.table_alloc_ns,
+              0u);
+  }
+
+  kernel.Exit(child, 0);
+  kernel.Wait(parent);
+  kernel.Exit(parent, 0);
+  EXPECT_TRUE(kernel.allocator().AllFree());
+}
+
+INSTANTIATE_TEST_SUITE_P(AllEngines, ProfiledForkTest,
+                         ::testing::Values(ForkMode::kClassic, ForkMode::kOnDemand,
+                                           ForkMode::kOnDemandHuge),
+                         [](const ::testing::TestParamInfo<ForkMode>& param_info) {
+                           switch (param_info.param) {
+                             case ForkMode::kClassic:
+                               return "Classic";
+                             case ForkMode::kOnDemand:
+                               return "OnDemand";
+                             case ForkMode::kOnDemandHuge:
+                               return "OnDemandHuge";
+                           }
+                           return "?";
+                         });
+
+// Takes 64 x 64 COW-page faults on this thread with tracing set to `tracing`, and returns
+// how far the fault_cow_page_ns sample count and the pgfault_cow_page counter moved.
+std::pair<uint64_t, uint64_t> CowFaultSamples(bool tracing) {
+  Kernel kernel;
+  Process& parent = kernel.CreateProcess();
+  constexpr uint64_t kPages = 64 * 64;
+  Vaddr va = parent.Mmap(kPages * kPageSize, kRw);
+  parent.address_space().PopulateRange(va, kPages * kPageSize);
+  Process& child = kernel.Fork(parent, ForkMode::kClassic);
+  const LatencyHistogram& histogram =
+      MetricsRegistry::Global().RegisterHistogram("fault_cow_page_ns");
+
+  const uint64_t samples_before = histogram.TotalCount();
+  VmDeltas faults;
+  trace::SetEnabled(tracing);
+  for (uint64_t i = 0; i < kPages; ++i) {
+    WriteByte(child, va + i * kPageSize, std::byte{1});
+  }
+  trace::SetEnabled(false);
+  trace::Tracer::Global().Clear();
+  std::pair<uint64_t, uint64_t> moved = {histogram.TotalCount() - samples_before,
+                                         faults.Of(VmCounter::k_pgfault_cow_page)};
+
+  kernel.Exit(child, 0);
+  kernel.Wait(parent);
+  kernel.Exit(parent, 0);
+  return moved;
+}
+
+TEST(FaultHistogramTest, SamplesCowFaultsWithTracingOff) {
+  auto [samples, faults] = CowFaultSamples(/*tracing=*/false);
+  EXPECT_EQ(faults, 64u * 64u);
+  EXPECT_GT(samples, 0u);
+  EXPECT_LE(samples, faults);
+}
+
+TEST(FaultHistogramTest, TimesEveryCowFaultWithTracingOn) {
+#if !ODF_TRACE_COMPILED
+  GTEST_SKIP() << "tracepoints compiled out (ODF_TRACE=OFF)";
+#endif
+  auto [samples, faults] = CowFaultSamples(/*tracing=*/true);
+  EXPECT_EQ(faults, 64u * 64u);
+  EXPECT_EQ(samples, faults);
+}
 
 }  // namespace
 }  // namespace odf

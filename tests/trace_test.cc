@@ -62,6 +62,7 @@ TEST_F(TraceTest, ArgumentsNotEvaluatedWhenDisabled) {
     return 0;
   };
   ODF_TRACE(fork_begin, 1, expensive());
+  (void)expensive;
   EXPECT_EQ(evaluations, 0);
 }
 

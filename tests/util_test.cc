@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "src/util/histogram.h"
-#include "src/util/latency_recorder.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
 #include "src/util/table_printer.h"
@@ -85,16 +84,6 @@ TEST(RngTest, RoughlyUniform) {
   for (int count : buckets) {
     EXPECT_NEAR(count, kDraws / 10, kDraws / 50);
   }
-}
-
-TEST(LatencyRecorderTest, RecordsAndSummarizes) {
-  LatencyRecorder recorder;
-  for (int i = 1; i <= 100; ++i) {
-    recorder.Record(i);
-  }
-  EXPECT_EQ(recorder.count(), 100u);
-  EXPECT_DOUBLE_EQ(recorder.Summary().mean, 50.5);
-  EXPECT_NEAR(recorder.PercentileValue(99), 99.0, 1.0);
 }
 
 TEST(HistogramTest, PercentilesApproximateStoredSamples) {

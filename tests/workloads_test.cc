@@ -4,6 +4,8 @@
 #include "src/apps/fuzzer.h"
 #include "src/apps/httpd.h"
 #include "src/apps/vmclone.h"
+#include "src/util/stats.h"
+#include "src/util/stopwatch.h"
 #include "tests/test_util.h"
 
 namespace odf {
@@ -164,13 +166,19 @@ TEST(HttpdTest, ServesRequestsFromWorkers) {
   EXPECT_EQ(server.worker_count(), 4);
   EXPECT_GT(server.startup_fork_micros(), 0.0);
 
-  LatencyRecorder latency;
-  uint64_t checksum1 = server.HandleRequest(3, &latency);
-  uint64_t checksum2 = server.HandleRequest(3, &latency);  // Different worker, same doc.
-  uint64_t checksum3 = server.HandleRequest(4, &latency);
+  std::vector<double> latency_us;
+  auto timed_request = [&](uint64_t document_id) {
+    Stopwatch timer;
+    uint64_t checksum = server.HandleRequest(document_id);
+    latency_us.push_back(timer.ElapsedMicros());
+    return checksum;
+  };
+  uint64_t checksum1 = timed_request(3);
+  uint64_t checksum2 = timed_request(3);  // Different worker, same doc.
+  uint64_t checksum3 = timed_request(4);
   EXPECT_EQ(checksum1, checksum2) << "all workers must serve identical documents";
   EXPECT_NE(checksum1, checksum3);
-  EXPECT_EQ(latency.count(), 3u);
+  EXPECT_EQ(Summarize(latency_us).count, 3u);
 
   server.Shutdown();
   EXPECT_TRUE(kernel.allocator().AllFree());
@@ -185,7 +193,7 @@ TEST(HttpdTest, BothForkModesServeIdenticalContent) {
     config.worker_count = 2;
     config.fork_mode = mode;
     PreforkServer server = PreforkServer::Start(kernel, config);
-    checksums[i++] = server.HandleRequest(7, nullptr);
+    checksums[i++] = server.HandleRequest(7);
     server.Shutdown();
   }
   EXPECT_EQ(checksums[0], checksums[1]);
