@@ -6,7 +6,7 @@
 // rate for the default (trace-off) recording modes; the `full+trace` row prices the
 // annotated event stream, which is dominated by the tracepoints themselves, not the
 // recorder. The compiled-out build (-DODF_REPLAY=OFF, ci/check.sh replay-off gate) removes
-// even the idle cost.
+// even the idle cost, and does not build this bench.
 #include <memory>
 
 #include "bench/bench_common.h"
@@ -141,11 +141,6 @@ void Run() {
 }  // namespace odf
 
 int main() {
-#if !ODF_REPLAY_COMPILED
-  std::printf("fig_replay_overhead: replay compiled out (-DODF_REPLAY=OFF); nothing to measure\n");
-  return 0;
-#else
   odf::Run();
   return 0;
-#endif
 }

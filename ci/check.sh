@@ -14,6 +14,7 @@
 #   tsan          ThreadSanitizer, concurrency- and reclaim-labeled suites
 #   fault-inject  RelWithDebInfo + fault injection, full suite (includes torture)
 #   debug-vm      invariant checkers armed: VM_BUG_ON, poisoning, lockdep, auto-verify
+#   coverage      gcov build, full suite, then scripts/coverage_report.py against its floors
 # Static checks:
 #   scripts/odf_lint.py      repo-specific rules (see its docstring)
 #   clang-tidy               over src/ when the binary exists (skipped otherwise —
@@ -185,6 +186,37 @@ run_preset no-trace
 run_preset tsan
 run_preset fault-inject
 run_preset debug-vm
+
+# Coverage gate (docs/testing.md "Coverage"): the gcov build runs the full suite, then every
+# src/ function must have run and line coverage must hold, both outside the report's
+# allow-list. The floors are the measured values rounded down: raise them as tests land,
+# never lower them to pass.
+COVERAGE_MIN_FUNCTIONS=100
+COVERAGE_MIN_LINES=97
+if [[ -z "$ONLY" || "$ONLY" == "coverage" ]]; then
+  note "preset coverage: configure"
+  if ! cmake --preset coverage >/dev/null; then
+    FAILURES+=("coverage: configure")
+  else
+    note "preset coverage: build"
+    if ! cmake --build --preset coverage -j "$JOBS"; then
+      FAILURES+=("coverage: build")
+    else
+      # Counts from an earlier run (or from test discovery at build time) would add to this
+      # run's; start from zero.
+      find build-coverage -name '*.gcda' -delete
+      note "preset coverage: test"
+      if ! ctest --preset coverage; then
+        FAILURES+=("coverage: test")
+      fi
+      note "coverage report"
+      if ! python3 scripts/coverage_report.py --build build-coverage \
+           --min-functions "$COVERAGE_MIN_FUNCTIONS" --min-lines "$COVERAGE_MIN_LINES"; then
+        FAILURES+=("coverage report")
+      fi
+    fi
+  fi
+fi
 
 if [[ -z "$ONLY" || "$ONLY" == "lint" ]]; then
   note "odf_lint"

@@ -50,11 +50,9 @@ int main(int argc, char** argv) {
 
     if (writes_since_snapshot >= 10000) {  // Redis default save threshold.
       writes_since_snapshot = 0;
-      odf::Stopwatch fork_timer;
       double blocked = store.SnapshotWithFork("/dump.rdb", server.fork_mode());
       fork_block_ms.Add(blocked / 1000.0);
       ++snapshots;
-      (void)fork_timer;
     }
   }
 

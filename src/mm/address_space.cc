@@ -395,9 +395,6 @@ void AddressSpace::PopulateRange(Vaddr start, uint64_t length) {
   // shrinker nor the OOM killer ever acquires an address-space gate.
   MmLockTable::WriteScope ws(locks_);
   reclaim::MmGate::SharedScope gate;
-  if (owner_pid_ == 0) {
-    op.Cancel();  // Not reached through a Process: not a schedule entry.
-  }
   Vaddr end = start + length;
   VmArea* vma = FindVma(start);
   ODF_CHECK(vma != nullptr && end <= vma->end) << "populate range must be inside one VMA";

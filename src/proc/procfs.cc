@@ -7,10 +7,8 @@
 #include "src/debug/debug.h"
 #include "src/debug/lockdep.h"
 #include "src/debug/verify.h"
-#include "src/fi/fault_inject.h"
 #include "src/mm/range_ops.h"
 #include "src/proc/kernel.h"
-#include "src/replay/recorder.h"
 #include "src/trace/metrics.h"
 #include "src/util/log.h"
 
@@ -258,18 +256,6 @@ std::string FormatMeminfo(Kernel& kernel) {
   out << "WatermarkLow:   " << kib(wm.low) << " kB\n";
   out << "WatermarkHigh:  " << kib(wm.high) << " kB\n";
   return out.str();
-}
-
-std::string FormatFaultInject() { return fi::FaultInjector::Global().FormatStatus(); }
-
-bool ConfigureFaultInject(const std::string& spec, std::string* error) {
-  return fi::FaultInjector::Global().Configure(spec, error);
-}
-
-std::string FormatReplay() { return replay::Recorder::Global().FormatStatus(); }
-
-bool ConfigureReplay(const std::string& spec, std::string* error) {
-  return replay::Recorder::Global().Configure(spec, error);
 }
 
 std::string FormatMemoryFailure(Kernel& kernel) {

@@ -63,24 +63,6 @@ std::string FormatVmstat(Kernel& kernel);
 // and the reclaim watermarks (docs/reclaim.md). Values in kB like the real file.
 std::string FormatMeminfo(Kernel& kernel);
 
-// /sys/kernel/debug/failslab analog (docs/robustness.md): read the current fault-injection
-// configuration — seed, per-site arming, call/injection counts.
-std::string FormatFaultInject();
-
-// Write side of the knob: applies a whitespace-separated spec like
-// "seed=42 site=frame_alloc nth=3" or "site=swap_in probability=0.01 times=5" or "reset".
-// Returns true on success; on parse error returns false and fills *error.
-bool ConfigureFaultInject(const std::string& spec, std::string* error);
-
-// /sys/kernel/debug/replay analog (docs/replay.md): the flight recorder's status — mode,
-// retained bytes, per-thread stream accounting, drop counts.
-std::string FormatReplay();
-
-// Write side of the recorder knob: whitespace-separated commands like
-// "start mode=blackbox budget=4194304" or "stop" or "dump=/tmp/crash.odflog".
-// Returns true on success; on parse error returns false and fills *error.
-bool ConfigureReplay(const std::string& spec, std::string* error);
-
 // /sys/kernel/debug/debug_vm analog (docs/debugging.md): whether the odf::debug invariant
 // checkers are compiled in, plus check/poison/lockdep/verifier counters. All lines render
 // in every build; the counters just stay zero with -DODF_DEBUG_VM=OFF.

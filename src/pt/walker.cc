@@ -220,21 +220,4 @@ uint64_t* Walker::TryEnsureEntry(FrameId pgd, Vaddr va, PtLevel level) {
   return nullptr;
 }
 
-FrameId Walker::FindTable(FrameId pgd, Vaddr va, PtLevel level, uint64_t** out_pmd_entry) {
-  ODF_DCHECK(level != PtLevel::kPgd);
-  PtLevel parent = static_cast<PtLevel>(static_cast<int>(level) - 1);
-  uint64_t* slot = FindEntry(pgd, va, parent);
-  if (slot == nullptr) {
-    return kInvalidFrame;
-  }
-  Pte entry = LoadEntry(slot);
-  if (!entry.IsPresent() || entry.IsHuge()) {
-    return kInvalidFrame;
-  }
-  if (out_pmd_entry != nullptr) {
-    *out_pmd_entry = slot;
-  }
-  return entry.frame();
-}
-
 }  // namespace odf

@@ -64,11 +64,6 @@ class Walker {
   // harmless, and teardown reaps them.
   [[nodiscard]] uint64_t* TryEnsureEntry(FrameId pgd, Vaddr va, PtLevel level);
 
-  // Returns the frame of the table containing `va`'s entry at `level` (e.g. the PTE-table
-  // frame for level kPte), or kInvalidFrame if missing. When `out_pmd_entry` is non-null and
-  // level == kPte, it receives a pointer to the PMD entry referencing that table.
-  FrameId FindTable(FrameId pgd, Vaddr va, PtLevel level, uint64_t** out_pmd_entry = nullptr);
-
   FrameAllocator& allocator() { return *allocator_; }
 
  private:

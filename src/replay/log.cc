@@ -50,12 +50,13 @@ bool ByteReader::ReadByte(uint8_t* out) {
   return true;
 }
 
-bool ByteReader::ReadBytes(std::span<std::byte> out) {
-  if (remaining() < out.size()) {
+bool ByteReader::ReadBytes(uint64_t length, std::vector<std::byte>* out) {
+  if (remaining() < length) {
     return false;
   }
-  std::memcpy(out.data(), bytes_.data() + pos_, out.size());
-  pos_ += out.size();
+  const auto* data = reinterpret_cast<const std::byte*>(bytes_.data() + pos_);
+  out->assign(data, data + length);
+  pos_ += length;
   return true;
 }
 
@@ -112,12 +113,6 @@ void EncodeOpRaw(std::vector<uint8_t>& out, DeltaState& state, uint64_t seq, OpK
     const auto* data = reinterpret_cast<const uint8_t*>(payload);
     out.insert(out.end(), data, data + payload_length);
   }
-}
-
-void EncodeOp(std::vector<uint8_t>& out, DeltaState& state, const OpRecord& op) {
-  EncodeOpRaw(out, state, op.seq, op.kind, op.pid, op.ts_ns, op.args.data(),
-              static_cast<uint32_t>(op.args.size()), op.status, op.result, op.payload.data(),
-              op.payload.size());
 }
 
 void EncodeFiDecision(std::vector<uint8_t>& out, const FiDecisionRecord& record) {
@@ -242,12 +237,7 @@ bool DecodeOneOp(ByteReader& reader, DeltaState& state, uint64_t tid, OpRecord* 
     }
     case PayloadKind::kRaw: {
       uint64_t length = 0;
-      if (!reader.ReadVarint(&length) || length > reader.remaining()) {
-        *error = "truncated raw payload";
-        return false;
-      }
-      op->payload.resize(length);
-      if (!reader.ReadBytes(op->payload)) {
+      if (!reader.ReadVarint(&length) || !reader.ReadBytes(length, &op->payload)) {
         *error = "truncated raw payload";
         return false;
       }
@@ -266,12 +256,8 @@ bool DecodeChunk(std::span<const uint8_t> body, uint64_t tid, ReplayLog* log,
                  std::string* error) {
   ByteReader reader(body);
   DeltaState state;
-  while (!reader.AtEnd()) {
-    uint8_t tag = 0;
-    if (!reader.ReadByte(&tag)) {
-      *error = "truncated record tag";
-      return false;
-    }
+  uint8_t tag = 0;
+  while (reader.ReadByte(&tag)) {
     switch (static_cast<RecordTag>(tag)) {
       case RecordTag::kOp: {
         OpRecord op;

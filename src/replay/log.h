@@ -268,7 +268,8 @@ class ByteReader {
     return true;
   }
   [[nodiscard]] bool ReadByte(uint8_t* out);
-  [[nodiscard]] bool ReadBytes(std::span<std::byte> out);
+  // Copies the next `length` bytes into *out; false (nothing read) when fewer remain.
+  [[nodiscard]] bool ReadBytes(uint64_t length, std::vector<std::byte>* out);
 
   bool AtEnd() const { return pos_ >= bytes_.size(); }
   size_t remaining() const { return bytes_.size() - pos_; }
@@ -288,10 +289,9 @@ struct DeltaState {
   uint64_t last_a[3] = {0, 0, 0};
 };
 
-// Appends one encoded record to `out`, updating `state`. Encoders used by the recorder.
-void EncodeOp(std::vector<uint8_t>& out, DeltaState& state, const OpRecord& op);
-
-// Allocation-free op encoder for the recording hot path (fields instead of an OpRecord).
+// Appends one encoded record to `out`, updating `state`. Encoders used by the recorder;
+// the op encoder takes fields instead of an OpRecord so the recording hot path allocates
+// nothing.
 void EncodeOpRaw(std::vector<uint8_t>& out, DeltaState& state, uint64_t seq, OpKind kind,
                  int32_t pid, uint64_t ts_ns, const uint64_t* args, uint32_t argc,
                  uint64_t status, uint64_t result, const std::byte* payload,

@@ -438,11 +438,6 @@ std::string Recorder::DumpNow() {
   return path;
 }
 
-RecorderMode Recorder::mode() const {
-  util::MutexLock guard(mutex_);
-  return options_.mode;
-}
-
 RecorderStats Recorder::CollectStats() const {
   util::MutexLock guard(mutex_);
   RecorderStats stats;

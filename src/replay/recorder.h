@@ -137,9 +137,6 @@ class OpScope {
     }
     return *this;
   }
-  // Un-records an op whose site decided it is not a schedule entry after all (e.g. a
-  // PopulateRange on a process-less address space). Depth bookkeeping is unaffected.
-  void Cancel() { active_ = false; }
   // True when this scope will record: sites use it to gate outcome computation that is
   // itself costly (e.g. hashing a read buffer).
   bool active() const { return active_; }
@@ -149,7 +146,6 @@ class OpScope {
   OpScope& Status(uint64_t) { return *this; }
   OpScope& Result(uint64_t) { return *this; }
   OpScope& Payload(std::span<const std::byte>) { return *this; }
-  void Cancel() {}
   bool active() const { return false; }
 #endif
 
@@ -216,7 +212,6 @@ class Recorder {
   void Stop();
 
   bool recording() const { return g_recording.load(std::memory_order_relaxed); }
-  RecorderMode mode() const;
 
   // Serializes the last recording (running or stopped; a running one is snapshotted as-is
   // without Stop's final ring drain). Returns false (and fills *error) on I/O failure or
@@ -236,10 +231,10 @@ class Recorder {
 
   RecorderStats CollectStats() const;
 
-  // procfs text: mode, retained bytes, per-thread stream accounting (FormatReplay).
+  // procfs text: mode, retained bytes, per-thread stream accounting.
   std::string FormatStatus() const;
 
-  // procfs knob (ConfigureReplay): whitespace-separated commands —
+  // procfs knob: whitespace-separated commands —
   //   "start mode=full|blackbox [budget=BYTES] [dir=PATH]"
   //   "stop"   "dump=PATH"
   // Returns false (and fills *error) on malformed input.

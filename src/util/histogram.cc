@@ -1,7 +1,6 @@
 #include "src/util/histogram.h"
 
 #include <bit>
-#include <sstream>
 
 namespace odf {
 
@@ -67,17 +66,6 @@ double LatencyHistogram::MeanMicros() const {
   }
   return static_cast<double>(sum_nanos_.load(std::memory_order_relaxed)) /
          static_cast<double>(total) / 1e3;
-}
-
-std::string LatencyHistogram::Dump() const {
-  std::ostringstream out;
-  for (size_t i = 0; i < kBucketCount; ++i) {
-    uint64_t count = buckets_[i].load(std::memory_order_relaxed);
-    if (count != 0) {
-      out << ">=" << BucketLowerBoundNanos(i) << "ns: " << count << "\n";
-    }
-  }
-  return out.str();
 }
 
 void LatencyHistogram::Reset() {

@@ -7,7 +7,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 namespace odf {
 
@@ -30,9 +29,6 @@ class LatencyHistogram {
   double PercentileMicros(double p) const;
 
   double MeanMicros() const;
-
-  // Multi-line human-readable dump of non-empty buckets.
-  std::string Dump() const;
 
   void Reset();
 

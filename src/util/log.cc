@@ -9,36 +9,15 @@
 namespace odf {
 namespace {
 
-std::atomic<LogLevel> g_level{LogLevel::kWarn};
 util::Mutex g_log_mutex;
 std::atomic<AbortHook> g_abort_hook{nullptr};
 
-const char* LevelName(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug:
-      return "DEBUG";
-    case LogLevel::kInfo:
-      return "INFO";
-    case LogLevel::kWarn:
-      return "WARN";
-    case LogLevel::kError:
-      return "ERROR";
-  }
-  return "?";
-}
-
 }  // namespace
 
-void SetLogLevel(LogLevel level) { g_level.store(level, std::memory_order_relaxed); }
-
-LogLevel GetLogLevel() { return g_level.load(std::memory_order_relaxed); }
-
 void LogMessage(LogLevel level, const char* file, int line, const std::string& message) {
-  if (level < g_level.load(std::memory_order_relaxed)) {
-    return;
-  }
   util::MutexLock guard(g_log_mutex);
-  std::fprintf(stderr, "[odf %s %s:%d] %s\n", LevelName(level), file, line, message.c_str());
+  std::fprintf(stderr, "[odf %s %s:%d] %s\n", level == LogLevel::kError ? "ERROR" : "WARN",
+               file, line, message.c_str());
 }
 
 void SetAbortHook(AbortHook hook) { g_abort_hook.store(hook, std::memory_order_release); }

@@ -10,16 +10,11 @@
 
 namespace odf {
 
+// Only warnings and errors exist: the threshold is kWarn, fixed, so benchmarks stay quiet.
 enum class LogLevel {
-  kDebug = 0,
-  kInfo = 1,
-  kWarn = 2,
-  kError = 3,
+  kWarn,
+  kError,
 };
-
-// Sets the minimum level that is actually emitted. Default: kWarn (quiet for benchmarks).
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
 
 // Emits a single log line to stderr. Thread-safe.
 void LogMessage(LogLevel level, const char* file, int line, const std::string& message);
@@ -38,7 +33,7 @@ void SetAbortHook(AbortHook hook);
 
 namespace internal {
 
-// Stream-collecting helper so call sites can write ODF_LOG(kInfo) << "x=" << x;
+// Stream-collecting helper so call sites can write ODF_LOG(kWarn) << "x=" << x;
 class LogLine {
  public:
   LogLine(LogLevel level, const char* file, int line) : level_(level), file_(file), line_(line) {}

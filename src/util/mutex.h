@@ -38,10 +38,6 @@ class ODF_CAPABILITY("mutex") Mutex {
   void unlock() ODF_RELEASE() { mu_.unlock(); }  // odf-lint: allow(naked-lock) — primitive.
   bool try_lock() ODF_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
-  // Declares to the analysis that this thread holds the mutex — for protocols whose
-  // ownership is proven at runtime (e.g. a reentrant outer scope).
-  void AssertHeld() const ODF_ASSERT_CAPABILITY(this) {}
-
  private:
   std::mutex mu_;
 };

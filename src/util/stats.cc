@@ -65,8 +65,6 @@ void RunningStats::Add(double sample) {
   m2_ += delta * (sample - mean_);
 }
 
-void RunningStats::Reset() { *this = RunningStats(); }
-
 double RunningStats::variance() const {
   if (count_ < 2) {
     return 0.0;

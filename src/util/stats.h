@@ -32,7 +32,6 @@ std::vector<double> Percentiles(std::span<const double> samples, std::span<const
 class RunningStats {
  public:
   void Add(double sample);
-  void Reset();
 
   size_t count() const { return count_; }
   double mean() const { return count_ > 0 ? mean_ : 0.0; }

@@ -4,7 +4,6 @@
 #define ODF_SRC_UTIL_STOPWATCH_H_
 
 #include <chrono>
-#include <cstdint>
 
 namespace odf {
 
@@ -18,10 +17,6 @@ class Stopwatch {
   double ElapsedSeconds() const { return std::chrono::duration<double>(Clock::now() - start_).count(); }
   double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
   double ElapsedMicros() const { return ElapsedSeconds() * 1e6; }
-  uint64_t ElapsedNanos() const {
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - start_).count());
-  }
 
  private:
   using Clock = std::chrono::steady_clock;

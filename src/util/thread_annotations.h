@@ -94,12 +94,6 @@
 // e.g. PtEpoch::Drain must not run inside a read section).
 #define ODF_EXCLUDES(...) ODF_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
 
-// Declares (without checking) that the capability is held — for runtime-verified facts
-// the analysis cannot see, e.g. "the reentrant WriteScope above me owns the gate".
-#define ODF_ASSERT_CAPABILITY(x) ODF_THREAD_ANNOTATION(assert_capability(x))
-#define ODF_ASSERT_SHARED_CAPABILITY(x) \
-  ODF_THREAD_ANNOTATION(assert_shared_capability(x))
-
 // The function returns a reference to the named capability (lets attribute expressions
 // name locks through accessors).
 #define ODF_RETURN_CAPABILITY(x) ODF_THREAD_ANNOTATION(lock_returned(x))

@@ -179,6 +179,121 @@ TEST_F(AddressSpaceTest, PopulateRangeMapsEveryPageWithoutData) {
   EXPECT_EQ(ReadByte(p_, va + 12345), std::byte{0});
 }
 
+// A huge VMA populates one zero-fill compound per 2 MiB at the PMD level, writable, so the
+// first write takes no fault; populating again installs nothing.
+TEST_F(AddressSpaceTest, PopulateHugeRangeInstallsCompounds) {
+  AddressSpace& as = p_.address_space();
+  Vaddr va = p_.Mmap(2 * kHugePageSize, kProtRead | kProtWrite, /*huge=*/true);
+  as.PopulateRange(va, 2 * kHugePageSize);
+  EXPECT_EQ(as.CountPresentPtes(), 2 * kEntriesPerTable);
+  uint64_t allocated = kernel_.allocator().Stats().allocated_frames;
+  as.PopulateRange(va, 2 * kHugePageSize);
+  EXPECT_EQ(kernel_.allocator().Stats().allocated_frames, allocated);
+
+  VmDeltas deltas;
+  WriteByte(p_, va + kHugePageSize + 5, std::byte{0x42});
+  EXPECT_EQ(ReadByte(p_, va + kHugePageSize + 5), std::byte{0x42});
+  EXPECT_EQ(ReadByte(p_, va), std::byte{0});
+  EXPECT_EQ(deltas.Of(VmCounter::k_pgfault_demand_zero), 0u);
+  EXPECT_EQ(p_.Mincore(va, kPageSize), std::vector<uint8_t>{1});
+  p_.Munmap(va, kHugePageSize);  // Splits the VMA at a 2 MiB boundary.
+  EXPECT_EQ(as.CountPresentPtes(), kEntriesPerTable);
+  kernel_.Exit(p_, 0);
+  EXPECT_TRUE(kernel_.allocator().AllFree());
+}
+
+// A file-backed VMA populates its page-cache pages as the file fault does, but counts no
+// fault: a page already mapped is skipped, a shared writable mapping is writable at once
+// and a private one still COWs on its first write.
+TEST_F(AddressSpaceTest, PopulateFileRangeMapsThePageCache) {
+  AddressSpace& as = p_.address_space();
+  auto file = kernel_.fs().Open("/populate");
+  std::vector<std::byte> data(3 * kPageSize, std::byte{0x7a});
+  file->Write(0, data);
+  Vaddr shared = as.MapFile(file, 0, 3 * kPageSize, kProtRead | kProtWrite, /*shared=*/true);
+  Vaddr priv = as.MapFile(file, 0, 3 * kPageSize, kProtRead | kProtWrite, /*shared=*/false);
+  EXPECT_EQ(ReadByte(p_, shared + kPageSize), std::byte{0x7a});
+
+  VmDeltas populate;
+  as.PopulateRange(shared, 3 * kPageSize);
+  as.PopulateRange(priv, 3 * kPageSize);
+  EXPECT_EQ(populate.Of(VmCounter::k_pgfault_file), 0u);
+  EXPECT_EQ(as.CountPresentPtes(), 6u);
+
+  VmDeltas writes;
+  WriteByte(p_, shared, std::byte{1});
+  EXPECT_EQ(writes.Of(VmCounter::k_pgfault_cow_page), 0u);
+  WriteByte(p_, priv + 2 * kPageSize, std::byte{2});
+  EXPECT_EQ(writes.Of(VmCounter::k_pgfault_cow_page), 1u);
+  EXPECT_EQ(ReadByte(p_, priv), std::byte{1}) << "the shared write reached the page cache";
+  std::byte cached{0};
+  file->Read(2 * kPageSize, std::span(&cached, 1));
+  EXPECT_EQ(cached, std::byte{0x7a}) << "the private write stayed private";
+  kernel_.Exit(p_, 0);
+}
+
+// Mincore over a chunk with no table reports 0, over a present one 1; the walk skips an
+// absent PMD entry inside a populated upper table.
+TEST_F(AddressSpaceTest, MincoreSkipsChunksWithoutATable) {
+  Vaddr va = p_.Mmap(3 * kHugePageSize, kProtRead | kProtWrite);
+  Vaddr chunk = (va + kHugePageSize) & ~(kHugePageSize - 1);
+  WriteByte(p_, chunk - kPageSize, std::byte{1});
+  std::vector<uint8_t> residency = p_.Mincore(chunk - kPageSize, 2 * kPageSize);
+  EXPECT_EQ(residency, (std::vector<uint8_t>{1, 0}));
+}
+
+// mmap placement: a hint past the end of the user range is ignored, and the cursor skips a
+// mapping placed just ahead of it.
+TEST_F(AddressSpaceTest, PlacementSkipsHintsOutOfRangeAndCollidingMappings) {
+  AddressSpace& as = p_.address_space();
+  Vaddr hint = kUserAddressSpaceEnd - kPageSize;
+  Vaddr got = as.MapAnonymous(2 * kPageSize, kProtRead | kProtWrite, false, hint);
+  EXPECT_NE(got, hint);
+  EXPECT_LE(got + 2 * kPageSize, kUserAddressSpaceEnd);
+
+  Vaddr a = p_.Mmap(kPageSize, kProtRead | kProtWrite);
+  Vaddr blocker = as.MapAnonymous(kPageSize, kProtRead | kProtWrite, false, a + 4 * kPageSize);
+  ASSERT_EQ(blocker, a + 4 * kPageSize);
+  Vaddr big = p_.Mmap(16 * kPageSize, kProtRead | kProtWrite);
+  EXPECT_GE(big, blocker + 2 * kPageSize);
+}
+
+// mremap to the same length is a no-op that keeps the mapping where it is.
+TEST_F(AddressSpaceTest, RemapToTheSameLengthKeepsTheMapping) {
+  Vaddr va = p_.Mmap(4 * kPageSize, kProtRead | kProtWrite);
+  FillPattern(p_, va, 4 * kPageSize, 9);
+  EXPECT_EQ(p_.Mremap(va, 4 * kPageSize, 4 * kPageSize), va);
+  ExpectPattern(p_, va, 4 * kPageSize, 9);
+}
+
+// MADV_DONTNEED over a whole huge mapping drops the compound; the next read demand-faults
+// a fresh zero compound.
+TEST_F(AddressSpaceTest, DontNeedOnAHugeMappingDropsTheCompound) {
+  Vaddr va = p_.Mmap(kHugePageSize, kProtRead | kProtWrite, /*huge=*/true);
+  WriteByte(p_, va + 7, std::byte{7});
+  p_.MadviseDontNeed(va, kHugePageSize);
+  EXPECT_EQ(ReadByte(p_, va + 7), std::byte{0});
+  kernel_.Exit(p_, 0);
+  EXPECT_TRUE(kernel_.allocator().AllFree());
+}
+
+// mprotect of part of a file mapping splits it; the tail keeps its file offset.
+TEST_F(AddressSpaceTest, ProtectSplitsAFileMappingAtItsOffset) {
+  auto file = kernel_.fs().Open("/split");
+  std::vector<std::byte> data(4 * kPageSize);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::byte>(i / kPageSize + 1);
+  }
+  file->Write(0, data);
+  AddressSpace& as = p_.address_space();
+  Vaddr va = as.MapFile(file, 0, 4 * kPageSize, kProtRead | kProtWrite, /*shared=*/false);
+  as.Protect(va + 2 * kPageSize, 2 * kPageSize, kProtRead);
+  EXPECT_EQ(as.vmas().size(), 2u);
+  EXPECT_EQ(ReadByte(p_, va + 3 * kPageSize), std::byte{4});
+  std::byte b{9};
+  EXPECT_FALSE(p_.WriteMemory(va + 3 * kPageSize, std::span(&b, 1)));
+}
+
 TEST_F(AddressSpaceTest, MemsetMemoryWorksAcrossPages) {
   Vaddr va = p_.Mmap(3 * kPageSize, kProtRead | kProtWrite);
   ASSERT_TRUE(p_.MemsetMemory(va + 100, std::byte{0x5c}, 2 * kPageSize));

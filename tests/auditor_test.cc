@@ -34,6 +34,7 @@ TEST(AuditorTest, DetectsInjectedRefcountDrift) {
   kernel.allocator().GetMeta(t.frame).refcount.fetch_add(1);
   AuditResult audit = AuditKernel(kernel);
   EXPECT_FALSE(audit.ok()) << "the auditor must catch a drifted page refcount";
+  EXPECT_NE(audit.Describe().find(" violations\n  - "), std::string::npos) << audit.Describe();
   // odf-lint: allow(raw-refcount) — deliberate counter sabotage under test.
   kernel.allocator().GetMeta(t.frame).refcount.fetch_sub(1);  // Undo for clean teardown.
   EXPECT_AUDIT_OK(kernel);

@@ -31,6 +31,9 @@ TEST_F(DebugVmTest, CleanKernelVerifiesOk) {
   kernel.Fork(parent, ForkMode::kOnDemand);
   debug::VerifyResult result = debug::VerifyKernel(kernel);
   EXPECT_TRUE(result.ok()) << result.Describe();
+  std::string text = result.Describe();
+  EXPECT_EQ(text.rfind("verified 2 processes, ", 0), 0u) << text;
+  EXPECT_EQ(text.substr(text.size() - 4), ": OK") << text;
   EXPECT_EQ(result.processes_audited, 2u);
   EXPECT_GT(result.frames_swept, 0u);
   EXPECT_GT(result.leaf_entries_checked, 0u);
@@ -46,8 +49,10 @@ TEST_F(DebugVmTest, CatchesRefcountOffByOne) {
   ASSERT_EQ(t.status, TranslateStatus::kOk);
 
   kernel.allocator().IncRef(t.frame);  // One reference nothing maps.
-  EXPECT_FALSE(debug::VerifyKernel(kernel).ok())
-      << "a refcount with no matching mapping must be reported";
+  debug::VerifyResult result = debug::VerifyKernel(kernel);
+  EXPECT_FALSE(result.ok()) << "a refcount with no matching mapping must be reported";
+  EXPECT_NE(result.Describe().find(" violations\n  - "), std::string::npos)
+      << result.Describe();
 
   kernel.allocator().DecRef(t.frame);
   EXPECT_TRUE(debug::VerifyKernel(kernel).ok());

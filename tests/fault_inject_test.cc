@@ -198,6 +198,29 @@ TEST_F(FaultInjectTest, ConfigureRejectsMalformedSpecs) {
   EXPECT_FALSE(fi.Configure("site=frame_alloc nth=banana", &error));
   EXPECT_FALSE(fi.Configure("site=frame_alloc wibble=1", &error));
   EXPECT_FALSE(fi.Configure("bare-token", &error));
+  EXPECT_FALSE(fi.Configure("off", &error));
+  EXPECT_NE(error.find("'off' before any site="), std::string::npos) << error;
+  for (const char* spec : {"seed=x", "site=frame_alloc probability=x",
+                           "site=frame_alloc interval=x", "site=frame_alloc times=x"}) {
+    error.clear();
+    EXPECT_FALSE(fi.Configure(spec, &error)) << spec;
+    EXPECT_NE(error.find("bad "), std::string::npos) << spec << ": " << error;
+  }
+  EXPECT_TRUE(fi.Configure(" reset\t", &error)) << "surrounding whitespace is ignored";
+}
+
+// Replay pins a site to its recorded verdicts; a call past the recorded schedule counts as
+// an overflow (a replay divergence) and does not fail.
+TEST_F(FaultInjectTest, PinnedSiteReplaysItsScheduleAndCountsOverflow) {
+  FaultInjector& fi = FaultInjector::Global();
+  fi.PinForReplay(FiSite::k_swap_in, {false, true});
+  EXPECT_NE(fi.FormatStatus().find("swap_in pinned schedule_len 2"), std::string::npos)
+      << fi.FormatStatus();
+  EXPECT_FALSE(fi.ShouldFail(FiSite::k_swap_in));
+  EXPECT_TRUE(fi.ShouldFail(FiSite::k_swap_in));
+  EXPECT_FALSE(fi.ShouldFail(FiSite::k_swap_in));
+  EXPECT_EQ(fi.PinnedOverflow(), 1u);
+  fi.UnpinAll();
 }
 
 TEST_F(FaultInjectTest, FormatStatusShowsSeedArmingAndCounts) {

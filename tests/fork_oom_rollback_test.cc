@@ -286,6 +286,27 @@ TEST_F(ForkOomRollbackTest, FaultReturnsTypedOomAndTheAccessIsRetryable) {
   EXPECT_TRUE(kernel_.allocator().AllFree());
 }
 
+// When the huge COW can get neither a 2 MiB frame nor the split's one PTE table, the write
+// fails with kOom and leaves the shared 2 MiB mapping as it was; it succeeds once memory
+// is back.
+TEST_F(ForkOomRollbackTest, HugeCowIsOomWhenTheSplitTableCannotBeAllocated) {
+  Process& parent = MakeParent(kHugePageSize, /*huge=*/true, /*seed=*/34);
+  Process* child = kernel_.TryFork(parent, ForkMode::kClassic);
+  ASSERT_NE(child, nullptr);
+  std::byte value{0x9a};
+  {
+    ScopedInjection compound(FiSite::k_compound_alloc, FiSiteConfig{.interval = 1});
+    ScopedInjection table(FiSite::k_page_table_alloc, FiSiteConfig{.interval = 1});
+    EXPECT_FALSE(child->WriteMemory(region_ + kPageSize, std::span(&value, 1)));
+    EXPECT_EQ(child->last_fault_result(), FaultResult::kOom);
+  }
+  EXPECT_TRUE(PmdEntryOf(*child, region_).IsHuge()) << "nothing was half-split";
+  ExpectPattern(*child, region_, kHugePageSize, pattern_seed_);
+  EXPECT_TRUE(child->WriteMemory(region_ + kPageSize, std::span(&value, 1)));
+  ExpectParentIntact(parent);
+  Dispose(parent, child);
+}
+
 TEST_F(ForkOomRollbackTest, SwapInErrorIsRecoverableAndKeepsTheSlot) {
   Process& parent = MakeParent(kPteTableSpan, /*huge=*/false, /*seed=*/55);
   // Push cold pages out to the swap device, then find one that left residency.

@@ -126,6 +126,40 @@ TEST(FrameAllocatorTest, CompoundFreeReleasesWholeUnitAndRecycles) {
   EXPECT_EQ(again, head) << "freed compounds should be recycled whole";
 }
 
+// Poisoning a frame of a free compound run breaks the run: the dead frame goes to
+// quarantine, its 511 siblings to the order-0 free list, and no later compound is built
+// around it.
+TEST(FrameAllocatorTest, PoisonInsideAFreeCompoundRunBreaksTheRun) {
+  FrameAllocator allocator;
+  FrameId head = allocator.AllocateCompound(kPageFlagAnon);
+  allocator.DecRef(head);
+  // odf-lint: allow(hwpoison-flag) — a bare allocator: no mapping can point at the frame.
+  allocator.MarkHwPoison(head + 7);
+  // odf-lint: allow(hwpoison-flag) — idempotent second poison of the same free frame.
+  allocator.MarkHwPoison(head + 7);
+  FrameAllocatorStats stats = allocator.Stats();
+  EXPECT_EQ(stats.hwpoisoned_frames, 1u);
+  EXPECT_EQ(stats.quarantined_frames, 1u);
+  FrameId again = allocator.AllocateCompound(kPageFlagAnon);
+  EXPECT_NE(again, head) << "a run holding a poisoned frame must not be recycled whole";
+  FrameId single = allocator.Allocate(kPageFlagAnon);
+  EXPECT_GE(single, head);
+  EXPECT_LT(single, head + (1u << kHugePageOrder));
+  EXPECT_NE(single, head + 7);
+  allocator.DecRef(single);
+  allocator.DecRef(again);
+
+  // A free frame parked in this thread's cache is diverted to quarantine when popped.
+  FrameId parked = allocator.Allocate(kPageFlagAnon);
+  allocator.DecRef(parked);
+  // odf-lint: allow(hwpoison-flag) — a bare allocator: no mapping can point at the frame.
+  allocator.MarkHwPoison(parked);
+  FrameId next = allocator.Allocate(kPageFlagAnon);
+  EXPECT_NE(next, parked);
+  EXPECT_EQ(allocator.Stats().quarantined_frames, 2u);
+  allocator.DecRef(next);
+}
+
 TEST(FrameAllocatorTest, MixedSinglesAndCompoundsDoNotCollide) {
   FrameAllocator allocator;
   std::vector<FrameId> singles;

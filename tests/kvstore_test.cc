@@ -25,6 +25,8 @@ TEST_F(KvStoreTest, SetGetRoundTrip) {
   EXPECT_EQ(store_.Get("beta"), "two");
   EXPECT_EQ(store_.Get("gamma"), std::nullopt);
   EXPECT_EQ(store_.Count(), 2u);
+  KvStore view = KvStore::Attach(kernel_, p_, store_.meta_base());
+  EXPECT_EQ(view.Get("beta"), "two");
 }
 
 TEST_F(KvStoreTest, OverwriteSameSizeAndDifferentSize) {

@@ -376,6 +376,35 @@ TEST_F(MemoryFailureTest, HardOfflineOfFilePageClearsEveryProcessMappingIt) {
   EXPECT_TRUE(debug::VerifyKernel(kernel).ok());
 }
 
+// Soft offline of a page-cache page: the cache index and every mapper move to the
+// replacement, so the file and both mappings still read the same bytes.
+TEST_F(MemoryFailureTest, SoftOfflineMigratesAPageCachePage) {
+  Kernel kernel;
+  auto file = kernel.fs().Open("/cached");
+  std::vector<std::byte> content(kPageSize, std::byte{0x5d});
+  file->Write(0, content);
+  Process& a = kernel.CreateProcess();
+  Process& b = kernel.CreateProcess();
+  Vaddr va_a = a.address_space().MapFile(file, 0, kPageSize, kProtRead, /*shared=*/true);
+  Vaddr va_b = b.address_space().MapFile(file, 0, kPageSize, kProtRead, /*shared=*/true);
+  std::vector<std::byte> out(kPageSize);
+  ASSERT_TRUE(a.ReadMemory(va_a, out));
+  ASSERT_TRUE(b.ReadMemory(va_b, out));
+  FrameId frame = FrameAt(a, va_a);
+
+  EXPECT_EQ(kernel.SoftOfflinePage(frame), MfResult::kMigrated);
+
+  FrameId moved = FrameAt(a, va_a);
+  EXPECT_NE(moved, frame);
+  EXPECT_EQ(FrameAt(b, va_b), moved);
+  EXPECT_TRUE(kernel.allocator().IsHwPoisoned(frame));
+  ASSERT_TRUE(a.ReadMemory(va_a, out));
+  EXPECT_EQ(out, content);
+  file->Read(0, out);
+  EXPECT_EQ(out, content);
+  EXPECT_TRUE(debug::VerifyKernel(kernel).ok());
+}
+
 // A page the file no longer caches (truncated while mapped) has no index to relocate:
 // offline still reaches both mappers by scanning their file VMAs, and poisons both.
 TEST_F(MemoryFailureTest, HardOfflineOfTruncatedFilePagePoisonsEveryMapper) {
@@ -486,8 +515,9 @@ TEST_F(MemoryFailureTest, PageTableFramesAreRefused) {
   Vaddr va = p.Mmap(kPageSize, kProtRead | kProtWrite);
   WriteByte(p, va, std::byte{1});
   AddressSpace& as = p.address_space();
-  FrameId table = as.walker().FindTable(as.pgd(), va, PtLevel::kPte);
-  ASSERT_NE(table, kInvalidFrame);
+  uint64_t* pmd = as.walker().FindEntry(as.pgd(), va, PtLevel::kPmd);
+  ASSERT_NE(pmd, nullptr);
+  FrameId table = LoadEntry(pmd).frame();
   EXPECT_EQ(kernel.MemoryFailure(table), MfResult::kFailedKernelPage);
   EXPECT_EQ(kernel.SoftOfflinePage(table), MfResult::kFailedKernelPage);
   EXPECT_FALSE(kernel.allocator().IsHwPoisoned(table));

@@ -41,6 +41,10 @@ TEST_F(MiniDbTest, InsertAndSelect) {
   EXPECT_EQ(db_.RowCount("t"), 2u);
 }
 
+TEST_F(MiniDbTest, TablesLiveOnTheSimulatedHeap) {
+  EXPECT_GT(db_.heap().Stats().brk, 0u);
+}
+
 TEST_F(MiniDbTest, DuplicateKeyRejected) {
   EXPECT_TRUE(db_.Insert("t", MakeRow(7, 1, "a")));
   EXPECT_FALSE(db_.Insert("t", MakeRow(7, 2, "b")));

@@ -59,6 +59,12 @@ TEST_F(ProcTest, WaitDoesNotReapOtherProcessesChildren) {
   EXPECT_NE(kernel_.Wait(parent), -1);
 }
 
+TEST(ForkModeNameTest, NamesEveryEngine) {
+  EXPECT_STREQ(ForkModeName(ForkMode::kClassic), "fork");
+  EXPECT_STREQ(ForkModeName(ForkMode::kOnDemand), "on-demand-fork");
+  EXPECT_STREQ(ForkModeName(ForkMode::kOnDemandHuge), "on-demand-fork-huge");
+}
+
 TEST_F(ProcTest, ForkModeConfigIsInherited) {
   kernel_.set_default_fork_mode(ForkMode::kOnDemand);
   Process& p = kernel_.CreateProcess();
@@ -168,6 +174,7 @@ TEST(LambdaTest, WarmInvocationMatchesColdResult) {
   config.runtime_image_bytes = 8 << 20;
   config.state_table_entries = 1 << 14;
   LambdaPlatform platform = LambdaPlatform::Deploy(kernel, config);
+  EXPECT_GT(platform.deploy_seconds(), 0.0);
 
   uint8_t payload[8] = {9, 8, 7, 6, 5, 4, 3, 2};
   // The warm path's whole advantage is fork speed; under the debug-vm preset every fork

@@ -110,6 +110,32 @@ TEST_F(ProcfsTest, FormattersProduceReadableText) {
   EXPECT_NE(status.find("VmRSS 64 kB"), std::string::npos) << status;
 }
 
+// smaps names file mappings by kind, and an on-demand-huge fork's shared PMD table counts
+// as shared, with the huge page it maps.
+TEST_F(ProcfsTest, ReportsFileKindsAndSharedPmdTables) {
+  auto file = kernel_.fs().Open("/procfs");
+  std::vector<std::byte> data(kPageSize, std::byte{1});
+  file->Write(0, data);
+  Vaddr shared = p_.address_space().MapFile(file, 0, kPageSize, kProtRead, /*shared=*/true);
+  Vaddr priv = p_.address_space().MapFile(file, 0, kPageSize, kProtRead, /*shared=*/false);
+  EXPECT_EQ(ReadByte(p_, shared), std::byte{1});
+  EXPECT_EQ(ReadByte(p_, priv), std::byte{1});
+  Vaddr huge = p_.Mmap(kHugePageSize, kProtRead | kProtWrite, /*huge=*/true);
+  WriteByte(p_, huge, std::byte{2});
+  kernel_.Fork(p_, ForkMode::kOnDemandHuge);
+
+  ProcessMemoryReport report = BuildMemoryReport(p_);
+  EXPECT_GT(report.shared_pmd_tables, 0u);
+  uint64_t shared_pages = 0;
+  for (const auto& vma : report.vmas) {
+    shared_pages += vma.shared_pages;
+  }
+  EXPECT_GE(shared_pages, 512u);
+  std::string smaps = FormatSmaps(report);
+  EXPECT_NE(smaps.find("file-shared"), std::string::npos) << smaps;
+  EXPECT_NE(smaps.find("file-private"), std::string::npos) << smaps;
+}
+
 TEST_F(ProcfsTest, DebugVmReportsCompileStateAndCounters) {
   // The /sys/kernel/debug/debug_vm analog exists in every build; whether the counters
   // move depends on whether the checkers are compiled in.

@@ -4,7 +4,9 @@
 // accounting, the procfs knob, and the abort-hook crash dump.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -13,7 +15,6 @@
 #include "src/fi/fault_inject.h"
 #include "src/proc/kernel.h"
 #include "src/proc/process.h"
-#include "src/proc/procfs.h"
 #include "src/replay/log.h"
 #include "src/replay/recorder.h"
 #include "src/replay/replayer.h"
@@ -66,6 +67,172 @@ TEST(ReplayCodecTest, TruncatedVarintFailsCleanly) {
   replay::ByteReader reader{std::span<const uint8_t>(buffer)};
   uint64_t decoded = 0;
   EXPECT_FALSE(reader.ReadVarint(&decoded));
+}
+
+TEST(ReplayCodecTest, OverlongVarintFailsCleanly) {
+  std::vector<uint8_t> buffer(11, 0xff);
+  replay::ByteReader reader{std::span<const uint8_t>(buffer)};
+  uint64_t decoded = 0;
+  EXPECT_FALSE(reader.ReadVarint(&decoded));
+}
+
+// One chunk body per record kind, each holding that single record: an op without payload,
+// with a run-length fill and with raw bytes, then every trailer and metadata record.
+std::vector<std::vector<uint8_t>> SingleRecordBodies() {
+  std::vector<std::vector<uint8_t>> bodies;
+  const uint64_t args[2] = {0x7000000000, 3 * kPageSize};
+  std::vector<std::byte> raw(64);
+  for (size_t i = 0; i < raw.size(); ++i) {
+    raw[i] = static_cast<std::byte>(i);
+  }
+  std::vector<std::byte> fill(kPageSize, std::byte{0x2a});
+  for (const std::vector<std::byte>* payload : {static_cast<std::vector<std::byte>*>(nullptr),
+                                                &fill, &raw}) {
+    replay::DeltaState state;
+    std::vector<uint8_t>& body = bodies.emplace_back();
+    replay::EncodeOpRaw(body, state, /*seq=*/1, OpKind::k_write, /*pid=*/1, /*ts_ns=*/5, args,
+                        2, /*status=*/0, /*result=*/1,
+                        payload != nullptr ? payload->data() : nullptr,
+                        payload != nullptr ? payload->size() : 0);
+  }
+  replay::EncodeFiDecision(bodies.emplace_back(), {.site = 1, .call = 3, .verdict = true});
+  replay::DeltaState state;
+  replay::EncodeEvent(bodies.emplace_back(), state,
+                      {.id = 2, .pid = 1, .ts_ns = 9, .a0 = 0x1000, .a1 = 2, .a2 = 3});
+  replay::EncodeRingStat(bodies.emplace_back(), {.tid = 1, .appended = 10, .overwritten = 2});
+  replay::EncodeFinalProcess(bodies.emplace_back(),
+                             {.pid = 1, .vma_count = 2, .present_pages = 3, .swap_pages = 4,
+                              .content_digest = 5, .ref_digest = 6});
+  replay::EncodeFinalAlloc(bodies.emplace_back(), {7, 8, 9});
+  replay::EncodeFinalVm(bodies.emplace_back(), {.counter = 1, .delta = 10});
+  replay::EncodeFinalFi(bodies.emplace_back(), {.site = 0, .calls = 4, .injected = 1});
+  replay::EncodeMeta(bodies.emplace_back(), replay::MetaKey::kFiSeed, 42);
+  return bodies;
+}
+
+// A malformed chunk is refused with an error, never decoded into garbage or an abort: each
+// single-record body decodes, and each of its strict non-empty prefixes does not.
+TEST(ReplayCodecTest, EveryTruncatedRecordIsRefused) {
+  for (const std::vector<uint8_t>& body : SingleRecordBodies()) {
+    replay::ReplayLog log;
+    std::string error;
+    ASSERT_TRUE(replay::DecodeChunk(body, 1, &log, &error)) << error;
+    for (size_t length = 1; length < body.size(); ++length) {
+      error.clear();
+      replay::ReplayLog partial;
+      EXPECT_FALSE(replay::DecodeChunk(std::span(body).first(length), 1, &partial, &error))
+          << "tag " << int{body[0]} << " prefix " << length;
+      EXPECT_FALSE(error.empty()) << "tag " << int{body[0]} << " prefix " << length;
+    }
+  }
+}
+
+// Flipped bytes in the fields the decoder validates: the record tag, the op kind, the
+// argument count and the payload kind. An unknown metadata key is not an error.
+TEST(ReplayCodecTest, CorruptFieldsAreRefused) {
+  std::vector<uint8_t> op = SingleRecordBodies()[0];  // tag, seq, kind, pid, ts, argc, ...
+  struct Flip {
+    size_t offset;
+    uint8_t value;
+    const char* error;
+  };
+  for (const Flip& flip : {Flip{0, 0x6e, "unknown record tag 110"},
+                           Flip{2, 0x7f, "unknown kind 127"},
+                           Flip{5, 17, "implausible arg count"},
+                           Flip{op.size() - 1, 9, "unknown payload kind"}}) {
+    std::vector<uint8_t> corrupt = op;
+    corrupt[flip.offset] = flip.value;
+    replay::ReplayLog log;
+    std::string error;
+    EXPECT_FALSE(replay::DecodeChunk(corrupt, 1, &log, &error)) << flip.error;
+    EXPECT_NE(error.find(flip.error), std::string::npos) << error;
+  }
+  std::vector<uint8_t> meta;
+  replay::EncodeMeta(meta, static_cast<replay::MetaKey>(200), 1);
+  replay::ReplayLog log;
+  std::string error;
+  EXPECT_TRUE(replay::DecodeChunk(meta, 1, &log, &error)) << error;
+}
+
+TEST(ReplayCodecTest, CompleteNeedsDenseSeqs) {
+  replay::ReplayLog log;
+  log.ops.emplace_back().seq = 2;
+  EXPECT_FALSE(log.Complete());
+  log.ops[0].seq = 1;
+  EXPECT_TRUE(log.Complete());
+}
+
+class ReplayLogFileTest : public ::testing::Test {
+ protected:
+  static std::string TempPath(const std::string& name) { return ::testing::TempDir() + name; }
+
+  static std::vector<uint8_t> ReadAll(const std::string& path) {
+    std::vector<uint8_t> bytes;
+    std::FILE* file = std::fopen(path.c_str(), "rb");
+    for (int c = 0; file != nullptr && (c = std::fgetc(file)) != EOF;) {
+      bytes.push_back(static_cast<uint8_t>(c));
+    }
+    if (file != nullptr) {
+      std::fclose(file);
+    }
+    return bytes;
+  }
+
+  static void WriteAll(const std::string& path, std::span<const uint8_t> bytes) {
+    std::FILE* file = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(file, nullptr);
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), file), bytes.size());
+    std::fclose(file);
+  }
+};
+
+// A log file cut anywhere but at a chunk boundary is refused with an error naming the file.
+TEST_F(ReplayLogFileTest, EveryTruncatedFileIsRefused) {
+  replay::LogChunk chunk;
+  chunk.tid = 1;
+  chunk.bytes = SingleRecordBodies()[0];
+  const std::string header = R"({"version":1})";
+  std::string path = TempPath("replay_truncated_source.odflog");
+  std::string error;
+  ASSERT_TRUE(replay::WriteLogFile(path, header, {&chunk}, &error)) << error;
+  std::vector<uint8_t> bytes = ReadAll(path);
+  replay::ReplayLog log;
+  ASSERT_TRUE(replay::ReadLogFile(path, &log, &error)) << error;
+  ASSERT_EQ(log.ops.size(), 1u);
+
+  std::string cut = TempPath("replay_truncated.odflog");
+  const size_t header_end = 12 + header.size();
+  for (size_t length = 0; length < bytes.size(); ++length) {
+    if (length == header_end) {
+      continue;  // A header with no chunk is a valid, empty log.
+    }
+    WriteAll(cut, std::span(bytes).first(length));
+    error.clear();
+    EXPECT_FALSE(replay::ReadLogFile(cut, &log, &error)) << "length " << length;
+    EXPECT_NE(error.find(cut), std::string::npos) << "length " << length << ": " << error;
+  }
+  EXPECT_FALSE(replay::ReadLogFile(TempPath("replay_no_such.odflog"), &log, &error));
+  EXPECT_NE(error.find("cannot open log"), std::string::npos) << error;
+
+  // A bad chunk inside an intact file reports the chunk's own error.
+  chunk.bytes[0] = 0x6e;
+  ASSERT_TRUE(replay::WriteLogFile(cut, header, {&chunk}, &error)) << error;
+  EXPECT_FALSE(replay::ReadLogFile(cut, &log, &error));
+  EXPECT_NE(error.find("unknown record tag"), std::string::npos) << error;
+}
+
+// Write failures: a path that cannot be opened, and a device that refuses the data.
+TEST_F(ReplayLogFileTest, WriteFailuresAreReported) {
+  replay::LogChunk chunk;
+  chunk.bytes.assign(64 * 1024, 0x01);
+  std::string error;
+  EXPECT_FALSE(replay::WriteLogFile(TempPath("no_such_dir/x.odflog"), "{}", {&chunk}, &error));
+  EXPECT_NE(error.find("cannot open log for writing"), std::string::npos) << error;
+  if (std::FILE* full = std::fopen("/dev/full", "wb")) {
+    std::fclose(full);
+    EXPECT_FALSE(replay::WriteLogFile("/dev/full", "{}", {&chunk, &chunk}, &error));
+    EXPECT_NE(error.find("short write"), std::string::npos) << error;
+  }
 }
 
 #if ODF_REPLAY_COMPILED
@@ -162,6 +329,8 @@ TEST_F(ReplayTest, ReplayReproducesFinalStateAndCounters) {
   replay::ReplayReport report = replay::Replay(log, replay::ReplayOptions{});
   EXPECT_TRUE(report.ok()) << report.Describe();
   EXPECT_EQ(report.ops_replayed, report.ops_total);
+  std::string n = std::to_string(report.ops_total);
+  EXPECT_EQ(report.Describe(), "replayed " + n + "/" + n + " ops (through seq " + n + "): OK\n");
 }
 
 // tlb_hits / tlb_misses say which tier served each access, and that depends on what the
@@ -255,6 +424,8 @@ TEST_F(ReplayTest, ReplayDetectsTamperedFinalState) {
     found = found || divergence.find("content_digest") != std::string::npos;
   }
   EXPECT_TRUE(found) << report.Describe();
+  EXPECT_NE(report.Describe().find(": FAILED\n  divergence: "), std::string::npos)
+      << report.Describe();
 }
 
 TEST_F(ReplayTest, ReplayDetectsTamperedOpOutcome) {
@@ -278,6 +449,7 @@ TEST_F(ReplayTest, IncompleteLogIsRefused) {
   replay::ReplayReport report = replay::Replay(log, replay::ReplayOptions{});
   EXPECT_FALSE(report.parsed);
   EXPECT_NE(report.error.find("not replayable"), std::string::npos) << report.error;
+  EXPECT_EQ(report.Describe(), "replayed 0/0 ops: FAILED\n  error: " + report.error + "\n");
 }
 
 TEST_F(ReplayTest, BlackBoxBudgetBoundsRetainedBytes) {
@@ -337,15 +509,135 @@ TEST_F(ReplayTest, RingOverwriteIsAccounted) {
 
 TEST_F(ReplayTest, ProcfsKnobControlsRecorder) {
   std::string error;
-  EXPECT_TRUE(ConfigureReplay("start mode=blackbox budget=1048576", &error)) << error;
-  EXPECT_TRUE(replay::Recorder::Global().recording());
-  std::string status = FormatReplay();
+  auto& recorder = replay::Recorder::Global();
+  EXPECT_TRUE(recorder.Configure("start mode=blackbox budget=1048576", &error)) << error;
+  EXPECT_TRUE(recorder.recording());
+  std::string status = recorder.FormatStatus();
   EXPECT_NE(status.find("mode blackbox"), std::string::npos) << status;
   EXPECT_NE(status.find("recording 1"), std::string::npos) << status;
-  EXPECT_TRUE(ConfigureReplay("stop", &error)) << error;
-  EXPECT_FALSE(replay::Recorder::Global().recording());
-  EXPECT_FALSE(ConfigureReplay("mode=bogus", &error));
+  EXPECT_TRUE(recorder.Configure("stop", &error)) << error;
+  EXPECT_FALSE(recorder.recording());
+  EXPECT_FALSE(recorder.Configure("mode=bogus", &error));
   EXPECT_FALSE(error.empty());
+}
+
+// Every key of the recorder knob, the on-demand dump it shares with the abort hook, and
+// the dump directory taken from the environment.
+TEST_F(ReplayTest, KnobParsesEveryKeyAndDumpsOnDemand) {
+  auto& recorder = replay::Recorder::Global();
+  const std::string dir = ::testing::TempDir();
+  const std::string blackbox = dir + "/odf-replay-blackbox.odflog";
+  std::string error;
+  ASSERT_TRUE(recorder.Configure("start mode=full budget=65536 trace=0 dir=" + dir, &error))
+      << error;
+  {
+    Kernel kernel;
+    kernel.CreateProcess().Mmap(kPageSize, kProtRead);
+  }
+  EXPECT_EQ(recorder.DumpNow(), blackbox);
+  replay::ReplayLog log;
+  ASSERT_TRUE(replay::ReadLogFile(blackbox, &log, &error)) << error;
+  EXPECT_GE(log.ops.size(), 2u);
+  const std::string dumped = TempPath("replay_knob_dump.odflog");
+  EXPECT_TRUE(recorder.Configure("dump=" + dumped, &error)) << error;
+  EXPECT_TRUE(replay::ReadLogFile(dumped, &log, &error)) << error;
+  EXPECT_FALSE(recorder.Configure("start", &error));
+  EXPECT_EQ(error, "already recording");
+  recorder.Stop();
+
+  const std::pair<std::string, std::string> bad[] = {
+      {"budget=12x", "bad budget"},
+      {"trace=2", "bad trace flag"},
+      {"colour=red", "unknown key"},
+      {"nonsense", "malformed token"},
+      {"dump=" + TempPath("no_such_dir/x.odflog"), "cannot open log for writing"},
+  };
+  for (const auto& [spec, want] : bad) {
+    error.clear();
+    EXPECT_FALSE(recorder.Configure(spec, &error)) << spec;
+    EXPECT_NE(error.find(want), std::string::npos) << spec << ": " << error;
+  }
+
+  ::setenv("ODF_REPLAY_DUMP_DIR", dir.c_str(), 1);
+  ASSERT_TRUE(recorder.Start());
+  ::unsetenv("ODF_REPLAY_DUMP_DIR");
+  EXPECT_EQ(recorder.DumpNow(), blackbox);
+}
+
+// Every op kind of the catalog is recorded and replays with no divergence, from the file,
+// with fault injection pinned to the recorded verdicts and re-armed from its config.
+// kswapd starts and stops with nothing under pressure, so it never wakes.
+TEST_F(ReplayTest, EveryOpKindReplays) {
+  replay::RecorderOptions options;
+  options.mode = replay::RecorderMode::kFull;
+  ASSERT_TRUE(replay::Recorder::Global().Start(options));
+  const std::string path = TempPath("replay_every_op.odflog");
+  {
+    Kernel kernel;
+    kernel.set_default_fork_mode(ForkMode::kOnDemand);
+    Process& parent = kernel.CreateProcess();
+    parent.set_fork_mode(ForkMode::kClassic);
+    Vaddr buf = parent.Mmap(64 * kPageSize, kProtRead | kProtWrite);
+    parent.address_space().PopulateRange(buf, 16 * kPageSize);
+    std::vector<std::byte> page(kPageSize, std::byte{0x11});
+    ASSERT_TRUE(parent.WriteMemory(buf, page));
+    ASSERT_TRUE(parent.ReadMemory(buf + 20 * kPageSize, page));
+    ASSERT_TRUE(parent.MemsetMemory(buf + kPageSize, std::byte{0x22}, kPageSize));
+    ASSERT_TRUE(parent.TouchRange(buf, 24 * kPageSize, AccessType::kWrite));
+    parent.MadviseDontNeed(buf + 2 * kPageSize, 2 * kPageSize);
+    Vaddr moved = parent.Mremap(buf, 64 * kPageSize, 32 * kPageSize);
+    parent.Munmap(moved + 24 * kPageSize, 8 * kPageSize);
+    Vaddr huge = parent.Mmap(kHugePageSize, kProtRead | kProtWrite, /*huge=*/true);
+    ASSERT_TRUE(parent.MemsetMemory(huge + kPageSize, std::byte{0x33}, kPageSize));
+
+    Process& child = kernel.Fork(parent);
+    Process* tried = kernel.TryFork(parent, ForkMode::kOnDemand);
+    ASSERT_NE(tried, nullptr);
+    fi::FaultInjector::Global().Arm(FiSite::k_frame_alloc, FiSiteConfig{.nth = 2});
+    child.TouchRange(moved, 4 * kPageSize, AccessType::kWrite);
+    fi::FaultInjector::Global().Disarm(FiSite::k_frame_alloc);
+    fi::FaultInjector::Global().Reset(/*seed=*/7);
+
+    kernel.SetMemoryLimitFrames(4096);
+    kernel.ReclaimMemory(4);
+    kernel.StartKswapd();
+    kernel.StopKswapd();
+    AddressSpace& as = tried->address_space();
+    FrameId first = as.walker().Translate(as.pgd(), moved, AccessType::kRead).frame;
+    FrameId second =
+        as.walker().Translate(as.pgd(), moved + 5 * kPageSize, AccessType::kRead).frame;
+    kernel.SoftOfflinePage(second);
+    kernel.MemoryFailure(first);
+
+    kernel.Exit(child, 0);
+    kernel.Exit(*tried, 0);
+    kernel.Wait(parent);
+    kernel.Wait(parent);
+    std::string error;
+    ASSERT_TRUE(replay::StopAndWriteLog(kernel, path, &error)) << error;
+  }
+
+  replay::ReplayLog log;
+  std::string error;
+  ASSERT_TRUE(replay::ReadLogFile(path, &log, &error)) << error;
+  std::set<OpKind> seen;
+  for (const replay::OpRecord& op : log.ops) {
+    seen.insert(op.kind);
+  }
+  for (size_t k = 0; k < kOpKindCount; ++k) {
+    EXPECT_TRUE(seen.count(static_cast<OpKind>(k)) != 0)
+        << OpKindName(static_cast<OpKind>(k)) << " was not recorded";
+  }
+  replay::ReplayReport report = replay::ReplayFile(path);
+  EXPECT_TRUE(report.ok()) << report.Describe();
+  EXPECT_EQ(report.ops_replayed, report.ops_total);
+  replay::ReplayOptions unpinned;
+  unpinned.pin_fi = false;
+  report = replay::Replay(log, unpinned);
+  EXPECT_TRUE(report.ok()) << report.Describe();
+  report = replay::ReplayFile(TempPath("replay_no_such.odflog"));
+  EXPECT_FALSE(report.ok());
+  EXPECT_NE(report.error.find("cannot open log"), std::string::npos) << report.error;
 }
 
 TEST_F(ReplayTest, StartWhileRecordingFails) {

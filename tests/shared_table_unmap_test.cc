@@ -146,5 +146,29 @@ TEST_F(SharedTableUnmapTest, ExitWithSharedTablesLeaksNothing) {
   EXPECT_TRUE(kernel_.allocator().AllFree());
 }
 
+// The last sharer to drop a PMD table that still maps something releases all of it: the
+// huge page's reference directly and, transitively, each PTE table and its pages. Every
+// in-tree path zaps a table's entries before its last drop unless a concurrent sharer's
+// drop interleaves, so the state is built here by hand.
+TEST(DropPmdTableReferenceTest, LastDropReleasesTheEntriesItStillHolds) {
+  FrameAllocator allocator;
+  FrameId pmd = AllocPageTable(allocator);
+  FrameId pte = AllocPageTable(allocator);
+  FrameId page = allocator.Allocate(kPageFlagAnon);
+  FrameId head = allocator.AllocateCompound(kPageFlagAnon);
+  StoreEntry(&allocator.TableEntries(pte)[3], Pte::Make(page, kPtePresent | kPteUser));
+  StoreEntry(&allocator.TableEntries(pmd)[0],
+             Pte::Make(pte, kPtePresent | kPteWritable | kPteUser));
+  StoreEntry(&allocator.TableEntries(pmd)[1],
+             Pte::Make(head, kPtePresent | kPteUser | kPteHuge));
+  allocator.IncPtShare(pmd);  // A second sharer.
+
+  EXPECT_FALSE(DropPmdTableReference(allocator, nullptr, pmd));
+  EXPECT_TRUE(LoadEntry(&allocator.TableEntries(pmd)[1]).IsPresent());
+  EXPECT_TRUE(DropPmdTableReference(allocator, nullptr, pmd));
+  PtEpoch::Global().Drain();
+  EXPECT_TRUE(allocator.AllFree());
+}
+
 }  // namespace
 }  // namespace odf

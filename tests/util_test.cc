@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "src/util/histogram.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
@@ -98,6 +100,22 @@ TEST(HistogramTest, PercentilesApproximateStoredSamples) {
   EXPECT_NEAR(histogram.MeanMicros(), 100.0, 1.0);
 }
 
+// Empty reads zero; samples below 8 ns land in exact linear buckets; a sample past the last
+// octave lands in the last bucket. A single sample has no variance.
+TEST(HistogramTest, EmptyTinyAndOverflowingSamples) {
+  LatencyHistogram histogram;
+  EXPECT_EQ(histogram.PercentileMicros(50), 0.0);
+  EXPECT_EQ(histogram.MeanMicros(), 0.0);
+  histogram.RecordNanos(3);
+  EXPECT_DOUBLE_EQ(histogram.PercentileMicros(50), 0.003);
+  histogram.RecordNanos(~uint64_t{0});
+  EXPECT_EQ(histogram.TotalCount(), 2u);
+  EXPECT_GT(histogram.PercentileMicros(100), 1e6);
+  RunningStats stats;
+  stats.Add(4.0);
+  EXPECT_EQ(stats.variance(), 0.0);
+}
+
 TEST(HistogramTest, OrderingOfPercentiles) {
   LatencyHistogram histogram;
   Rng rng(3);
@@ -131,6 +149,24 @@ TEST(TablePrinterTest, RendersCsvWithQuoting) {
             "Name,Value\n"
             "plain,1\n"
             "\"with,comma\",\"say \"\"hi\"\"\"\n");
+}
+
+TEST(TablePrinterTest, PrintsWhatItRendersAndExposesCells) {
+  TablePrinter table({"Name", "Value"});
+  table.AddRow({"x", "1"});
+  EXPECT_EQ(table.headers(), (std::vector<std::string>{"Name", "Value"}));
+  ASSERT_EQ(table.rows().size(), 1u);
+  EXPECT_EQ(table.rows()[0][0], "x");
+  std::FILE* file = std::tmpfile();
+  ASSERT_NE(file, nullptr);
+  table.Print(file);
+  std::rewind(file);
+  std::string printed;
+  for (int c = 0; (c = std::fgetc(file)) != EOF;) {
+    printed.push_back(static_cast<char>(c));
+  }
+  std::fclose(file);
+  EXPECT_EQ(printed, table.Render());
 }
 
 TEST(TablePrinterTest, FormatHelpers) {

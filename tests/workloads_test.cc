@@ -40,6 +40,20 @@ TEST_F(FuzzerTest, RunsInputsAndFindsCoverage) {
   EXPECT_EQ(kernel_.ProcessCount(), 1u) << "all children reaped";
 }
 
+// RunFor executes until its time budget is spent and accounts the time, so the rate is
+// positive; a tiny input cap truncates mutated inputs.
+TEST_F(FuzzerTest, RunForAccountsTimeAndRate) {
+  FuzzerConfig config;
+  config.max_input_bytes = 8;
+  ForkServerFuzzer fuzzer(kernel_, p_, MakeMiniDbShellTarget(kernel_, "t", db_.meta_base()),
+                          config, MiniDbSeedCorpus());
+  fuzzer.RunFor(0.05);
+  EXPECT_GT(fuzzer.stats().executions, 0u);
+  EXPECT_GE(fuzzer.stats().elapsed_seconds, 0.05);
+  EXPECT_GT(fuzzer.stats().ExecsPerSecond(), 0.0);
+  EXPECT_EQ(kernel_.ProcessCount(), 1u) << "all children reaped";
+}
+
 TEST_F(FuzzerTest, DeterministicForSameSeed) {
   FuzzerConfig config;
   config.seed = 42;
